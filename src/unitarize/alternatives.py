@@ -15,25 +15,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundedness import check_uniformly_bounded
+from .boundedness import require_bounded
 from .core import (
     DEFAULT_TOLERANCES,
-    EigenDecomposition,
     HermitianForm,
     ToleranceConfig,
     as_operator,
     eig,
     hermitize,
+    invariance_residual,
     invert,
+    resolve_fiducial,
 )
 from .errors import (
     InvalidInput,
     MissingClusterWeight,
     NonPositivePhi,
     NonPositiveWeight,
-    NotUniformlyBounded,
 )
-from .metrics import Unitarization, mixed_pullback_mean
+from .metrics import Unitarization, _spectral_unitarization, mixed_pullback_mean
 
 # Default horizon for the finite average inside metric_dependence.  The
 # double-and-add evaluation makes the cost logarithmic in the horizon, so
@@ -84,13 +84,6 @@ class ScalingSpec:
         return hermitize(block)
 
 
-def _checked_decomposition(T: np.ndarray, cfg: ToleranceConfig) -> EigenDecomposition:
-    report = check_uniformly_bounded(T, cfg)
-    if not report.bounded:
-        raise NotUniformlyBounded("; ".join(report.reasons))
-    return eig(T, cfg)
-
-
 def scaled_metric(
     operator, spec: ScalingSpec, cfg: ToleranceConfig | None = None
 ) -> HermitianForm:
@@ -104,7 +97,7 @@ def scaled_metric(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
-    dec = _checked_decomposition(T, cfg)
+    dec = require_bounded(T, cfg)
     n = dec.dim
     B = np.zeros((n, n), dtype=np.complex128)
     for c, idx in enumerate(dec.clusters):
@@ -140,7 +133,7 @@ def phi_metric(
     g = np.asarray(unitarization.invariant_form.gram)
     if g.shape[0] != T.shape[0]:
         raise InvalidInput("operator and unitarization dimensions differ")
-    inv_res = np.linalg.norm(T.conj().T @ g @ T - g) / np.linalg.norm(g)
+    inv_res = invariance_residual(T, g)
     if inv_res > 1e-6:
         raise InvalidInput(
             f"the supplied metric is not invariant under this operator "
@@ -184,14 +177,9 @@ def commutant_positive_basis(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
-    dec = _checked_decomposition(T, cfg)
+    dec = require_bounded(T, cfg)
     n = dec.dim
-    if h0 is None:
-        G0 = np.eye(n, dtype=np.complex128)
-    elif isinstance(h0, HermitianForm):
-        G0 = np.asarray(h0.gram)
-    else:
-        G0 = np.asarray(HermitianForm(as_operator(h0), psd_tol=cfg.psd_tol).gram)
+    G0 = np.asarray(resolve_fiducial(h0, n, cfg).gram)
     P = dec.eigenvectors
     Pi = invert(P, "eigenvector matrix")
     M = P.conj().T @ G0 @ P
@@ -255,23 +243,17 @@ def metric_dependence(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
-    n = T.shape[0]
-    if not isinstance(h0, HermitianForm):
-        h0 = HermitianForm(as_operator(h0), psd_tol=cfg.psd_tol)
-    if not isinstance(h0_prime, HermitianForm):
-        h0_prime = HermitianForm(as_operator(h0_prime), psd_tol=cfg.psd_tol)
-    if h0.dim != n or h0_prime.dim != n:
-        raise InvalidInput("operator and fiducial form dimensions differ")
+    h0 = resolve_fiducial(h0, T.shape[0], cfg)
+    h0_prime = resolve_fiducial(h0_prime, T.shape[0], cfg)
     N = int(horizon if horizon is not None else DEPENDENCE_HORIZON)
     if N < 2:
         raise InvalidInput("the averaging horizon must be at least 2")
 
-    from .metrics import invariant_metric
-
+    dec = require_bounded(T, cfg)
     G0 = np.asarray(h0.gram)
     G0p = np.asarray(h0_prime.gram)
-    G = np.asarray(invariant_metric(T, h0, cfg).invariant_form.gram)
-    Gp = np.asarray(invariant_metric(T, h0_prime, cfg).invariant_form.gram)
+    G = np.asarray(_spectral_unitarization(T, dec, h0, cfg).invariant_form.gram)
+    Gp = np.asarray(_spectral_unitarization(T, dec, h0_prime, cfg).invariant_form.gram)
 
     C = np.linalg.solve(G0p, G0)
     R = np.linalg.solve(Gp, G)

@@ -11,20 +11,22 @@ real spectrum.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    CLUSTER_FLOOR,
     DEFAULT_TOLERANCES,
     SINGULAR_RTOL,
+    EigenDecomposition,
     ToleranceConfig,
     as_operator,
     eig,
+    require_nonsingular,
+    spectral_band,
     spectral_norm,
 )
-from .errors import InvalidInput, NotAutomorphism, NumericalFailure
+from .errors import InvalidInput, NotAutomorphism, NotUniformlyBounded, NumericalFailure
 
 # Power norms are sampled for k in [-POWER_SAMPLE_RANGE, POWER_SAMPLE_RANGE].
 POWER_SAMPLE_RANGE = 32
@@ -38,13 +40,6 @@ VERDICT_NORMAL_NOT_UNITARY = "not_similar_to_unitary"
 VERDICT_NOT_NORMAL = "not_normal"
 
 
-def _modulus_band(op_norm: float, cfg: ToleranceConfig) -> float:
-    # Anything within the cluster floor of the unit circle is treated as on
-    # it, so that defective unimodular spectra are reported as defective
-    # rather than as off the circle.
-    return max(cfg.unitarity_tol, CLUSTER_FLOOR * (1.0 + op_norm))
-
-
 @dataclass(eq=False)
 class BoundednessReport:
     """Outcome of the power-orbit decision for one operator.
@@ -53,7 +48,10 @@ class BoundednessReport:
     tolerance; defective lists unimodular eigenvalues (one representative per
     cluster) whose cluster fails the geometric multiplicity test.  The bound
     estimate is the condition number of the eigenvector matrix when the
-    verdict is positive, and None otherwise.
+    verdict is positive, and None otherwise.  decomposition is the one
+    eigendecomposition the verdict was read from; the constructions that
+    need a bounded operator's spectral data take it from here (through
+    require_bounded) rather than decomposing the operator again.
     """
 
     verdict: str
@@ -61,6 +59,7 @@ class BoundednessReport:
     defective: tuple[complex, ...]
     sampled_power_norms: dict[int, float]
     bound_estimate: float | None
+    decomposition: EigenDecomposition
 
     @property
     def bounded(self) -> bool:
@@ -81,9 +80,7 @@ class BoundednessReport:
 def sampled_power_norms(T: np.ndarray, k_range: int = POWER_SAMPLE_RANGE) -> dict[int, float]:
     """Spectral norms of T^k for k in [-k_range, k_range]."""
     n = T.shape[0]
-    sv = np.linalg.svd(T, compute_uv=False)
-    if sv[-1] <= SINGULAR_RTOL * (1.0 + sv[0]):
-        raise NotAutomorphism("operator is numerically singular")
+    require_nonsingular(T, NotAutomorphism, "operator is numerically singular")
     Tinv = np.linalg.inv(T)
     norms = {0: 1.0}
     fwd = np.eye(n, dtype=np.complex128)
@@ -108,7 +105,7 @@ def check_uniformly_bounded(
     norms = sampled_power_norms(T)
 
     dec = eig(T, cfg)
-    band = _modulus_band(spectral_norm(T), cfg)
+    band = spectral_band(dec.operator_norm, cfg)
     moduli = np.abs(dec.eigenvalues)
     off = tuple(
         complex(lam) for lam, m in zip(dec.eigenvalues, moduli) if abs(m - 1.0) > band
@@ -130,7 +127,22 @@ def check_uniformly_bounded(
         defective=tuple(defective),
         sampled_power_norms=norms,
         bound_estimate=bound,
+        decomposition=dec,
     )
+
+
+def require_bounded(
+    operator, cfg: ToleranceConfig | None = None, label: str = ""
+) -> EigenDecomposition:
+    """Decomposition of a power-bounded operator, taken from its decision.
+
+    Raises NotUniformlyBounded with the reasons, prefixed by label (such as
+    "t1: "), when the power orbit is unbounded.
+    """
+    report = check_uniformly_bounded(operator, cfg)
+    if not report.bounded:
+        raise NotUniformlyBounded(label + "; ".join(report.reasons))
+    return report.decomposition
 
 
 @dataclass(eq=False)
@@ -156,7 +168,7 @@ def check_generator(operator, cfg: ToleranceConfig | None = None) -> GeneratorRe
     cfg = cfg or DEFAULT_TOLERANCES
     H = as_operator(operator)
     dec = eig(H, cfg)
-    band = max(cfg.unitarity_tol, CLUSTER_FLOOR * (1.0 + spectral_norm(H)))
+    band = spectral_band(dec.operator_norm, cfg)
     off_real = tuple(
         complex(lam) for lam in dec.eigenvalues if abs(lam.imag) > band
     )
@@ -211,7 +223,6 @@ def resolvent_bound_estimate(
     operator,
     radii=(1.5, 1.1, 1.01),
     samples: int = 2048,
-    cfg: ToleranceConfig | None = None,
 ) -> float:
     """Estimate sup over r of (r^2 - 1) times the mean squared resolvent norm.
 
@@ -231,6 +242,7 @@ def resolvent_bound_estimate(
         raise InvalidInput("need at least 8 angular samples")
     n = T.shape[0]
     eye = np.eye(n, dtype=np.complex128)
+    cut = SINGULAR_RTOL * (1.0 + spectral_norm(T))
     worst = 0.0
     for r in radii:
         acc = np.zeros(n)
@@ -238,7 +250,7 @@ def resolvent_bound_estimate(
         for a in np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False):
             shift = T - r * np.exp(1j * a) * eye
             sv_min = np.linalg.svd(shift, compute_uv=False)[-1]
-            if sv_min <= SINGULAR_RTOL * (1.0 + spectral_norm(T)):
+            if sv_min <= cut:
                 warnings.warn(
                     f"skipping a numerically singular resolvent point at "
                     f"radius {r:.6g}",

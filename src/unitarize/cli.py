@@ -12,6 +12,7 @@ example generator.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import warnings
@@ -19,24 +20,18 @@ import warnings
 import numpy as np
 
 from . import alternatives, boundedness, families, hamiltonian, intertwine, line_models, metrics
-from .core import DEFAULT_TOLERANCES, HermitianForm, ToleranceConfig
+from .core import DEFAULT_TOLERANCES, HermitianForm, ToleranceConfig, invariance_residual
 from .errors import (
     DivergenceDetected,
-    FormMismatch,
     InvalidInput,
-    MissingClusterWeight,
-    NonPositivePhi,
-    NonPositiveWeight,
     NotAutomorphism,
     NotBoundedFlow,
     NotCommuting,
-    NotPositiveDefinite,
     NotSelfAdjoint,
     NotUniformlyBounded,
     RelationViolated,
     SingularShift,
     UnitarizeError,
-    WeightOnUnmatchedPair,
 )
 from .serialization import (
     AnalysisReport,
@@ -61,16 +56,6 @@ DOMAIN_ERRORS = (
     NotSelfAdjoint,
 )
 
-USAGE_ERRORS = (
-    InvalidInput,
-    MissingClusterWeight,
-    NonPositiveWeight,
-    NonPositivePhi,
-    WeightOnUnmatchedPair,
-    FormMismatch,
-    NotPositiveDefinite,
-)
-
 _FACTORIZATION_RTOL = 1e-9
 
 
@@ -82,16 +67,6 @@ def _verdict_name(exc: Exception) -> str:
             out.append("_")
         out.append(ch.lower())
     return "".join(out)
-
-
-def _tolerances_dict(cfg: ToleranceConfig) -> dict:
-    return {
-        "eig_cluster_tol": cfg.eig_cluster_tol,
-        "psd_tol": cfg.psd_tol,
-        "unitarity_tol": cfg.unitarity_tol,
-        "cesaro_horizon": cfg.cesaro_horizon,
-        "cesaro_rel_tol": cfg.cesaro_rel_tol,
-    }
 
 
 def _config(args) -> ToleranceConfig:
@@ -132,7 +107,7 @@ def _run(command, payloads, cfg, fill) -> tuple[AnalysisReport, int]:
     report = AnalysisReport(
         command=command,
         inputs_digest=inputs_digest(payloads),
-        tolerances=_tolerances_dict(cfg),
+        tolerances=dataclasses.asdict(cfg),
     )
     code = 0
     with warnings.catch_warnings(record=True) as caught:
@@ -285,10 +260,7 @@ def _cmd_altmetric(args):
             form = alternatives.scaled_metric(T, spec, cfg)
             report.verdicts["outcome"] = "scaled_metric"
             report.matrices["scaled_gram"] = matrix_payload(form.gram)
-            g = np.asarray(form.gram)
-            report.residuals["invariance"] = float(
-                np.linalg.norm(T.conj().T @ g @ T - g) / np.linalg.norm(g)
-            )
+            report.residuals["invariance"] = invariance_residual(T, form.gram)
             return 0
 
         return _run("altmetric", [payload, weights_payload], cfg, fill)
@@ -316,9 +288,7 @@ def _cmd_altmetric(args):
         report.verdicts["outcome"] = "phi_metric"
         report.matrices["phi_gram"] = matrix_payload(g)
         report.matrices["commuting_factor"] = matrix_payload(commuting)
-        report.residuals["invariance"] = float(
-            np.linalg.norm(T.conj().T @ g @ T - g) / np.linalg.norm(g)
-        )
+        report.residuals["invariance"] = invariance_residual(T, g)
         report.residuals["commutation"] = float(
             np.linalg.norm(T @ commuting - commuting @ T)
             / max(np.linalg.norm(commuting) * np.linalg.norm(T), 1e-300)
@@ -668,9 +638,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.handler(args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except UnitarizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

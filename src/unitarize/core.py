@@ -9,6 +9,7 @@ deterministic spectral data.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -139,6 +140,17 @@ def effective_cluster_tol(operator_norm: float, cfg: ToleranceConfig | None = No
     return max(cfg.eig_cluster_tol, CLUSTER_FLOOR * (1.0 + operator_norm))
 
 
+def spectral_band(operator_norm: float, cfg: ToleranceConfig | None = None) -> float:
+    """Distance from the unit circle (or from an axis) within which an
+    eigenvalue of an operator of the given norm counts as on it.
+
+    Floored at the clustering floor, so that a defective spectrum on the
+    circle is reported as defective rather than as off the circle.
+    """
+    cfg = cfg or DEFAULT_TOLERANCES
+    return max(cfg.unitarity_tol, CLUSTER_FLOOR * (1.0 + operator_norm))
+
+
 def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
     """Transitive closure of the relation |v_i - v_j| <= tol."""
     n = values.size
@@ -190,6 +202,7 @@ class EigenDecomposition:
     diagonalizable     True when every cluster has full geometric multiplicity
     defective_clusters positions (into clusters) that fail the rank test
     cluster_tol        effective clustering radius that was used
+    operator_norm      spectral norm of the operator, which sets that radius
     """
 
     eigenvalues: np.ndarray
@@ -198,6 +211,7 @@ class EigenDecomposition:
     diagonalizable: bool
     defective_clusters: tuple[int, ...]
     cluster_tol: float
+    operator_norm: float
 
     @property
     def dim(self) -> int:
@@ -238,8 +252,9 @@ def eig(operator, cfg: ToleranceConfig | None = None) -> EigenDecomposition:
     w = w[order]
     v = _fix_column_phases(v[:, order])
 
-    scale = 1.0 + spectral_norm(T)
-    tol = effective_cluster_tol(scale - 1.0, cfg)
+    op_norm = spectral_norm(T)
+    scale = 1.0 + op_norm
+    tol = effective_cluster_tol(op_norm, cfg)
     labels = _cluster_labels(w, tol)
 
     clusters = []
@@ -248,7 +263,6 @@ def eig(operator, cfg: ToleranceConfig | None = None) -> EigenDecomposition:
     clusters.sort(key=lambda idx: idx[0])
     clusters = tuple(clusters)
 
-    near = 0
     dist = np.abs(w[:, None] - w[None, :])
     cross = labels[:, None] != labels[None, :]
     near = int(np.sum(cross & (dist <= 2.0 * tol)) // 2)
@@ -280,6 +294,7 @@ def eig(operator, cfg: ToleranceConfig | None = None) -> EigenDecomposition:
         diagonalizable=not defective,
         defective_clusters=tuple(defective),
         cluster_tol=tol,
+        operator_norm=op_norm,
     )
 
 
@@ -317,10 +332,46 @@ def adjoint_wrt(operator, form: HermitianForm) -> np.ndarray:
     return np.linalg.solve(form.gram, A.conj().T @ form.gram)
 
 
+def require_nonsingular(a: np.ndarray, error: type[Exception], message: str) -> None:
+    """Raise error(message) when a is numerically singular."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[-1] <= SINGULAR_RTOL * (1.0 + sv[0]):
+        raise error(message)
+
+
 def invert(operator, label: str = "operator") -> np.ndarray:
     """Inverse with an explicit singularity check."""
     A = as_operator(operator)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= SINGULAR_RTOL * (1.0 + sv[0]):
-        raise InvalidInput(f"{label} is numerically singular")
+    require_nonsingular(A, InvalidInput, f"{label} is numerically singular")
     return np.linalg.inv(A)
+
+
+def resolve_fiducial(h0, dim: int, cfg: ToleranceConfig | None = None) -> HermitianForm:
+    """The fiducial form for an operator of the given dimension.
+
+    None means the standard form; a Gram matrix is validated into a form.
+    A form of another dimension raises InvalidInput.
+    """
+    cfg = cfg or DEFAULT_TOLERANCES
+    if h0 is None:
+        return _standard_form(dim, cfg.psd_tol)
+    if not isinstance(h0, HermitianForm):
+        h0 = HermitianForm(as_operator(h0), psd_tol=cfg.psd_tol)
+    if h0.dim != dim:
+        raise InvalidInput("fiducial form and operator dimensions differ")
+    return h0
+
+
+@functools.lru_cache(maxsize=16)
+def _standard_form(dim: int, psd_tol: float) -> HermitianForm:
+    # A form is immutable, so one validated identity per size can serve every
+    # call; the finite averages, which never validated a default identity,
+    # would otherwise pay an eigvalsh each.
+    return HermitianForm(np.eye(dim, dtype=np.complex128), psd_tol=psd_tol)
+
+
+def invariance_residual(operator: np.ndarray, gram) -> float:
+    """Relative defect ||T* G T - G|| / ||G|| of the metric G under T."""
+    g = np.asarray(gram)
+    defect = operator.conj().T @ g @ operator - g
+    return float(np.linalg.norm(defect) / np.linalg.norm(g))

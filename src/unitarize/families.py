@@ -15,21 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundedness import check_uniformly_bounded
+from .boundedness import require_bounded
 from .core import (
     DEFAULT_TOLERANCES,
+    EigenDecomposition,
     HermitianForm,
     ToleranceConfig,
     as_operator,
-    eig,
+    invariance_residual,
+    resolve_fiducial,
 )
-from .errors import (
-    InvalidInput,
-    NotCommuting,
-    NotUniformlyBounded,
-    RelationViolated,
-)
-from .metrics import invariant_metric
+from .errors import InvalidInput, NotCommuting, RelationViolated
+from .metrics import _spectral_unitarization
 
 # Relative commutator size above which two operators do not count as
 # commuting.  Conjugated commuting pairs built in floating point land around
@@ -51,22 +48,25 @@ class FamilyResult:
     unitarity_residuals: dict[str, float]
 
 
-def _unitarity_residual(T: np.ndarray, form: HermitianForm) -> float:
-    g = np.asarray(form.gram)
-    return float(np.linalg.norm(T.conj().T @ g @ T - g) / np.linalg.norm(g))
-
-
-def _require_bounded(T: np.ndarray, label: str, cfg: ToleranceConfig) -> None:
-    report = check_uniformly_bounded(T, cfg)
-    if not report.bounded:
-        raise NotUniformlyBounded(f"{label}: " + "; ".join(report.reasons))
-
-
 def _require_commuting(A: np.ndarray, B: np.ndarray, labels: str) -> None:
     scale = max(1.0, float(np.linalg.norm(A))) * max(1.0, float(np.linalg.norm(B)))
     res = float(np.linalg.norm(A @ B - B @ A)) / scale
     if res > COMMUTE_RTOL:
         raise NotCommuting(f"{labels} do not commute: relative residual {res:.3e}")
+
+
+def _averaged_metric(
+    T: np.ndarray, dec: EigenDecomposition, h0, cfg: ToleranceConfig
+) -> HermitianForm:
+    """invariant_metric's form for a T already decided bounded as dec."""
+    h0 = resolve_fiducial(h0, T.shape[0], cfg)
+    return _spectral_unitarization(T, dec, h0, cfg).invariant_form
+
+
+def _pair_stages(T1, dec1, T2, dec2, h0, cfg) -> tuple[HermitianForm, HermitianForm]:
+    """Average h0 over T1, then that metric over T2; both forms."""
+    first = _averaged_metric(T1, dec1, h0, cfg)
+    return first, _averaged_metric(T2, dec2, first, cfg)
 
 
 def commuting_pair_metric(
@@ -86,13 +86,12 @@ def commuting_pair_metric(
     if T1.shape != T2.shape:
         raise InvalidInput("the two operators have different dimensions")
     _require_commuting(T1, T2, "t1 and t2")
-    _require_bounded(T1, "t1", cfg)
-    _require_bounded(T2, "t2", cfg)
-    first = invariant_metric(T1, h0, cfg).invariant_form
-    joint = invariant_metric(T2, first, cfg).invariant_form
+    dec1 = require_bounded(T1, cfg, "t1: ")
+    dec2 = require_bounded(T2, cfg, "t2: ")
+    first, joint = _pair_stages(T1, dec1, T2, dec2, h0, cfg)
     residuals = {
-        "t1": _unitarity_residual(T1, joint),
-        "t2": _unitarity_residual(T2, joint),
+        "t1": invariance_residual(T1, joint.gram),
+        "t2": invariance_residual(T2, joint.gram),
     }
     return FamilyResult(
         form=joint,
@@ -127,19 +126,13 @@ def multiplicity_free_shortcut(
     if T1.shape != T2.shape:
         raise InvalidInput("the two operators have different dimensions")
     _require_commuting(T1, T2, "t1 and t2")
-    _require_bounded(T1, "t1", cfg)
-    dec = eig(T1, cfg)
-    degenerate = None
-    for c, idx in enumerate(dec.clusters):
-        if len(idx) > 1:
-            degenerate = c
-            break
-    first = invariant_metric(T1, h0, cfg).invariant_form
-    residual = _unitarity_residual(T2, first)
+    dec = require_bounded(T1, cfg, "t1: ")
+    degenerate = next((c for c, idx in enumerate(dec.clusters) if len(idx) > 1), None)
+    first = _averaged_metric(T1, dec, h0, cfg)
     return ShortcutReport(
         valid=degenerate is None,
         degenerate_cluster=degenerate,
-        second_invariance_residual=residual,
+        second_invariance_residual=invariance_residual(T2, first.gram),
     )
 
 
@@ -184,19 +177,19 @@ def heisenberg_metric(
     if broken:
         raise RelationViolated("; ".join(broken))
 
-    for label, T in (("t1", T1), ("t2", T2), ("t3", T3)):
-        _require_bounded(T, label, cfg)
-
-    pair = commuting_pair_metric(T1, T3, h0, cfg)
-    joint = invariant_metric(T2, pair.form, cfg).invariant_form
-    # The pair helper labels its passes t1/t2; here the second pass ran
-    # over t3, so relabel before appending the final t2 average.
-    stages = [("t1", pair.stages[0][1]), ("t3", pair.stages[1][1]), ("t2", joint)]
+    dec1, dec2, dec3 = [
+        require_bounded(T, cfg, f"{label}: ")
+        for label, T in (("t1", T1), ("t2", T2), ("t3", T3))
+    ]
+    _require_commuting(T1, T3, "t1 and t3")
+    first, middle = _pair_stages(T1, dec1, T3, dec3, h0, cfg)
+    joint = _averaged_metric(T2, dec2, middle, cfg)
     residuals = {
-        "t1": _unitarity_residual(T1, joint),
-        "t2": _unitarity_residual(T2, joint),
-        "t3": _unitarity_residual(T3, joint),
+        "t1": invariance_residual(T1, joint.gram),
+        "t2": invariance_residual(T2, joint.gram),
+        "t3": invariance_residual(T3, joint.gram),
     }
+    stages = [("t1", first), ("t3", middle), ("t2", joint)]
     return FamilyResult(form=joint, stages=stages, unitarity_residuals=residuals)
 
 

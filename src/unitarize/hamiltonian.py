@@ -18,14 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCES,
     HermitianForm,
-    ToleranceConfig,
     as_operator,
     as_vector,
     eig,
-    hermitize,
     invert,
+    require_nonsingular,
 )
 from .errors import FormMismatch, InvalidInput, NotSelfAdjoint
 from .metrics import Unitarization
@@ -184,9 +182,7 @@ class ClassicalFactorization:
         scale_l = max(np.linalg.norm(lam), 1e-300)
         if np.linalg.norm(lam + lam.T) > 1e-12 * scale_l:
             raise InvalidInput("the Poisson tensor must be antisymmetric")
-        sv = np.linalg.svd(lam, compute_uv=False)
-        if sv[-1] <= 1e-13 * (1.0 + sv[0]):
-            raise InvalidInput("the Poisson tensor must be invertible")
+        require_nonsingular(lam, InvalidInput, "the Poisson tensor must be invertible")
         scale_h = max(np.linalg.norm(ham), 1e-300)
         if np.linalg.norm(ham - ham.T) > 1e-12 * scale_h:
             raise InvalidInput("the energy matrix must be symmetric")

@@ -16,17 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundedness import check_uniformly_bounded
+from .boundedness import require_bounded
 from .core import (
     DEFAULT_TOLERANCES,
     HermitianForm,
     ToleranceConfig,
     as_operator,
-    eig,
     invert,
+    resolve_fiducial,
 )
-from .errors import InvalidInput, NotUniformlyBounded, WeightOnUnmatchedPair
-from .metrics import invariant_metric, mixed_pullback_mean
+from .errors import InvalidInput, WeightOnUnmatchedPair
+from .metrics import _spectral_unitarization, mixed_pullback_mean
 
 # The averaged pairing counts as zero below this relative size; the closed
 # form returns an exact zero for disjoint spectra, so the threshold only has
@@ -60,12 +60,6 @@ class IntertwineResult:
     nonzero: bool
     rank: int
     relation_residuals: dict[str, float]
-
-
-def _require_bounded(T: np.ndarray, label: str, cfg: ToleranceConfig) -> None:
-    report = check_uniformly_bounded(T, cfg)
-    if not report.bounded:
-        raise NotUniformlyBounded(f"{label}: " + "; ".join(report.reasons))
 
 
 def _match_clusters(dec1, dec2) -> tuple[list[tuple[int, int]], float]:
@@ -108,17 +102,9 @@ def intertwiner(
     if T1.shape != T2.shape:
         raise InvalidInput("the two operators have different dimensions")
     n = T1.shape[0]
-    if h0 is None:
-        h0 = HermitianForm(np.eye(n, dtype=np.complex128), psd_tol=cfg.psd_tol)
-    elif not isinstance(h0, HermitianForm):
-        h0 = HermitianForm(as_operator(h0), psd_tol=cfg.psd_tol)
-    if h0.dim != n:
-        raise InvalidInput("fiducial form and operator dimensions differ")
-    _require_bounded(T1, "t1", cfg)
-    _require_bounded(T2, "t2", cfg)
-
-    dec1 = eig(T1, cfg)
-    dec2 = eig(T2, cfg)
+    h0 = resolve_fiducial(h0, n, cfg)
+    dec1 = require_bounded(T1, cfg, "t1: ")
+    dec2 = require_bounded(T2, cfg, "t2: ")
     pairs, _ = _match_clusters(dec1, dec2)
 
     G0 = np.asarray(h0.gram)
@@ -140,8 +126,8 @@ def intertwiner(
     Z = Pi1.conj().T @ M @ Pi2  # matrix of the limit form: x* Z y
     A0 = np.linalg.solve(G0, Z)
 
-    G1 = np.asarray(invariant_metric(T1, h0, cfg).invariant_form.gram)
-    G2 = np.asarray(invariant_metric(T2, h0, cfg).invariant_form.gram)
+    G1 = np.asarray(_spectral_unitarization(T1, dec1, h0, cfg).invariant_form.gram)
+    G2 = np.asarray(_spectral_unitarization(T2, dec2, h0, cfg).invariant_form.gram)
     A1 = np.linalg.solve(G1, G0 @ A0)
     A2 = np.linalg.solve(G2, G0 @ A0)
 
@@ -193,35 +179,29 @@ def mixed_cesaro(
     cfg = cfg or DEFAULT_TOLERANCES
     T1 = as_operator(t1)
     T2 = as_operator(t2)
-    n = T1.shape[0]
-    if h0 is None:
-        G0 = np.eye(n, dtype=np.complex128)
-    elif isinstance(h0, HermitianForm):
-        G0 = np.asarray(h0.gram)
-    else:
-        G0 = np.asarray(HermitianForm(as_operator(h0), psd_tol=cfg.psd_tol).gram)
+    G0 = np.asarray(resolve_fiducial(h0, T1.shape[0], cfg).gram)
     N = int(horizon if horizon is not None else cfg.cesaro_horizon)
     return mixed_pullback_mean(T1, G0, T2, N)
 
 
-def _orthonormal_eigenframe(T, h0: HermitianForm, cfg: ToleranceConfig):
-    """Eigenvectors of T mapped to an h0-orthonormal frame of the unitarized
-    operator, for multiplicity-free spectra."""
-    dec = eig(T, cfg)
+def _orthonormal_eigenframe(T, dec, h0: HermitianForm, cfg: ToleranceConfig):
+    """Eigenvectors of a bounded T (decomposition dec) mapped to an
+    h0-orthonormal frame of the unitarized operator, for multiplicity-free
+    spectra."""
     for idx in dec.clusters:
         if len(idx) > 1:
             raise InvalidInput(
                 "weighted connecting maps need multiplicity-free spectra; "
                 "a degenerate eigenvalue cluster was found"
             )
-    result = invariant_metric(T, h0, cfg)
+    result = _spectral_unitarization(T, dec, h0, cfg)
     Q = result.positive_similarity
     G0 = np.asarray(h0.gram)
     frame = Q @ dec.eigenvectors
     for j in range(frame.shape[1]):
         nrm = np.sqrt(max((frame[:, j].conj() @ G0 @ frame[:, j]).real, 1e-300))
         frame[:, j] /= nrm
-    return dec, result, frame
+    return result, frame
 
 
 def intertwiner_scaled(
@@ -244,15 +224,11 @@ def intertwiner_scaled(
     if T1.shape != T2.shape:
         raise InvalidInput("the two operators have different dimensions")
     n = T1.shape[0]
-    if h0 is None:
-        h0 = HermitianForm(np.eye(n, dtype=np.complex128), psd_tol=cfg.psd_tol)
-    elif not isinstance(h0, HermitianForm):
-        h0 = HermitianForm(as_operator(h0), psd_tol=cfg.psd_tol)
-    _require_bounded(T1, "t1", cfg)
-    _require_bounded(T2, "t2", cfg)
-
-    dec1, res1, frame1 = _orthonormal_eigenframe(T1, h0, cfg)
-    dec2, res2, frame2 = _orthonormal_eigenframe(T2, h0, cfg)
+    h0 = resolve_fiducial(h0, n, cfg)
+    dec1 = require_bounded(T1, cfg, "t1: ")
+    dec2 = require_bounded(T2, cfg, "t2: ")
+    res1, frame1 = _orthonormal_eigenframe(T1, dec1, h0, cfg)
+    res2, frame2 = _orthonormal_eigenframe(T2, dec2, h0, cfg)
     pairs, _ = _match_clusters(dec1, dec2)
     matched = {(dec1.clusters[i][0], dec2.clusters[j][0]) for i, j in pairs}
 

@@ -19,26 +19,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundedness import VERDICT_SELF_ADJOINT_LIKE, check_generator, check_uniformly_bounded
+from .boundedness import VERDICT_SELF_ADJOINT_LIKE, check_generator, require_bounded
 from .core import (
-    CLUSTER_FLOOR,
     DEFAULT_TOLERANCES,
-    SINGULAR_RTOL,
     EigenDecomposition,
     HermitianForm,
     ToleranceConfig,
     as_operator,
     eig,
     hermitize,
+    invariance_residual,
     invert,
     psd_sqrt,
-    spectral_norm,
+    require_nonsingular,
+    resolve_fiducial,
+    spectral_band,
 )
 from .errors import (
     DivergenceDetected,
     InvalidInput,
     NotBoundedFlow,
-    NotUniformlyBounded,
     SingularShift,
     SlowConvergence,
 )
@@ -72,16 +72,6 @@ class Unitarization:
     residuals: dict[str, float]
 
 
-def _resolve_fiducial(h0, dim: int, cfg: ToleranceConfig) -> HermitianForm:
-    if h0 is None:
-        return HermitianForm(np.eye(dim, dtype=np.complex128), psd_tol=cfg.psd_tol)
-    if not isinstance(h0, HermitianForm):
-        h0 = HermitianForm(as_operator(h0), psd_tol=cfg.psd_tol)
-    if h0.dim != dim:
-        raise InvalidInput("fiducial form and operator dimensions differ")
-    return h0
-
-
 def projected_gram(dec: EigenDecomposition, kernel: np.ndarray) -> np.ndarray:
     """Cesaro limit of (T^n)* K T^n for diagonalizable T with unimodular spectrum.
 
@@ -109,8 +99,19 @@ def _positive_similarity(
     hat = hermitize(Winv @ g_invariant @ Winv)
     Qhat = psd_sqrt(hat)
     Q = Winv @ Qhat @ W
-    Qinv = invert(W, "fiducial square root") @ invert(Qhat, "normalized similarity") @ W
+    Qinv = Winv @ invert(Qhat, "normalized similarity") @ W
     return Q, Qinv
+
+
+def _similarity_from_gram(X: np.ndarray, g_raw: np.ndarray, h0: HermitianForm, cfg):
+    """Shared steps of both constructions: the hermitized invariant Gram
+    matrix g and its form, the positive similarity Q with G0 Q^2 = g, the
+    conjugate Q X Q^{-1}, and the relative gram_match residual."""
+    g = hermitize(g_raw)
+    form = HermitianForm(g, psd_tol=cfg.psd_tol)
+    Q, Qinv = _positive_similarity(g, h0)
+    gram_match = float(np.linalg.norm(h0.gram @ Q @ Q - g)) / np.linalg.norm(g)
+    return g, form, Q, Q @ X @ Qinv, gram_match
 
 
 def _unitarization_from_gram(
@@ -121,16 +122,11 @@ def _unitarization_from_gram(
     method: str,
     cesaro_residual: float | None,
 ) -> Unitarization:
-    g = hermitize(g_raw)
-    form = HermitianForm(g, psd_tol=cfg.psd_tol)
-    Q, Qinv = _positive_similarity(g, h0)
-    U = Q @ T @ Qinv
-    g_norm = np.linalg.norm(g)
+    g, form, Q, U, gram_match = _similarity_from_gram(T, g_raw, h0, cfg)
     residuals = {
-        "invariance": float(np.linalg.norm(T.conj().T @ g @ T - g)) / g_norm,
-        "unitarity": float(np.linalg.norm(U.conj().T @ h0.gram @ U - h0.gram))
-        / np.linalg.norm(h0.gram),
-        "gram_match": float(np.linalg.norm(h0.gram @ Q @ Q - g)) / g_norm,
+        "invariance": invariance_residual(T, g),
+        "unitarity": invariance_residual(U, h0.gram),
+        "gram_match": gram_match,
     }
     return Unitarization(
         invariant_form=form,
@@ -140,6 +136,15 @@ def _unitarization_from_gram(
         cesaro_residual=cesaro_residual,
         residuals=residuals,
     )
+
+
+def _spectral_unitarization(
+    T: np.ndarray, dec: EigenDecomposition, h0: HermitianForm, cfg: ToleranceConfig
+) -> Unitarization:
+    """Closed-form unitarization of a bounded T from its decomposition and a
+    resolved fiducial form."""
+    g = projected_gram(dec, np.asarray(h0.gram))
+    return _unitarization_from_gram(T, g, h0, cfg, METHOD_SPECTRAL, None)
 
 
 def invariant_metric(
@@ -152,13 +157,8 @@ def invariant_metric(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
-    h0 = _resolve_fiducial(h0, T.shape[0], cfg)
-    report = check_uniformly_bounded(T, cfg)
-    if not report.bounded:
-        raise NotUniformlyBounded("; ".join(report.reasons))
-    dec = eig(T, cfg)
-    g = projected_gram(dec, np.asarray(h0.gram))
-    return _unitarization_from_gram(T, g, h0, cfg, METHOD_SPECTRAL, None)
+    h0 = resolve_fiducial(h0, T.shape[0], cfg)
+    return _spectral_unitarization(T, require_bounded(T, cfg), h0, cfg)
 
 
 def power_pullback_mean(
@@ -203,6 +203,9 @@ def mixed_pullback_mean(
             Rp = Rp @ R
             length += 1
         if guard is not None and np.linalg.norm(S) > guard * k_norm * max(length, 1):
+            # The traceback keeps this frame alive for as long as the caller
+            # keeps the exception; release the n x n work arrays first.
+            del L, R, K, S, Lp, Rp
             raise DivergenceDetected(
                 f"partial power averages exceeded {guard:.1e} times the kernel "
                 f"norm after {length} terms"
@@ -227,7 +230,7 @@ def cesaro_oracle(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
-    h0 = _resolve_fiducial(h0, T.shape[0], cfg)
+    h0 = resolve_fiducial(h0, T.shape[0], cfg)
     N = int(horizon if horizon is not None else cfg.cesaro_horizon)
     if N < 1:
         raise InvalidInput("the horizon must be a positive integer")
@@ -259,7 +262,7 @@ def cesaro_unitarization(
     """Unitarization built from the finite Cesaro mean instead of the closed form."""
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
-    h0 = _resolve_fiducial(h0, T.shape[0], cfg)
+    h0 = resolve_fiducial(h0, T.shape[0], cfg)
     form, drift = cesaro_oracle(T, h0, horizon, cfg)
     return _unitarization_from_gram(
         T, np.asarray(form.gram), h0, cfg, METHOD_CESARO, drift
@@ -277,9 +280,9 @@ def cayley(operator) -> np.ndarray:
     H = as_operator(operator)
     n = H.shape[0]
     shift = H + 1j * np.eye(n)
-    sv = np.linalg.svd(shift, compute_uv=False)
-    if sv[-1] <= SINGULAR_RTOL * (1.0 + sv[0]):
-        raise SingularShift("H + iI is numerically singular (eigenvalue -i)")
+    require_nonsingular(
+        shift, SingularShift, "H + iI is numerically singular (eigenvalue -i)"
+    )
     return np.linalg.solve(shift.T, (H - 1j * np.eye(n)).T).T
 
 
@@ -291,9 +294,9 @@ def inverse_cayley(operator) -> np.ndarray:
     T = as_operator(operator)
     n = T.shape[0]
     shift = np.eye(n) - T
-    sv = np.linalg.svd(shift, compute_uv=False)
-    if sv[-1] <= SINGULAR_RTOL * (1.0 + sv[0]):
-        raise SingularShift("I - T is numerically singular (eigenvalue 1)")
+    require_nonsingular(
+        shift, SingularShift, "I - T is numerically singular (eigenvalue 1)"
+    )
     return np.linalg.solve(shift.T, (1j * (np.eye(n) + T)).T).T
 
 
@@ -312,7 +315,7 @@ def unitary_log(
     g = np.asarray(unitarization.invariant_form.gram)
     if g.shape[0] != T.shape[0]:
         raise InvalidInput("operator and unitarization dimensions differ")
-    inv_res = np.linalg.norm(T.conj().T @ g @ T - g) / np.linalg.norm(g)
+    inv_res = invariance_residual(T, g)
     if inv_res > 1e-6:
         raise InvalidInput(
             f"the supplied metric is not invariant under this operator "
@@ -346,30 +349,26 @@ def flow_invariant_metric(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     X = as_operator(generator)
-    h0 = _resolve_fiducial(h0, X.shape[0], cfg)
+    h0 = resolve_fiducial(h0, X.shape[0], cfg)
     dec = eig(X, cfg)
-    band = max(cfg.unitarity_tol, CLUSTER_FLOOR * (1.0 + spectral_norm(X)))
+    band = spectral_band(dec.operator_norm, cfg)
     off_axis = [lam for lam in dec.eigenvalues if abs(lam.real) > band]
     if off_axis:
         listed = ", ".join(f"{lam:.6g}" for lam in off_axis[:4])
         raise NotBoundedFlow(f"spectrum leaves the imaginary axis: {listed}")
     if not dec.diagonalizable:
         raise NotBoundedFlow("a purely imaginary eigenvalue is defective")
-    g = projected_gram(dec, np.asarray(h0.gram))
-    g = hermitize(g)
-    form = HermitianForm(g, psd_tol=cfg.psd_tol)
-    Q, Qinv = _positive_similarity(g, h0)
-    skew = Q @ X @ Qinv
-    g_norm = np.linalg.norm(g)
-    scale = max(1.0, spectral_norm(X))
+    g_raw = projected_gram(dec, np.asarray(h0.gram))
+    g, form, Q, skew, gram_match = _similarity_from_gram(X, g_raw, h0, cfg)
+    scale = max(1.0, dec.operator_norm)
     residuals = {
         "flow_invariance": float(np.linalg.norm(X.conj().T @ g + g @ X))
-        / (g_norm * scale),
+        / (np.linalg.norm(g) * scale),
         "skewness": float(
             np.linalg.norm(skew.conj().T @ h0.gram + h0.gram @ skew)
         )
         / (np.linalg.norm(h0.gram) * scale),
-        "gram_match": float(np.linalg.norm(h0.gram @ Q @ Q - g)) / g_norm,
+        "gram_match": gram_match,
     }
     return Unitarization(
         invariant_form=form,

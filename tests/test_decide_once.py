@@ -1,0 +1,109 @@
+"""Each operator is decided and decomposed once per call, and every entry
+point that takes a fiducial form validates it through one resolver."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import unitarize as u
+from unitarize.fixtures import (
+    commuting_conjugated_pair,
+    conjugated_unitary,
+    hermitian_fixture,
+    invertible_with_condition,
+    positive_definite_fixture,
+    unimodular_phases,
+)
+
+N = 4
+
+
+@pytest.fixture
+def ops(rng):
+    """Bounded, multiplicity-free operators of dimension N and their kin."""
+    phases = unimodular_phases(rng, N, min_gap=0.2)
+    t, _, _ = conjugated_unitary(rng, N, 10.0, phases)
+    t2, _, _ = conjugated_unitary(rng, N, 10.0, phases)
+    a, b = commuting_conjugated_pair(rng, N, 10.0)
+    s = invertible_with_condition(rng, N, 10.0)
+    weyl = [np.linalg.solve(s, m @ s) for m in u.make_clock_shift(N)]
+    return SimpleNamespace(
+        t=t, t2=t2, a=a, b=b, weyl=weyl,
+        g=positive_definite_fixture(rng, N, 10.0),
+        g2=positive_definite_fixture(rng, N, 4.0),
+        flow=1j * hermitian_fixture(rng, N),
+    )
+
+
+# entry point, expected np.linalg.eig calls, call
+EIG_COUNTS = [
+    ("invariant_metric", 1, lambda o: u.invariant_metric(o.t, o.g)),
+    ("scaled_metric", 1,
+     lambda o: u.scaled_metric(o.t, u.ScalingSpec({c: 1.0 + c for c in range(N)}))),
+    ("commutant_positive_basis", 1, lambda o: u.commutant_positive_basis(o.t, o.g)),
+    ("metric_dependence", 1, lambda o: u.metric_dependence(o.t, o.g, o.g2)),
+    ("multiplicity_free_shortcut", 1, lambda o: u.multiplicity_free_shortcut(o.a, o.b)),
+    ("intertwiner", 2, lambda o: u.intertwiner(o.t, o.t2, o.g)),
+    ("intertwiner_scaled", 2, lambda o: u.intertwiner_scaled(o.t, o.t2, 1.0)),
+    ("commuting_pair_metric", 2, lambda o: u.commuting_pair_metric(o.a, o.b)),
+    ("heisenberg_metric", 3, lambda o: u.heisenberg_metric(*o.weyl)),
+]
+
+
+@pytest.mark.parametrize("expected, call", [c[1:] for c in EIG_COUNTS],
+                         ids=[c[0] for c in EIG_COUNTS])
+def test_lapack_eig_calls_per_entry_point(ops, monkeypatch, expected, call):
+    calls = []
+    real_eig = np.linalg.eig
+
+    def counting_eig(a):
+        calls.append(a.shape)
+        return real_eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    call(ops)
+    assert len(calls) == expected
+
+
+def test_report_carries_the_decomposition_it_decided_on(ops):
+    report = u.check_uniformly_bounded(ops.t)
+    dec = report.decomposition
+    assert report.bounded and dec.diagonalizable
+    assert report.bound_estimate == float(np.linalg.cond(dec.eigenvectors))
+    assert np.all(np.abs(np.abs(dec.eigenvalues) - 1.0) <= 1e-9)
+
+
+def test_require_bounded_labels_the_reasons():
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(u.NotUniformlyBounded, match=r"^t1: unimodular eigenvalue"):
+        u.boundedness.require_bounded(jordan, label="t1: ")
+
+
+# Every public entry point taking a fiducial form, called with operators of
+# dimension N and a form of dimension N - 1.
+WRONG_H0 = [
+    ("invariant_metric", lambda o, h: u.invariant_metric(o.t, h)),
+    ("cesaro_oracle", lambda o, h: u.cesaro_oracle(o.t, h, 64)),
+    ("cesaro_unitarization", lambda o, h: u.cesaro_unitarization(o.t, h, 64)),
+    ("flow_invariant_metric", lambda o, h: u.flow_invariant_metric(o.flow, h)),
+    ("intertwiner", lambda o, h: u.intertwiner(o.t, o.t2, h)),
+    ("intertwiner_scaled", lambda o, h: u.intertwiner_scaled(o.t, o.t2, 1.0, h)),
+    ("mixed_cesaro", lambda o, h: u.mixed_cesaro(o.t, o.t2, h, 64)),
+    ("commuting_pair_metric", lambda o, h: u.commuting_pair_metric(o.a, o.b, h)),
+    ("multiplicity_free_shortcut", lambda o, h: u.multiplicity_free_shortcut(o.a, o.b, h)),
+    ("heisenberg_metric", lambda o, h: u.heisenberg_metric(*o.weyl, h)),
+    ("commutant_positive_basis", lambda o, h: u.commutant_positive_basis(o.t, h)),
+    ("metric_dependence h0", lambda o, h: u.metric_dependence(o.t, h, o.g)),
+    ("metric_dependence h0_prime", lambda o, h: u.metric_dependence(o.t, o.g, h)),
+]
+
+
+@pytest.mark.parametrize("call", [c[1] for c in WRONG_H0], ids=[c[0] for c in WRONG_H0])
+@pytest.mark.parametrize("as_form", [False, True], ids=["gram", "form"])
+def test_wrong_size_fiducial_form_is_invalid_input(ops, call, as_form):
+    h0 = np.eye(N - 1, dtype=complex)
+    if as_form:
+        h0 = u.HermitianForm(h0)
+    with pytest.raises(u.InvalidInput):
+        call(ops, h0)

@@ -148,6 +148,21 @@ def test_divergence_guard_trips(rng):
         cesaro_oracle(T, None, cfg=cfg)
 
 
+def test_divergence_traceback_pins_no_work_arrays():
+    # A caller that keeps the exception keeps the raising frame alive; the
+    # frame may hold the caller's own arrays but none of its copies or sums.
+    T = 1.05 * np.eye(3, dtype=complex)
+    K = np.eye(3, dtype=complex)
+    with pytest.raises(DivergenceDetected) as info:
+        mixed_pullback_mean(T, K, T, 512)
+    tb = info.value.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code.co_name == "mixed_pullback_mean"
+    held = [v for v in tb.tb_frame.f_locals.values() if isinstance(v, np.ndarray)]
+    assert all(v is T or v is K for v in held)
+
+
 def test_unitary_log_closed_form():
     result = invariant_metric(INVOLUTION, None, CFG)
     A = unitary_log(INVOLUTION, result, CFG)
