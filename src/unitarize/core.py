@@ -332,11 +332,16 @@ def adjoint_wrt(operator, form: HermitianForm) -> np.ndarray:
     return np.linalg.solve(form.gram, A.conj().T @ form.gram)
 
 
-def require_nonsingular(a: np.ndarray, error: type[Exception], message: str) -> None:
-    """Raise error(message) when a is numerically singular."""
+def require_nonsingular(a: np.ndarray, error: type[Exception], message: str) -> np.ndarray:
+    """Raise error(message) when a is numerically singular.
+
+    Returns the singular values of a (descending) that the test read, so a
+    caller that needs them does not take a second SVD.
+    """
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] <= SINGULAR_RTOL * (1.0 + sv[0]):
         raise error(message)
+    return sv
 
 
 def invert(operator, label: str = "operator") -> np.ndarray:

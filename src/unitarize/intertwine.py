@@ -62,8 +62,12 @@ class IntertwineResult:
     relation_residuals: dict[str, float]
 
 
-def _match_clusters(dec1, dec2) -> tuple[list[tuple[int, int]], float]:
-    """Pair clusters of two decompositions whose means agree within tolerance."""
+def _match_clusters(dec1, dec2) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """Pair clusters of two decompositions whose means agree within tolerance.
+
+    Returns the index pairs and the two arrays of cluster means they were
+    matched on.
+    """
     tol = max(dec1.cluster_tol, dec2.cluster_tol)
     means1 = dec1.cluster_means()
     means2 = dec2.cluster_means()
@@ -83,7 +87,7 @@ def _match_clusters(dec1, dec2) -> tuple[list[tuple[int, int]], float]:
             f"pairing treats them as distinct",
             stacklevel=3,
         )
-    return pairs, tol
+    return pairs, means1, means2
 
 
 def intertwiner(
@@ -105,7 +109,7 @@ def intertwiner(
     h0 = resolve_fiducial(h0, n, cfg)
     dec1 = require_bounded(T1, cfg, "t1: ")
     dec2 = require_bounded(T2, cfg, "t2: ")
-    pairs, _ = _match_clusters(dec1, dec2)
+    pairs, means1, means2 = _match_clusters(dec1, dec2)
 
     G0 = np.asarray(h0.gram)
     P1, P2 = dec1.eigenvectors, dec2.eigenvectors
@@ -115,9 +119,7 @@ def intertwiner(
         rows = list(dec1.clusters[i])
         cols = list(dec2.clusters[j])
         mask[np.ix_(rows, cols)] = True
-        common.append(
-            complex((dec1.cluster_means()[i] + dec2.cluster_means()[j]) / 2.0)
-        )
+        common.append(complex((means1[i] + means2[j]) / 2.0))
 
     M = P1.conj().T @ G0 @ P2
     M = np.where(mask, M, 0.0)
@@ -229,7 +231,7 @@ def intertwiner_scaled(
     dec2 = require_bounded(T2, cfg, "t2: ")
     res1, frame1 = _orthonormal_eigenframe(T1, dec1, h0, cfg)
     res2, frame2 = _orthonormal_eigenframe(T2, dec2, h0, cfg)
-    pairs, _ = _match_clusters(dec1, dec2)
+    pairs, _, _ = _match_clusters(dec1, dec2)
     matched = {(dec1.clusters[i][0], dec2.clusters[j][0]) for i, j in pairs}
 
     if isinstance(weights, Mapping):

@@ -66,6 +66,42 @@ def test_lapack_eig_calls_per_entry_point(ops, monkeypatch, expected, call):
     assert len(calls) == expected
 
 
+# numpy.linalg entry points that cost one SVD each, and when: norm and cond
+# reach svd through numpy's module globals, so they are counted at the call,
+# as the benchmark's tracer does.
+SVD_FAMILY = {
+    "svd": lambda *a, **kw: True,
+    "norm": lambda x, ord=None, axis=None, keepdims=False: (
+        axis is None and np.ndim(x) == 2 and ord in (2, -2)
+    ),
+    "cond": lambda x, p=None: p in (None, 2, -2),
+    "matrix_rank": lambda *a, **kw: True,
+}
+
+
+def test_boundedness_check_svd_calls(ops, monkeypatch):
+    """32 power SVDs (the k = 1 one is also the singularity test), eig's
+    spectral norm and the bound's cond; a well-conditioned orbit never
+    forms inv(T)."""
+    calls = []
+
+    def counting(name, fn, applies):
+        def wrapper(*args, **kwargs):
+            if applies(*args, **kwargs):
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, applies in SVD_FAMILY.items():
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name), applies))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv, lambda *a: True))
+    report = u.check_uniformly_bounded(ops.t)
+    assert report.bounded and len(report.decomposition.clusters) == N
+    assert calls.count("inv") == 0
+    assert len(calls) == 34
+    assert calls.count("svd") == 32
+
+
 def test_report_carries_the_decomposition_it_decided_on(ops):
     report = u.check_uniformly_bounded(ops.t)
     dec = report.decomposition
