@@ -97,7 +97,7 @@ class BoundednessReport:
         return tuple(out)
 
 
-def sampled_power_norms(T: np.ndarray, k_range: int = POWER_SAMPLE_RANGE) -> dict[int, float]:
+def sampled_power_norms(T, k_range: int = POWER_SAMPLE_RANGE) -> dict[int, float]:
     """Spectral norms of T^k for k in [-k_range, k_range].
 
     One SVD of T^k serves both signs: ||T^k|| = sigma_max(T^k), and since
@@ -114,7 +114,11 @@ def sampled_power_norms(T: np.ndarray, k_range: int = POWER_SAMPLE_RANGE) -> dic
     reference, on T = S^-1 D S with D diagonal or a Jordan block, the worst
     relative error was 1.2e-11 for cond(S) <= 100 and 2.4e-9 at cond(S) =
     1e3 (see RECIPROCAL_RTOL).
+
+    Raises InvalidInput for a non-square or non-finite T, and
+    NotAutomorphism for a numerically singular one.
     """
+    T = as_operator(T)
     n = T.shape[0]
     sv = require_nonsingular(T, NotAutomorphism, "operator is numerically singular")
     norms = {0: 1.0}

@@ -4,6 +4,14 @@ A matrix travels as {"dim": n, "data": [[re, im], ...]} with n*n entries in
 row-major order; a Hermitian form adds {"kind": "hermitian_form"}.  Reports
 render through a canonical serializer (sorted keys, fixed float precision)
 so that identical inputs produce byte-identical output.
+
+Matrix data moves in bulk.  `matrix_payload` reads the [re, im] pairs off a
+float64 view of the array, `parse_matrix` converts a well-formed "data" list
+with one numpy call, and `canonical_json` renders a list of [re, im] pairs
+of exact floats with one "%.17g" format over all of its values.  "%.17g"
+and format(v, ".17g") are the same conversion, so the bulk paths produce
+the same bytes and the same floats as rendering and converting entry by
+entry, which still handles every other list and reports malformed entries.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +32,7 @@ FORM_KIND = "hermitian_form"
 def matrix_payload(a) -> dict:
     arr = as_operator(a)
     n = arr.shape[0]
-    data = [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]
+    data = arr.reshape(-1).view(np.float64).reshape(-1, 2).tolist()
     return {"dim": n, "data": data}
 
 
@@ -39,7 +48,7 @@ def parse_matrix(payload) -> np.ndarray:
     if "dim" not in payload or "data" not in payload:
         raise InvalidInput('matrix payload needs the keys "dim" and "data"')
     n = payload["dim"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidInput('"dim" must be a positive integer')
     data = payload["data"]
     if not isinstance(data, list) or len(data) != n * n:
@@ -47,6 +56,14 @@ def parse_matrix(payload) -> np.ndarray:
             f'"data" must list dim*dim = {n * n} entries, got '
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
+    values = _pair_values(data, {list}, {int, float})
+    if values is not None:
+        try:
+            flat = np.array(values, dtype=np.float64).view(np.complex128)
+        except OverflowError:
+            pass  # an int beyond float range; the loop below locates it
+        else:
+            return as_operator(flat.reshape(n, n))
     flat = np.empty(n * n, dtype=np.complex128)
     for k, entry in enumerate(data):
         if (
@@ -58,7 +75,12 @@ def parse_matrix(payload) -> np.ndarray:
                 f"entry {k} (row {k // n}, column {k % n}) must be a "
                 f"[re, im] pair of numbers"
             )
-        flat[k] = complex(entry[0], entry[1])
+        try:
+            flat[k] = complex(entry[0], entry[1])
+        except OverflowError:
+            raise InvalidInput(
+                f"entry {k} (row {k // n}, column {k % n}) is too large for a float"
+            ) from None
     return as_operator(flat.reshape(n, n))
 
 
@@ -124,6 +146,8 @@ def _render(obj, out: list[str]) -> None:
             _render(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
+        if _render_float_pairs(obj, out):
+            return
         out.append("[")
         for k, item in enumerate(obj):
             if k:
@@ -134,6 +158,34 @@ def _render(obj, out: list[str]) -> None:
         _render(obj.tolist(), out)
     else:
         raise InvalidInput(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def _pair_values(items: list, item_types: set, value_types: set) -> tuple | None:
+    """The values of a non-empty list of 2-element items, flattened in order.
+
+    None when the list is empty, or when an item's type is not exactly one
+    of `item_types` or a value's not exactly one of `value_types` (so a bool
+    is no int and an np.float64 no float here).
+    """
+    if not set(map(type, items)) <= item_types or set(map(len, items)) != {2}:
+        return None
+    flat = tuple(chain.from_iterable(items))
+    return flat if set(map(type, flat)) <= value_types else None
+
+
+def _render_float_pairs(items, out: list[str]) -> bool:
+    """Render a list of [re, im] pairs of exact floats with one format call.
+
+    Returns False, rendering nothing, when any item is not a 2-element list
+    or tuple of two `float`s, so that `_render` takes the list item by item.
+    """
+    flat = _pair_values(items, {list, tuple}, {float})
+    if flat is None:
+        return False
+    if not np.isfinite(flat).all():
+        raise InvalidInput("cannot serialize a non-finite number")
+    out.append("[" + ",".join(["[%.17g,%.17g]"] * len(items)) % flat + "]")
+    return True
 
 
 def inputs_digest(payloads: list) -> str:

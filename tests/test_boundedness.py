@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unitarize import (
+    InvalidInput,
     NotAutomorphism,
     ToleranceConfig,
     check_generator,
@@ -68,6 +69,15 @@ def test_power_norms_need_invertibility():
     T = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NotAutomorphism):
         sampled_power_norms(T)
+
+
+def test_power_norms_validate_their_argument(rng):
+    T, _, _ = conjugated_unitary(rng, 3, 10.0, unimodular_phases(rng, 3))
+    assert sampled_power_norms(T.tolist()) == sampled_power_norms(T)
+    with pytest.raises(InvalidInput, match="square"):
+        sampled_power_norms(np.ones((2, 3)))
+    with pytest.raises(InvalidInput, match="finite"):
+        sampled_power_norms(np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
 def test_power_norms_cover_negative_exponents(rng):
