@@ -33,7 +33,12 @@ from .errors import (
     NonPositivePhi,
     NonPositiveWeight,
 )
-from .metrics import Unitarization, _spectral_unitarization, mixed_pullback_mean
+from .metrics import (
+    DIVERGENCE_FACTOR,
+    Unitarization,
+    _double_and_add,
+    _spectral_unitarization,
+)
 
 # Default horizon for the finite average inside metric_dependence.  The
 # double-and-add evaluation makes the cost logarithmic in the horizon, so
@@ -259,15 +264,17 @@ def metric_dependence(
     R = np.linalg.solve(Gp, G)
 
     # The pairing Lim h0'([C, T^n] x, T^n y) splits into two power averages,
-    # one with the kernel C* G0' and one with G0' alone.
-    def defect_at(count: int) -> np.ndarray:
-        Z = mixed_pullback_mean(T, C.conj().T @ G0p, T, count) - C.conj().T @ (
-            mixed_pullback_mean(T, G0p, T, count)
-        )
+    # one with the kernel C* G0' and one with G0' alone; one pass each gives
+    # the sums at N and at N // 2.
+    twisted, twisted_half = _double_and_add(T, C.conj().T @ G0p, T, N, DIVERGENCE_FACTOR)
+    plain, plain_half = _double_and_add(T, G0p, T, N, DIVERGENCE_FACTOR)
+
+    def defect(twisted_sum, plain_sum, count: int) -> np.ndarray:
+        Z = twisted_sum / count - C.conj().T @ (plain_sum / count)
         return np.linalg.solve(Gp, Z.conj().T)
 
-    A = defect_at(N)
-    A_half = defect_at(N // 2)
+    A = defect(twisted, plain, N)
+    A_half = defect(twisted_half, plain_half, N // 2)
     cesaro_residual = float(
         np.linalg.norm(A - A_half) / max(np.linalg.norm(A), 1e-300)
     )

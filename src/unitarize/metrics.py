@@ -161,6 +161,59 @@ def invariant_metric(
     return _spectral_unitarization(T, require_bounded(T, cfg), h0, cfg)
 
 
+def _double_and_add(
+    left, kernel, right, count: int, guard: float | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Partial sums S_count and S_{count // 2} of (L^n)* K R^n in one pass.
+
+    Reads the bits of count from the top, with S_{2L} = S_L + (L^L)* S_L R^L
+    and S_{L+1} = S_L + (L^L)* K R^L.  The leading bit gives S_1 = K with
+    powers L and R; the S_{count // 2} sum is S just before the last bit.
+    A power no later step reads is never formed, and when left is right
+    (tested before as_operator copies) each power is formed once.  That is
+    3 log2(count) matmuls with one shared operator and 4 log2(count)
+    otherwise.  S_{count // 2} is None for count 1.
+    """
+    shared = left is right
+    L = as_operator(left)
+    R = L if shared else as_operator(right)
+    K = as_operator(kernel)
+    if L.shape != K.shape or R.shape != K.shape:
+        raise InvalidInput("operator and kernel dimensions differ")
+    if count < 1:
+        raise InvalidInput("the horizon must be a positive integer")
+    k_norm = max(np.linalg.norm(K), 1e-300)
+    bits = bin(int(count))[2:]
+    last = len(bits) - 1
+    half = None
+    for i, bit in enumerate(bits):
+        if i == 0:
+            S, Lp, Rp, length = K, L, R, 1
+        else:
+            if i == last:
+                half = S
+            S = S + Lp.conj().T @ S @ Rp
+            length *= 2
+            if i < last or bit == "1":
+                Lp = Lp @ Lp
+                Rp = Lp if shared else Rp @ Rp
+            if bit == "1":
+                S = S + Lp.conj().T @ K @ Rp
+                length += 1
+                if i < last:
+                    Lp = Lp @ L
+                    Rp = Lp if shared else Rp @ R
+        if guard is not None and np.linalg.norm(S) > guard * k_norm * length:
+            # The traceback keeps this frame alive for as long as the caller
+            # keeps the exception; release the n x n work arrays first.
+            del L, R, K, S, Lp, Rp, half
+            raise DivergenceDetected(
+                f"partial power averages exceeded {guard:.1e} times the kernel "
+                f"norm after {length} terms"
+            )
+    return S, half
+
+
 def power_pullback_mean(
     operator, kernel, count: int, guard: float | None = DIVERGENCE_FACTOR
 ) -> np.ndarray:
@@ -169,7 +222,8 @@ def power_pullback_mean(
     Evaluated by binary double-and-add on the partial sums, using
     S_{2L} = S_L + (T^L)* S_L T^L and S_{L+1} = S_L + (T^L)* K T^L, so the
     result is the literal finite sum reassociated into a fixed-shape tree.
-    Cost grows with log(count) rather than count.
+    T sits on both sides, so each power is formed once: about 3 log2(count)
+    matmuls in one pass.
     """
     return mixed_pullback_mean(operator, kernel, operator, count, guard)
 
@@ -177,40 +231,13 @@ def power_pullback_mean(
 def mixed_pullback_mean(
     left, kernel, right, count: int, guard: float | None = DIVERGENCE_FACTOR
 ) -> np.ndarray:
-    """Exact mean of (L^n)* K R^n for n = 0 .. count-1 by double-and-add."""
-    L = as_operator(left)
-    R = as_operator(right)
-    K = as_operator(kernel)
-    if L.shape != K.shape or R.shape != K.shape:
-        raise InvalidInput("operator and kernel dimensions differ")
-    if count < 1:
-        raise InvalidInput("the horizon must be a positive integer")
-    k_norm = max(np.linalg.norm(K), 1e-300)
-    n = K.shape[0]
-    S = np.zeros((n, n), dtype=np.complex128)
-    Lp = np.eye(n, dtype=np.complex128)
-    Rp = np.eye(n, dtype=np.complex128)
-    length = 0
-    for bit in bin(int(count))[2:]:
-        if length:
-            S = S + Lp.conj().T @ S @ Rp
-            Lp = Lp @ Lp
-            Rp = Rp @ Rp
-            length *= 2
-        if bit == "1":
-            S = S + Lp.conj().T @ K @ Rp
-            Lp = Lp @ L
-            Rp = Rp @ R
-            length += 1
-        if guard is not None and np.linalg.norm(S) > guard * k_norm * max(length, 1):
-            # The traceback keeps this frame alive for as long as the caller
-            # keeps the exception; release the n x n work arrays first.
-            del L, R, K, S, Lp, Rp
-            raise DivergenceDetected(
-                f"partial power averages exceeded {guard:.1e} times the kernel "
-                f"norm after {length} terms"
-            )
-    return S / count
+    """Exact mean of (L^n)* K R^n for n = 0 .. count-1 by double-and-add.
+
+    One pass over the bits of count, whose prefix before the last bit is the
+    sum at count // 2.  It takes about 4 log2(count) matmuls, or
+    3 log2(count) when left is right and each power is formed once.
+    """
+    return _double_and_add(left, kernel, right, count, guard)[0] / count
 
 
 def cesaro_oracle(
@@ -222,11 +249,13 @@ def cesaro_oracle(
     """Finite Cesaro mean of the pulled-back fiducial metric.
 
     Returns the mean over the horizon as a form, together with the relative
-    drift between the full-horizon mean and the mean at half the horizon.  A
-    drift above cesaro_rel_tol raises the SlowConvergence warning; partial
-    sums past the divergence guard raise DivergenceDetected.  This path never
-    looks at the spectrum, which is what makes it an independent oracle for
-    the closed form.
+    drift between the full-horizon mean and the mean at half the horizon.
+    Both come from one double-and-add pass (about 3 log2(horizon) matmuls):
+    the sum at half the horizon is the prefix of the full sum before its
+    last bit.  A drift above cesaro_rel_tol raises the SlowConvergence
+    warning; partial sums past the divergence guard raise DivergenceDetected.
+    This path never looks at the spectrum, which is what makes it an
+    independent oracle for the closed form.
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
@@ -234,11 +263,11 @@ def cesaro_oracle(
     N = int(horizon if horizon is not None else cfg.cesaro_horizon)
     if N < 1:
         raise InvalidInput("the horizon must be a positive integer")
-    G0 = np.asarray(h0.gram)
-    mean_full = hermitize(power_pullback_mean(T, G0, N))
+    full, half = _double_and_add(T, h0.gram, T, N, DIVERGENCE_FACTOR)
+    mean_full = hermitize(full / N)
     drift = 0.0
     if N >= 2:
-        mean_part = hermitize(power_pullback_mean(T, G0, N // 2))
+        mean_part = hermitize(half / (N // 2))
         drift = float(
             np.linalg.norm(mean_full - mean_part) / max(np.linalg.norm(mean_full), 1e-300)
         )

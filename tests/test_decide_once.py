@@ -1,5 +1,6 @@
-"""Each operator is decided and decomposed once per call, and every entry
-point that takes a fiducial form validates it through one resolver."""
+"""Each operator is decided and decomposed once per call, each Cesaro mean
+takes one double-and-add pass per kernel, and every entry point that takes
+a fiducial form validates it through one resolver."""
 
 from types import SimpleNamespace
 
@@ -143,3 +144,58 @@ def test_wrong_size_fiducial_form_is_invalid_input(ops, call, as_form):
         h0 = u.HermitianForm(h0)
     with pytest.raises(u.InvalidInput):
         call(ops, h0)
+
+
+# entry point, expected double-and-add passes, call
+PASS_COUNTS = [
+    ("cesaro_oracle", 1, lambda o: u.cesaro_oracle(o.t, o.g, 4096)),
+    ("mixed_cesaro", 1, lambda o: u.mixed_cesaro(o.t, o.t2, o.g, 4096)),
+    ("metric_dependence", 2, lambda o: u.metric_dependence(o.t, o.g, o.g2)),
+]
+
+
+@pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
+@pytest.mark.parametrize("expected, call", [c[1:] for c in PASS_COUNTS],
+                         ids=[c[0] for c in PASS_COUNTS])
+def test_double_and_add_passes_per_entry_point(ops, monkeypatch, expected, call):
+    calls = []
+    real_pass = u.metrics._double_and_add
+
+    def counting_pass(*args):
+        calls.append(args)
+        return real_pass(*args)
+
+    for module in (u.metrics, u.alternatives):
+        monkeypatch.setattr(module, "_double_and_add", counting_pass)
+    call(ops)
+    assert len(calls) == expected
+
+
+# entry point, expected n x n matrix products at horizon 2^20, call
+MATMUL_COUNTS = [
+    ("cesaro_oracle", 59, lambda o: u.cesaro_oracle(o.t, None, 1 << 20)),
+    ("power_pullback_mean", 59, lambda o: u.power_pullback_mean(o.t, o.g, 1 << 20)),
+    ("mixed_cesaro", 78, lambda o: u.mixed_cesaro(o.t, o.t2, None, 1 << 20)),
+]
+
+
+@pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
+@pytest.mark.parametrize("expected, call", [c[1:] for c in MATMUL_COUNTS],
+                         ids=[c[0] for c in MATMUL_COUNTS])
+def test_double_and_add_matmuls(ops, monkeypatch, expected, call):
+    """3 log2 N products with one shared operator, 4 log2 N with two, less
+    the powers no later step reads."""
+    products = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(ufunc)
+            inputs = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
+            out = getattr(ufunc, method)(*inputs, **kwargs)
+            return out.view(Counting) if isinstance(out, np.ndarray) else out
+
+    real_as_operator = u.metrics.as_operator
+    monkeypatch.setattr(u.metrics, "as_operator", lambda a: real_as_operator(a).view(Counting))
+    call(ops)
+    assert len(products) == expected

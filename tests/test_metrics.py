@@ -17,10 +17,13 @@ from unitarize import (
     generator_metric,
     invariant_metric,
     inverse_cayley,
+    metric_dependence,
+    mixed_cesaro,
     mixed_pullback_mean,
     power_pullback_mean,
     unitary_log,
 )
+from unitarize.core import hermitize
 from unitarize.fixtures import (
     conjugated_unitary,
     defective_unimodular,
@@ -29,6 +32,7 @@ from unitarize.fixtures import (
     positive_definite_fixture,
     unimodular_phases,
 )
+from unitarize.metrics import DIVERGENCE_FACTOR
 
 CFG = ToleranceConfig()
 
@@ -148,6 +152,19 @@ def test_divergence_guard_trips(rng):
         cesaro_oracle(T, None, cfg=cfg)
 
 
+def _traceback_frames(exc):
+    frames = []
+    tb = exc.__traceback__
+    while tb is not None:
+        frames.append(tb.tb_frame)
+        tb = tb.tb_next
+    return frames
+
+
+def _held_arrays(frame):
+    return [v for v in frame.f_locals.values() if isinstance(v, np.ndarray)]
+
+
 def test_divergence_traceback_pins_no_work_arrays():
     # A caller that keeps the exception keeps the raising frame alive; the
     # frame may hold the caller's own arrays but none of its copies or sums.
@@ -155,12 +172,27 @@ def test_divergence_traceback_pins_no_work_arrays():
     K = np.eye(3, dtype=complex)
     with pytest.raises(DivergenceDetected) as info:
         mixed_pullback_mean(T, K, T, 512)
-    tb = info.value.__traceback__
-    while tb.tb_next is not None:
-        tb = tb.tb_next
-    assert tb.tb_frame.f_code.co_name == "mixed_pullback_mean"
-    held = [v for v in tb.tb_frame.f_locals.values() if isinstance(v, np.ndarray)]
-    assert all(v is T or v is K for v in held)
+    frames = _traceback_frames(info.value)
+    assert [f.f_code.co_name for f in frames[-2:]] == [
+        "mixed_pullback_mean",
+        "_double_and_add",
+    ]
+    for frame in frames[-2:]:
+        assert all(v is T or v is K for v in _held_arrays(frame))
+
+
+def test_divergence_in_the_oracle_releases_the_half_horizon_sum():
+    # At horizon 256 the guard trips on the last bit, after the pass has set
+    # the sum at 128 aside for the drift; neither sum may stay pinned.
+    T = 1.05 * np.eye(3, dtype=complex)
+    with pytest.raises(DivergenceDetected, match="after 256 terms") as info:
+        cesaro_oracle(T, None, horizon=256, cfg=CFG)
+    caller, inner = _traceback_frames(info.value)[-2:]
+    assert caller.f_code.co_name == "cesaro_oracle"
+    assert inner.f_code.co_name == "_double_and_add"
+    copy, gram = caller.f_locals["T"], caller.f_locals["h0"].gram
+    assert all(v is copy or v is T for v in _held_arrays(caller))
+    assert all(v is copy or v is gram for v in _held_arrays(inner))
 
 
 def test_unitary_log_closed_form():
@@ -214,3 +246,177 @@ def test_generator_metric_makes_self_adjoint(rng):
     assert np.linalg.norm(image.conj().T @ G @ image - G) <= 1e-10 * np.linalg.norm(G)
     with pytest.raises(NotBoundedFlow):
         generator_metric(np.array([[1j, 0.0], [0.0, 1.0]]), CFG)
+
+
+def _reference_mixed_mean(left, kernel, right, count, guard=DIVERGENCE_FACTOR):
+    """Reference double-and-add: one pass per count, from S = 0 and identity
+    powers, forming both powers at every step."""
+    L = np.array(left, dtype=np.complex128)
+    R = np.array(right, dtype=np.complex128)
+    K = np.array(kernel, dtype=np.complex128)
+    k_norm = max(np.linalg.norm(K), 1e-300)
+    n = K.shape[0]
+    S = np.zeros((n, n), dtype=np.complex128)
+    Lp = np.eye(n, dtype=np.complex128)
+    Rp = np.eye(n, dtype=np.complex128)
+    length = 0
+    for bit in bin(int(count))[2:]:
+        if length:
+            S = S + Lp.conj().T @ S @ Rp
+            Lp = Lp @ Lp
+            Rp = Rp @ Rp
+            length *= 2
+        if bit == "1":
+            S = S + Lp.conj().T @ K @ Rp
+            Lp = Lp @ L
+            Rp = Rp @ R
+            length += 1
+        if guard is not None and np.linalg.norm(S) > guard * k_norm * max(length, 1):
+            raise DivergenceDetected(
+                f"partial power averages exceeded {guard:.1e} times the kernel "
+                f"norm after {length} terms"
+            )
+    return S / count
+
+
+def _reference_oracle(T, G0, N):
+    mean_full = hermitize(_reference_mixed_mean(T, G0, T, N))
+    if N < 2:
+        return mean_full, 0.0
+    mean_part = hermitize(_reference_mixed_mean(T, G0, T, N // 2))
+    drift = float(
+        np.linalg.norm(mean_full - mean_part) / max(np.linalg.norm(mean_full), 1e-300)
+    )
+    return mean_full, drift
+
+
+COUNTS = [1, 2, 3, 5, 7, 8, 64, 1000, 4096, 1 << 20, (1 << 20) + 3]
+
+
+@pytest.fixture
+def pair(rng):
+    """Two bounded operators sharing a spectrum, and a positive kernel."""
+    n = 4
+    phases = unimodular_phases(rng, n, min_gap=0.2)
+    t1, _, _ = conjugated_unitary(rng, n, 10.0, phases)
+    t2, _, _ = conjugated_unitary(rng, n, 10.0, phases)
+    return t1, t2, positive_definite_fixture(rng, n, 5.0)
+
+
+def _operand_cases(t1, t2):
+    """(left, right) pairs: one object on both sides, an equal copy, another
+    operator, separate equal lists and one list on both sides."""
+    as_list = t1.tolist()
+    return {
+        "same": (t1, t1),
+        "copy": (t1, t1.copy()),
+        "other": (t1, t2),
+        "lists": (t1.tolist(), t1.tolist()),
+        "same_list": (as_list, as_list),
+    }
+
+
+@pytest.mark.parametrize("count", COUNTS)
+def test_pullback_means_equal_the_two_pass_reference(pair, count):
+    t1, t2, K = pair
+    G0 = HermitianForm(K).gram
+    for name, (left, right) in _operand_cases(t1, t2).items():
+        expected = _reference_mixed_mean(left, K, right, count)
+        assert np.array_equal(mixed_pullback_mean(left, K, right, count), expected), name
+        assert np.array_equal(mixed_pullback_mean(left, K.tolist(), right, count), expected)
+        expected = _reference_mixed_mean(left, G0, right, count)
+        assert np.array_equal(mixed_cesaro(left, right, K, count), expected), name
+    for op in (t1, t1.tolist()):
+        expected = _reference_mixed_mean(op, K, op, count)
+        assert np.array_equal(power_pullback_mean(op, K, count), expected)
+
+
+@pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
+@pytest.mark.parametrize("count", COUNTS)
+def test_cesaro_oracle_equals_the_two_pass_reference(pair, count):
+    t1, _, K = pair
+    for h0, G0 in ((None, np.eye(4, dtype=complex)), (K, HermitianForm(K).gram)):
+        gram, drift = _reference_oracle(t1, G0, count)
+        for op in (t1, t1.tolist()):
+            form, got = cesaro_oracle(op, h0, count, CFG)
+            assert np.array_equal(form.gram, gram)
+            assert got == drift
+
+
+@pytest.mark.parametrize("count", COUNTS[1:])
+def test_metric_dependence_equals_the_four_pass_reference(pair, count):
+    t1, _, K = pair
+    h0p = positive_definite_fixture(np.random.default_rng(count), 4, 3.0)
+    report = metric_dependence(t1, K, h0p, CFG, horizon=count)
+    G0, G0p = HermitianForm(K).gram, HermitianForm(h0p).gram
+    C = np.linalg.solve(G0p, G0)
+    Gp = invariant_metric(t1, h0p, CFG).invariant_form.gram
+    assert np.array_equal(report.fiducial_change, C)
+
+    def defect_at(n):
+        Z = _reference_mixed_mean(t1, C.conj().T @ G0p, t1, n) - C.conj().T @ (
+            _reference_mixed_mean(t1, G0p, t1, n)
+        )
+        return np.linalg.solve(Gp, Z.conj().T)
+
+    A, A_half = defect_at(count), defect_at(count // 2)
+    assert np.array_equal(report.averaging_defect, A)
+    assert report.cesaro_residual == float(
+        np.linalg.norm(A - A_half) / max(np.linalg.norm(A), 1e-300)
+    )
+
+
+def _divergent_operators(rng):
+    n = 4
+    bounded, S, phases = conjugated_unitary(rng, n, 10.0, unimodular_phases(rng, n))
+    moduli = np.array([1.05, 1.0, 1.0, 1.0])
+    return {
+        "jordan": defective_unimodular(rng, n, 5.0),
+        "off_circle": np.linalg.solve(S, (moduli * np.exp(1j * phases))[:, None] * S),
+        "scaled_identity": 1.05 * np.eye(n, dtype=complex),
+        "bounded": bounded,
+    }
+
+
+def _outcome(call):
+    """The result of call, or the type and message of what it raised."""
+    try:
+        return call()
+    except DivergenceDetected as exc:
+        return ("raised", str(exc))
+
+
+def _same(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return np.array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
+@pytest.mark.parametrize("count", [7, 64, 1000, 4096, 1 << 20, (1 << 20) + 3])
+def test_divergent_inputs_raise_the_reference_message(rng, count):
+    ops = _divergent_operators(rng)
+    K = np.eye(4, dtype=complex)
+    raised = set()
+    for name in ("jordan", "off_circle", "scaled_identity"):
+        T = ops[name]
+        sides = {"both": (T, T), "left": (T, ops["bounded"]), "right": (ops["bounded"], T)}
+        for side, (left, right) in sides.items():
+            expected = _outcome(lambda: _reference_mixed_mean(left, K, right, count))
+            got = _outcome(lambda: mixed_pullback_mean(left, K, right, count))
+            assert _same(got, expected), (name, side, got, expected)
+            if isinstance(got, tuple):
+                raised.add((name, side))
+        expected = _outcome(lambda: _reference_oracle(T, K, count)[0])
+        got = _outcome(lambda: cesaro_oracle(T, None, count, CFG)[0].gram)
+        assert _same(got, expected), (name, got, expected)
+        if isinstance(got, tuple):
+            raised.add((name, "oracle"))
+    if count >= 4096:
+        # A Jordan block against a bounded operator grows too slowly for the
+        # guard, with or without the rewrite; every other case must raise.
+        assert raised == {
+            (name, side)
+            for name in ("jordan", "off_circle", "scaled_identity")
+            for side in ("both", "left", "right", "oracle")
+        } - {("jordan", "left"), ("jordan", "right")}
