@@ -37,7 +37,7 @@ from .metrics import (
     DIVERGENCE_FACTOR,
     Unitarization,
     _double_and_add,
-    _spectral_unitarization,
+    projected_gram,
 )
 
 # Default horizon for the finite average inside metric_dependence.  The
@@ -257,8 +257,8 @@ def metric_dependence(
     dec = require_bounded(T, cfg)
     G0 = np.asarray(h0.gram)
     G0p = np.asarray(h0_prime.gram)
-    G = np.asarray(_spectral_unitarization(T, dec, h0, cfg).invariant_form.gram)
-    Gp = np.asarray(_spectral_unitarization(T, dec, h0_prime, cfg).invariant_form.gram)
+    G = HermitianForm(hermitize(projected_gram(dec, G0)), psd_tol=cfg.psd_tol).gram
+    Gp = HermitianForm(hermitize(projected_gram(dec, G0p)), psd_tol=cfg.psd_tol).gram
 
     C = np.linalg.solve(G0p, G0)
     R = np.linalg.solve(Gp, G)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unitarize import HermitianForm
-from unitarize.cli import main
+from unitarize.cli import SUBCOMMANDS, main
 from unitarize.families import make_clock_shift
 from unitarize.fixtures import (
     commuting_conjugated_pair,
@@ -301,3 +301,67 @@ def test_text_format_mentions_outcome(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "outcome: uniformly_bounded" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["bogus"],
+    ["check", "--in", "@t", "--no-such-option"],
+    ["check", "--in", "@t", "--h0", "identity"],
+    ["cayley", "--in", "@t", "--h0", "identity"],
+    ["altmetric", "--in", "@t", "--weights", "@w", "--phi", "@w"],
+], ids=["missing_in", "unknown_subcommand", "unknown_option", "check_h0", "cayley_h0",
+        "weights_and_phi"])
+def test_argparse_usage_errors_exit_one(tmp_path, capsys, argv):
+    paths = {"t": write_matrix(tmp_path, "t.json", INVOLUTION), "w": str(tmp_path / "w.json")}
+    (tmp_path / "w.json").write_text(json.dumps({"0": 1.5, "1": 0.5}))
+    assert main([paths[a[1:]] if a.startswith("@") else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--generator" in capsys.readouterr().out
+
+
+# Two runs whose reports differ, or may, in an option or an input that is
+# not a matrix: their inputs digests must differ too.
+DIGEST_PAIRS = {
+    "altmetric_phi_h0": (["altmetric", "--in", "@t", "--phi", "@f"],
+                         ["altmetric", "--in", "@t", "--phi", "@f", "--h0", "@g"]),
+    "altmetric_weights_or_phi": (["altmetric", "--in", "@t", "--weights", "@f"],
+                                 ["altmetric", "--in", "@t", "--phi", "@f"]),
+    "check_generator": (["check", "--in", "@t"], ["check", "--in", "@t", "--generator"]),
+    "pair_shortcut": (["pair", "--t1", "@a", "--t2", "@b"],
+                      ["pair", "--t1", "@a", "--t2", "@b", "--shortcut"]),
+    "heisenberg_relation_tol": (
+        ["heisenberg", "--t1", "@x", "--t2", "@y", "--t3", "@z"],
+        ["heisenberg", "--t1", "@x", "--t2", "@y", "--t3", "@z", "--relation-tol", "1e-5"]),
+}
+
+
+@pytest.mark.parametrize("pair", DIGEST_PAIRS.values(), ids=DIGEST_PAIRS.keys())
+def test_inputs_digest_tells_options_apart(tmp_path, capsys, rng, pair):
+    a, b = commuting_conjugated_pair(rng, 2, 5.0)
+    shift, clock, center = make_clock_shift(2)
+    paths = {name: write_matrix(tmp_path, f"{name}.json", m) for name, m in
+             {"t": INVOLUTION, "a": a, "b": b, "x": shift, "y": clock, "z": center}.items()}
+    for name, payload in (("f", {"0": 1.5, "1": 0.5}),
+                          ("g", form_payload(HermitianForm(np.diag([2.0, 1.0]))))):
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    digests = []
+    for argv in pair:
+        code, report = run_json(capsys, [paths[x[1:]] if x.startswith("@") else x for x in argv])
+        assert code == 0
+        digests.append(report["inputs_digest"])
+    assert digests[0] != digests[1]
+
+
+def test_only_subcommands_that_read_a_form_take_h0():
+    takes = {name for name, sub in SUBCOMMANDS.items() if "h0" in sub.forms}
+    assert takes == {"nagy", "oracle", "log", "altmetric", "depend", "pair", "heisenberg",
+                     "intertwine"}

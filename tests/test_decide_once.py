@@ -199,3 +199,44 @@ def test_double_and_add_matmuls(ops, monkeypatch, expected, call):
     monkeypatch.setattr(u.metrics, "as_operator", lambda a: real_as_operator(a).view(Counting))
     call(ops)
     assert len(products) == expected
+
+
+def _metric_dependence_via_unitarizations(T, g0, g0_prime):
+    """metric_dependence's C, R and A with the two limit Gram matrices read
+    off full closed-form unitarizations, as the construction first did."""
+    cfg = u.DEFAULT_TOLERANCES
+    T = u.core.as_operator(T)
+    h0, h0p = (u.core.resolve_fiducial(g, T.shape[0], cfg) for g in (g0, g0_prime))
+    dec = u.boundedness.require_bounded(T, cfg)
+    G, Gp = (np.asarray(u.metrics._spectral_unitarization(T, dec, h, cfg).invariant_form.gram)
+             for h in (h0, h0p))
+    G0, G0p = np.asarray(h0.gram), np.asarray(h0p.gram)
+    C = np.linalg.solve(G0p, G0)
+    N = u.alternatives.DEPENDENCE_HORIZON
+    guard = u.metrics.DIVERGENCE_FACTOR
+    twisted, _ = u.metrics._double_and_add(T, C.conj().T @ G0p, T, N, guard)
+    plain, _ = u.metrics._double_and_add(T, G0p, T, N, guard)
+    A = np.linalg.solve(Gp, (twisted / N - C.conj().T @ (plain / N)).conj().T)
+    return C, np.linalg.solve(Gp, G), A
+
+
+def test_metric_dependence_forms_no_square_root(ops, monkeypatch):
+    """The limit Gram matrices come from projected_gram alone: no positive
+    square root (a full unitarization takes two per non-identity form), and
+    the same bits as reading them off the unitarizations."""
+    calls = []
+    real_sqrt = u.core.psd_sqrt
+
+    def counting_sqrt(g):
+        calls.append(g.shape)
+        return real_sqrt(g)
+
+    for module in (u.core, u.metrics):
+        monkeypatch.setattr(module, "psd_sqrt", counting_sqrt)
+    dep = u.metric_dependence(ops.t, ops.g, ops.g2)
+    assert calls == []
+    monkeypatch.undo()
+    C, R, A = _metric_dependence_via_unitarizations(ops.t, ops.g, ops.g2)
+    assert np.array_equal(dep.fiducial_change, C)
+    assert np.array_equal(dep.invariant_change, R)
+    assert np.array_equal(dep.averaging_defect, A)
