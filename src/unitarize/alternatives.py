@@ -23,8 +23,8 @@ from .core import (
     as_operator,
     eig,
     hermitize,
-    invariance_residual,
     invert,
+    relative_defect,
     resolve_fiducial,
 )
 from .errors import (
@@ -36,6 +36,7 @@ from .errors import (
 from .metrics import (
     DIVERGENCE_FACTOR,
     Unitarization,
+    _checked_invariant_gram,
     _double_and_add,
     projected_gram,
 )
@@ -114,7 +115,7 @@ def scaled_metric(
             f"weights given for nonexistent clusters {sorted(extra)}; "
             f"the operator has {len(dec.clusters)}"
         )
-    Pi = invert(dec.eigenvectors, "eigenvector matrix")
+    Pi = dec.inverse
     return HermitianForm(hermitize(Pi.conj().T @ B @ Pi), psd_tol=cfg.psd_tol)
 
 
@@ -135,35 +136,24 @@ def phi_metric(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
-    g = np.asarray(unitarization.invariant_form.gram)
-    if g.shape[0] != T.shape[0]:
-        raise InvalidInput("operator and unitarization dimensions differ")
-    inv_res = invariance_residual(T, g)
-    if inv_res > 1e-6:
-        raise InvalidInput(
-            f"the supplied metric is not invariant under this operator "
-            f"(residual {inv_res:.3e})"
-        )
+    g = _checked_invariant_gram(T, unitarization)
     dec = eig(T, cfg)
-    values = np.empty(dec.dim)
-    for c, idx in enumerate(dec.clusters):
+    values = []
+    for c, mean in enumerate(dec.cluster_means()):
         if isinstance(phi, Mapping):
             if c not in phi:
                 raise MissingClusterWeight(f"no phi value for eigenvalue cluster {c}")
             val = phi[c]
         elif isinstance(phi, Callable):
-            theta = float(np.mod(np.angle(dec.eigenvalues[list(idx)].mean()), 2.0 * np.pi))
+            theta = float(np.mod(np.angle(mean), 2.0 * np.pi))
             val = phi(theta)
         else:
             raise InvalidInput("phi must be a callable or a cluster-to-value mapping")
         val = complex(val)
         if abs(val.imag) > 1e-12 * max(abs(val.real), 1.0) or val.real <= 0.0:
             raise NonPositivePhi(f"phi value {val!r} on cluster {c} is not positive")
-        for i in idx:
-            values[i] = val.real
-    P = dec.eigenvectors
-    Pi = invert(P, "eigenvector matrix")
-    C = P @ (values[:, None] * Pi)
+        values.append(val.real)
+    C = dec.spectral_function(values)
     form = HermitianForm(hermitize(g @ C), psd_tol=cfg.psd_tol)
     return form, C
 
@@ -185,8 +175,7 @@ def commutant_positive_basis(
     dec = require_bounded(T, cfg)
     n = dec.dim
     G0 = np.asarray(resolve_fiducial(h0, n, cfg).gram)
-    P = dec.eigenvectors
-    Pi = invert(P, "eigenvector matrix")
+    P, Pi = dec.eigenvectors, dec.inverse
     M = P.conj().T @ G0 @ P
     out: list[np.ndarray] = []
     for idx in dec.clusters:
@@ -279,16 +268,10 @@ def metric_dependence(
         np.linalg.norm(A - A_half) / max(np.linalg.norm(A), 1e-300)
     )
 
-    t_norm = max(1.0, float(np.linalg.norm(T)))
-    c_norm = max(1.0, float(np.linalg.norm(C)))
     residuals = {
-        "sum_rule": float(np.linalg.norm(R - C - A)) / c_norm,
-        "commutator_flip": float(
-            np.linalg.norm((A @ T - T @ A) + (C @ T - T @ C))
-        )
-        / (c_norm * t_norm),
-        "invariant_commutes": float(np.linalg.norm(R @ T - T @ R))
-        / (max(1.0, float(np.linalg.norm(R))) * t_norm),
+        "sum_rule": float(np.linalg.norm(R - C - A)) / max(1.0, float(np.linalg.norm(C))),
+        "commutator_flip": relative_defect((A @ T - T @ A) + (C @ T - T @ C), C, T),
+        "invariant_commutes": relative_defect(R @ T - T @ R, R, T),
     }
     return MetricChangeReport(
         fiducial_change=C,

@@ -160,11 +160,8 @@ def check_uniformly_bounded(
     off = tuple(
         complex(lam) for lam, m in zip(dec.eigenvalues, moduli) if abs(m - 1.0) > band
     )
-    defective = []
-    for c in dec.defective_clusters:
-        rep = complex(dec.eigenvalues[list(dec.clusters[c])].mean())
-        if abs(abs(rep) - 1.0) <= band:
-            defective.append(rep)
+    means = [complex(z) for z in dec.cluster_means()]
+    defective = [means[c] for c in dec.defective_clusters if abs(abs(means[c]) - 1.0) <= band]
 
     ok = not off and not defective
     bound = None
@@ -222,10 +219,8 @@ def check_generator(operator, cfg: ToleranceConfig | None = None) -> GeneratorRe
     off_real = tuple(
         complex(lam) for lam in dec.eigenvalues if abs(lam.imag) > band
     )
-    defective = tuple(
-        complex(dec.eigenvalues[list(dec.clusters[c])].mean())
-        for c in dec.defective_clusters
-    )
+    means = dec.cluster_means()
+    defective = tuple(complex(means[c]) for c in dec.defective_clusters)
     ok = not off_real and not defective
     return GeneratorReport(
         verdict=VERDICT_SELF_ADJOINT_LIKE if ok else VERDICT_NOT_SELF_ADJOINT_LIKE,

@@ -7,8 +7,9 @@ relations, failed factorization), and 1 for malformed input or usage
 errors, argparse's own included.  Reports are canonical: the same inputs
 produce byte-identical bytes, and their inputs_digest covers every input
 file and every option of the subcommand's own.  Only nagy, oracle, log,
-altmetric, depend, pair, heisenberg and intertwine take --h0.  The
-UNITARIZE_SEED environment variable seeds the randomized example generator.
+altmetric (with --phi), depend, pair, heisenberg and intertwine take --h0.  The
+UNITARIZE_SEED environment variable, a non-negative integer, seeds the
+randomized example generator.
 """
 
 from __future__ import annotations
@@ -180,6 +181,8 @@ def _parse_phi(payload):
 def _altmetric(report, a, cfg):
     T = a.infile
     if a.weights is not None:
+        if a.h0 is not None:
+            raise InvalidInput("--weights reads no fiducial form; --h0 goes with --phi only")
         form = alternatives.scaled_metric(T, _parse_weights(a.weights), cfg)
         report.verdicts["outcome"] = "scaled_metric"
         report.matrices["scaled_gram"] = matrix_payload(form.gram)
@@ -327,7 +330,10 @@ class _DrawSpec(argparse.Action):
     seed it was drawn with is kept for the report."""
 
     def __call__(self, parser, namespace, kind, option_string=None):
-        namespace.seed = int(os.environ.get("UNITARIZE_SEED", "0"))
+        seed = os.environ.get("UNITARIZE_SEED", "0")
+        if not seed.strip().isdecimal():
+            raise InvalidInput(f"UNITARIZE_SEED must be a non-negative integer, got {seed!r}")
+        namespace.seed = int(seed)
         setattr(namespace, self.dest, _random_spec(kind, namespace.seed))
 
 

@@ -78,6 +78,14 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return vec
 
 
+def as_operator_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Validate two square matrices of the same dimension."""
+    A, B = as_operator(a), as_operator(b)
+    if A.shape != B.shape:
+        raise InvalidInput("the two operators have different dimensions")
+    return A, B
+
+
 def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
@@ -233,6 +241,28 @@ class EigenDecomposition:
         lab = self.labels()
         return lab[:, None] == lab[None, :]
 
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """P^{-1}, inverted on first use and then shared (read-only) by every
+        spectral function and cluster pairing built on this decomposition."""
+        Pi = invert(self.eigenvectors, "eigenvector matrix")
+        Pi.setflags(write=False)
+        return Pi
+
+    def spectral_function(self, values) -> np.ndarray:
+        """P diag(v) P^{-1}, where v repeats one value per cluster over the
+        cluster's eigenvalues."""
+        v = np.asarray(values)[self.labels()]
+        return self.eigenvectors @ (v[:, None] * self.inverse)
+
+
+def cluster_pairing(dec1: EigenDecomposition, dec2: EigenDecomposition, kernel, mask):
+    """Pi1* (mask o P1* K P2) Pi2 with Pi = P^{-1}: the kernel K written between
+    two eigenbases, cut to the masked (matched-cluster) entries, written back."""
+    M = dec1.eigenvectors.conj().T @ kernel @ dec2.eigenvectors
+    M = np.where(mask, M, 0.0)
+    return dec1.inverse.conj().T @ M @ dec2.inverse
+
 
 def eig(operator, cfg: ToleranceConfig | None = None) -> EigenDecomposition:
     """Eigendecomposition with deterministic ordering and clustering.
@@ -373,6 +403,12 @@ def _standard_form(dim: int, psd_tol: float) -> HermitianForm:
     # call; the finite averages, which never validated a default identity,
     # would otherwise pay an eigvalsh each.
     return HermitianForm(np.eye(dim, dtype=np.complex128), psd_tol=psd_tol)
+
+
+def relative_defect(defect: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """||defect|| / (max(1, ||a||) max(1, ||b||)) for a relation between a and b."""
+    scale = max(1.0, float(np.linalg.norm(a))) * max(1.0, float(np.linalg.norm(b)))
+    return float(np.linalg.norm(defect)) / scale
 
 
 def invariance_residual(operator: np.ndarray, gram) -> float:

@@ -22,7 +22,9 @@ from .core import (
     HermitianForm,
     ToleranceConfig,
     as_operator,
+    as_operator_pair,
     invariance_residual,
+    relative_defect,
     resolve_fiducial,
 )
 from .errors import InvalidInput, NotCommuting, RelationViolated
@@ -49,8 +51,7 @@ class FamilyResult:
 
 
 def _require_commuting(A: np.ndarray, B: np.ndarray, labels: str) -> None:
-    scale = max(1.0, float(np.linalg.norm(A))) * max(1.0, float(np.linalg.norm(B)))
-    res = float(np.linalg.norm(A @ B - B @ A)) / scale
+    res = relative_defect(A @ B - B @ A, A, B)
     if res > COMMUTE_RTOL:
         raise NotCommuting(f"{labels} do not commute: relative residual {res:.3e}")
 
@@ -81,10 +82,7 @@ def commuting_pair_metric(
     cluster-projected limit.
     """
     cfg = cfg or DEFAULT_TOLERANCES
-    T1 = as_operator(t1)
-    T2 = as_operator(t2)
-    if T1.shape != T2.shape:
-        raise InvalidInput("the two operators have different dimensions")
+    T1, T2 = as_operator_pair(t1, t2)
     _require_commuting(T1, T2, "t1 and t2")
     dec1 = require_bounded(T1, cfg, "t1: ")
     dec2 = require_bounded(T2, cfg, "t2: ")
@@ -121,10 +119,7 @@ def multiplicity_free_shortcut(
 ) -> ShortcutReport:
     """Test whether averaging over t1 alone is already invariant under t2."""
     cfg = cfg or DEFAULT_TOLERANCES
-    T1 = as_operator(t1)
-    T2 = as_operator(t2)
-    if T1.shape != T2.shape:
-        raise InvalidInput("the two operators have different dimensions")
+    T1, T2 = as_operator_pair(t1, t2)
     _require_commuting(T1, T2, "t1 and t2")
     dec = require_bounded(T1, cfg, "t1: ")
     degenerate = next((c for c, idx in enumerate(dec.clusters) if len(idx) > 1), None)
@@ -159,14 +154,9 @@ def heisenberg_metric(
     if not (T1.shape == T2.shape == T3.shape):
         raise InvalidInput("the three operators have different dimensions")
 
-    scale12 = max(1.0, float(np.linalg.norm(T1))) * max(1.0, float(np.linalg.norm(T2)))
-    rel_braid = float(np.linalg.norm(T1 @ T2 - T3 @ T2 @ T1)) / scale12
-    rel_c1 = float(np.linalg.norm(T1 @ T3 - T3 @ T1)) / (
-        max(1.0, float(np.linalg.norm(T1))) * max(1.0, float(np.linalg.norm(T3)))
-    )
-    rel_c2 = float(np.linalg.norm(T2 @ T3 - T3 @ T2)) / (
-        max(1.0, float(np.linalg.norm(T2))) * max(1.0, float(np.linalg.norm(T3)))
-    )
+    rel_braid = relative_defect(T1 @ T2 - T3 @ T2 @ T1, T1, T2)
+    rel_c1 = relative_defect(T1 @ T3 - T3 @ T1, T1, T3)
+    rel_c2 = relative_defect(T2 @ T3 - T3 @ T2, T2, T3)
     broken = []
     if rel_braid > relation_tol:
         broken.append(f"t1 t2 = t3 t2 t1 (residual {rel_braid:.3e})")

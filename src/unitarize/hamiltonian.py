@@ -22,7 +22,6 @@ from .core import (
     as_operator,
     as_vector,
     eig,
-    invert,
     require_nonsingular,
 )
 from .errors import FormMismatch, InvalidInput, NotSelfAdjoint
@@ -124,12 +123,10 @@ def schrodinger_states(hamilton: QuadraticObservable, psi0, t_grid) -> np.ndarra
     H = np.asarray(hamilton.operator)
     psi = as_vector(psi0, hamilton.form.dim)
     dec = eig(H)
-    P = dec.eigenvectors
-    Pi = invert(P, "eigenvector matrix")
-    coeff = Pi @ psi
+    coeff = dec.inverse @ psi
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     phases = np.exp(-1j * np.outer(dec.eigenvalues, ts))
-    return P @ (phases * coeff[:, None])
+    return dec.eigenvectors @ (phases * coeff[:, None])
 
 
 def ehrenfest_flow(

@@ -21,7 +21,10 @@ from .core import (
     DEFAULT_TOLERANCES,
     HermitianForm,
     ToleranceConfig,
+    adjoint_wrt,
     as_operator,
+    as_operator_pair,
+    cluster_pairing,
     invert,
     resolve_fiducial,
 )
@@ -101,35 +104,24 @@ def intertwiner(
     certificate, not an error.
     """
     cfg = cfg or DEFAULT_TOLERANCES
-    T1 = as_operator(t1)
-    T2 = as_operator(t2)
-    if T1.shape != T2.shape:
-        raise InvalidInput("the two operators have different dimensions")
-    n = T1.shape[0]
-    h0 = resolve_fiducial(h0, n, cfg)
+    T1, T2 = as_operator_pair(t1, t2)
+    h0 = resolve_fiducial(h0, T1.shape[0], cfg)
     dec1 = require_bounded(T1, cfg, "t1: ")
     dec2 = require_bounded(T2, cfg, "t2: ")
     pairs, means1, means2 = _match_clusters(dec1, dec2)
+    matched = np.zeros((means1.size, means2.size), dtype=bool)
+    for i, j in pairs:
+        matched[i, j] = True
+    common = [complex((means1[i] + means2[j]) / 2.0) for i, j in pairs]
 
     G0 = np.asarray(h0.gram)
-    P1, P2 = dec1.eigenvectors, dec2.eigenvectors
-    mask = np.zeros((n, n), dtype=bool)
-    common = []
-    for i, j in pairs:
-        rows = list(dec1.clusters[i])
-        cols = list(dec2.clusters[j])
-        mask[np.ix_(rows, cols)] = True
-        common.append(complex((means1[i] + means2[j]) / 2.0))
-
-    M = P1.conj().T @ G0 @ P2
-    M = np.where(mask, M, 0.0)
-    Pi1 = invert(P1, "first eigenvector matrix")
-    Pi2 = invert(P2, "second eigenvector matrix")
-    Z = Pi1.conj().T @ M @ Pi2  # matrix of the limit form: x* Z y
+    mask = matched[np.ix_(dec1.labels(), dec2.labels())]
+    Z = cluster_pairing(dec1, dec2, G0, mask)  # matrix of the limit form: x* Z y
     A0 = np.linalg.solve(G0, Z)
 
     G1 = np.asarray(_spectral_unitarization(T1, dec1, h0, cfg).invariant_form.gram)
-    G2 = np.asarray(_spectral_unitarization(T2, dec2, h0, cfg).invariant_form.gram)
+    form2 = _spectral_unitarization(T2, dec2, h0, cfg).invariant_form
+    G2 = np.asarray(form2.gram)
     A1 = np.linalg.solve(G1, G0 @ A0)
     A2 = np.linalg.solve(G2, G0 @ A0)
 
@@ -137,12 +129,8 @@ def intertwiner(
     t_scale = 1.0 + max(float(np.linalg.norm(T1)), float(np.linalg.norm(T2)))
     q1_sq = np.linalg.solve(G0, G1)
     q2_sq = np.linalg.solve(G0, G2)
-    adj1_inv = invert(
-        np.linalg.solve(G0, T1.conj().T @ G0), "fiducial adjoint of t1"
-    )
-    adj2_inv = invert(
-        np.linalg.solve(G2, T1.conj().T @ G2), "invariant adjoint of t1"
-    )
+    adj1_inv = invert(adjoint_wrt(T1, h0), "fiducial adjoint of t1")
+    adj2_inv = invert(adjoint_wrt(T1, form2), "invariant adjoint of t1")
     residuals = {
         "q1_consistency": float(np.linalg.norm(A0 - q1_sq @ A1)) / a_scale,
         "q2_consistency": float(np.linalg.norm(A0 - q2_sq @ A2)) / a_scale,
@@ -221,10 +209,7 @@ def intertwiner_scaled(
     Both spectra must be multiplicity-free.
     """
     cfg = cfg or DEFAULT_TOLERANCES
-    T1 = as_operator(t1)
-    T2 = as_operator(t2)
-    if T1.shape != T2.shape:
-        raise InvalidInput("the two operators have different dimensions")
+    T1, T2 = as_operator_pair(t1, t2)
     n = T1.shape[0]
     h0 = resolve_fiducial(h0, n, cfg)
     dec1 = require_bounded(T1, cfg, "t1: ")

@@ -26,6 +26,7 @@ from .core import (
     HermitianForm,
     ToleranceConfig,
     as_operator,
+    cluster_pairing,
     eig,
     hermitize,
     invariance_residual,
@@ -80,11 +81,7 @@ def projected_gram(dec: EigenDecomposition, kernel: np.ndarray) -> np.ndarray:
     eigenvalues agree.  Keeping only same-cluster entries of the transformed
     kernel is therefore the exact limit.
     """
-    P = dec.eigenvectors
-    Pi = invert(P, "eigenvector matrix")
-    M = P.conj().T @ kernel @ P
-    M = np.where(dec.same_cluster_mask(), M, 0.0)
-    return Pi.conj().T @ M @ Pi
+    return cluster_pairing(dec, dec, kernel, dec.same_cluster_mask())
 
 
 def _positive_similarity(
@@ -136,6 +133,20 @@ def _unitarization_from_gram(
         cesaro_residual=cesaro_residual,
         residuals=residuals,
     )
+
+
+def _checked_invariant_gram(T: np.ndarray, unitarization: Unitarization) -> np.ndarray:
+    """Gram matrix of a unitarization supplied for T, checked to be T-invariant."""
+    g = np.asarray(unitarization.invariant_form.gram)
+    if g.shape[0] != T.shape[0]:
+        raise InvalidInput("operator and unitarization dimensions differ")
+    inv_res = invariance_residual(T, g)
+    if inv_res > 1e-6:
+        raise InvalidInput(
+            f"the supplied metric is not invariant under this operator "
+            f"(residual {inv_res:.3e})"
+        )
+    return g
 
 
 def _spectral_unitarization(
@@ -341,29 +352,17 @@ def unitary_log(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
-    g = np.asarray(unitarization.invariant_form.gram)
-    if g.shape[0] != T.shape[0]:
-        raise InvalidInput("operator and unitarization dimensions differ")
-    inv_res = invariance_residual(T, g)
-    if inv_res > 1e-6:
-        raise InvalidInput(
-            f"the supplied metric is not invariant under this operator "
-            f"(residual {inv_res:.3e})"
-        )
+    _checked_invariant_gram(T, unitarization)
     dec = eig(T, cfg)
-    phases = np.empty(dec.dim)
-    for idx in dec.clusters:
-        mean = dec.eigenvalues[list(idx)].mean()
+    phases = []
+    for mean in dec.cluster_means():
         theta = float(np.mod(np.angle(mean), 2.0 * np.pi))
         # An eigenvalue within the cluster radius of 1 gets phase 0, so the
         # wrap point of the angle convention cannot leak a spurious 2 pi.
         if 2.0 * np.pi - theta <= dec.cluster_tol:
             theta = 0.0
-        for i in idx:
-            phases[i] = theta
-    P = dec.eigenvectors
-    Pi = invert(P, "eigenvector matrix")
-    return P @ (phases[:, None] * Pi)
+        phases.append(theta)
+    return dec.spectral_function(phases)
 
 
 def flow_invariant_metric(

@@ -275,6 +275,15 @@ def test_example_random_accepts_every_kind(capsys, monkeypatch, kind):
     assert report["verdicts"]["outcome"] == "model_consistent"
 
 
+@pytest.mark.parametrize("seed", ["abc", "-1", "", "1.5"])
+def test_example_random_rejects_a_malformed_seed(capsys, monkeypatch, seed):
+    monkeypatch.setenv("UNITARIZE_SEED", seed)
+    assert main(["example", "--random", "shift"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: UNITARIZE_SEED") and captured.out == ""
+    assert captured.err.count("\n") == 1
+
+
 def test_example_random_rejects_unknown_kind(capsys):
     assert main(["example", "--random", "bogus"]) == 1
     err = capsys.readouterr().err
@@ -310,11 +319,14 @@ def test_text_format_mentions_outcome(tmp_path, capsys):
     ["check", "--in", "@t", "--h0", "identity"],
     ["cayley", "--in", "@t", "--h0", "identity"],
     ["altmetric", "--in", "@t", "--weights", "@w", "--phi", "@w"],
+    ["altmetric", "--in", "@t", "--weights", "@w", "--h0", "@g"],
 ], ids=["missing_in", "unknown_subcommand", "unknown_option", "check_h0", "cayley_h0",
-        "weights_and_phi"])
+        "weights_and_phi", "weights_h0"])
 def test_argparse_usage_errors_exit_one(tmp_path, capsys, argv):
-    paths = {"t": write_matrix(tmp_path, "t.json", INVOLUTION), "w": str(tmp_path / "w.json")}
+    paths = {"t": write_matrix(tmp_path, "t.json", INVOLUTION), "w": str(tmp_path / "w.json"),
+             "g": str(tmp_path / "g.json")}
     (tmp_path / "w.json").write_text(json.dumps({"0": 1.5, "1": 0.5}))
+    (tmp_path / "g.json").write_text(json.dumps(form_payload(HermitianForm(np.diag([2.0, 1.0])))))
     assert main([paths[a[1:]] if a.startswith("@") else a for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""

@@ -43,7 +43,7 @@ def test_form_value_and_norm(rng):
     # antilinear in the first slot
     assert_allclose(h.apply(2j * x, y), -2j * h.apply(x, y))
     assert h.norm_of(x) >= 0.0
-    assert HermitianForm.identity(3).is_identity
+    assert HermitianForm.identity(3).is_identity()
 
 
 def test_eig_sorted_by_phase(rng):

@@ -1,6 +1,7 @@
-"""Each operator is decided and decomposed once per call, each Cesaro mean
-takes one double-and-add pass per kernel, and every entry point that takes
-a fiducial form validates it through one resolver."""
+"""Each operator is decided and decomposed once per call, its eigenbasis is
+inverted once per decomposition, each Cesaro mean takes one double-and-add
+pass per kernel, and every entry point that takes a fiducial form validates
+it through one resolver."""
 
 from types import SimpleNamespace
 
@@ -65,6 +66,97 @@ def test_lapack_eig_calls_per_entry_point(ops, monkeypatch, expected, call):
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
     call(ops)
     assert len(calls) == expected
+
+
+# entry point, expected inversions of an eigenvector matrix, call; one per
+# decomposition the call takes
+INVERSION_COUNTS = [
+    ("invariant_metric", 1, lambda o: u.invariant_metric(o.t, o.g)),
+    ("scaled_metric", 1,
+     lambda o: u.scaled_metric(o.t, u.ScalingSpec({c: 1.0 + c for c in range(N)}))),
+    ("commutant_positive_basis", 1, lambda o: u.commutant_positive_basis(o.t, o.g)),
+    ("metric_dependence", 1, lambda o: u.metric_dependence(o.t, o.g, o.g2)),
+    ("multiplicity_free_shortcut", 1, lambda o: u.multiplicity_free_shortcut(o.a, o.b)),
+    ("unitary_log", 1, lambda o: u.unitary_log(o.t, o.nagy)),
+    ("phi_metric", 1, lambda o: u.phi_metric(o.t, o.nagy, lambda theta: 1.0 + theta)),
+    ("flow_invariant_metric", 1, lambda o: u.flow_invariant_metric(o.flow, o.g)),
+    ("schrodinger_states", 1, lambda o: u.schrodinger_states(o.energy, np.ones(N), [0.0, 1.0])),
+    ("intertwiner", 2, lambda o: u.intertwiner(o.t, o.t2, o.g)),
+    ("intertwiner_scaled", 2, lambda o: u.intertwiner_scaled(o.t, o.t2, 1.0)),
+    ("commuting_pair_metric", 2, lambda o: u.commuting_pair_metric(o.a, o.b)),
+    ("heisenberg_metric", 3, lambda o: u.heisenberg_metric(*o.weyl)),
+]
+
+
+@pytest.mark.parametrize("expected, call", [c[1:] for c in INVERSION_COUNTS],
+                         ids=[c[0] for c in INVERSION_COUNTS])
+def test_eigenvector_inversions_per_entry_point(ops, monkeypatch, expected, call):
+    ops.nagy = u.invariant_metric(ops.t)
+    ops.energy = u.QuadraticObservable(hermitian_fixture(np.random.default_rng(3), N),
+                                       u.HermitianForm.identity(N))
+    calls = []
+    real_invert = u.core.invert
+
+    def counting_invert(a, label="operator"):
+        if "eigenvector matrix" in label:
+            calls.append(label)
+        return real_invert(a, label)
+
+    for module in (u.core, u.metrics, u.alternatives, u.intertwine, u.hamiltonian):
+        if hasattr(module, "invert"):
+            monkeypatch.setattr(module, "invert", counting_invert)
+    call(ops)
+    assert len(calls) == expected
+
+
+@pytest.fixture
+def degenerate(rng):
+    """Two bounded operators with a doubly degenerate eigenvalue, sharing
+    two of their three distinct eigenvalues, and their decompositions."""
+    phases = np.array([0.5, 0.5, 2.0, 4.0])
+    t1, _, _ = conjugated_unitary(rng, N, 10.0, phases)
+    t2, _, _ = conjugated_unitary(rng, N, 10.0, np.array([0.5, 2.0, 2.0, 5.0]))
+    return u.boundedness.require_bounded(t1), u.boundedness.require_bounded(t2)
+
+
+def test_inverse_is_computed_once_and_read_only(degenerate, monkeypatch):
+    dec, _ = degenerate
+    calls = []
+    real_invert = u.core.invert
+    monkeypatch.setattr(u.core, "invert", lambda a, label: calls.append(label) or real_invert(a, label))
+    first = dec.inverse
+    assert dec.inverse is first and calls == ["eigenvector matrix"]
+    assert np.array_equal(first, real_invert(dec.eigenvectors))
+    assert not first.flags.writeable
+
+
+def test_spectral_function_is_the_explicit_formula(degenerate):
+    dec, _ = degenerate
+    assert len(dec.clusters) == 3
+    values = [0.5, 2.0, 7.0]
+    v = np.array([values[c] for c in dec.labels()])
+    P = dec.eigenvectors
+    want = P @ (v[:, None] * u.core.invert(P))
+    assert np.array_equal(dec.spectral_function(values), want)
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["same_cluster", "matched_clusters"])
+def test_cluster_pairing_is_the_explicit_formula(degenerate, rng, same):
+    dec1, dec2 = degenerate
+    if same:
+        dec2, mask = dec1, dec1.same_cluster_mask()
+    else:
+        means1, means2 = dec1.cluster_means(), dec2.cluster_means()
+        near = np.abs(means1[:, None] - means2[None, :]) < 1e-6
+        assert near.sum() == 2
+        mask = near[np.ix_(dec1.labels(), dec2.labels())]
+    K = positive_definite_fixture(rng, N, 10.0)
+    P1, P2 = dec1.eigenvectors, dec2.eigenvectors
+    M = np.where(mask, P1.conj().T @ K @ P2, 0.0)
+    want = u.core.invert(P1).conj().T @ M @ u.core.invert(P2)
+    assert np.array_equal(u.core.cluster_pairing(dec1, dec2, K, mask), want)
+    if same:
+        assert np.array_equal(u.metrics.projected_gram(dec1, K), want)
 
 
 # numpy.linalg entry points that cost one SVD each, and when: norm and cond

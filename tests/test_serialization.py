@@ -39,7 +39,7 @@ def test_file_round_trip(tmp_path, rng):
     assert np.array_equal(load_matrix(str(path)), M)
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(form_payload(HermitianForm.identity(2))))
-    assert load_form(str(gpath)).is_identity
+    assert load_form(str(gpath)).is_identity()
 
 
 def test_parse_matrix_reports_entry_location():
