@@ -165,10 +165,12 @@ def mixed_cesaro(
 
     Returns the matrix Z_N of the finite pairing; the connecting map at
     horizon N is G0^{-1} Z_N.  Never touches either eigendecomposition.
+    When t2 is t1 the one converted operator goes to both sides, so each
+    power is formed once.
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T1 = as_operator(t1)
-    T2 = as_operator(t2)
+    T2 = T1 if t2 is t1 else as_operator(t2)
     G0 = np.asarray(resolve_fiducial(h0, T1.shape[0], cfg).gram)
     N = int(horizon if horizon is not None else cfg.cesaro_horizon)
     return mixed_pullback_mean(T1, G0, T2, N)

@@ -268,6 +268,7 @@ MATMUL_COUNTS = [
     ("cesaro_oracle", 59, lambda o: u.cesaro_oracle(o.t, None, 1 << 20)),
     ("power_pullback_mean", 59, lambda o: u.power_pullback_mean(o.t, o.g, 1 << 20)),
     ("mixed_cesaro", 78, lambda o: u.mixed_cesaro(o.t, o.t2, None, 1 << 20)),
+    ("mixed_cesaro_shared", 59, lambda o: u.mixed_cesaro(o.t, o.t, None, 1 << 20)),
 ]
 
 

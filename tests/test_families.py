@@ -97,3 +97,31 @@ def test_heisenberg_rejects_wrong_relation():
     shift, clock, _ = make_clock_shift(3)
     with pytest.raises(RelationViolated):
         heisenberg_metric(shift, clock, np.eye(3, dtype=complex), None, CFG)
+
+
+def _off_central_triple(commutes_with):
+    """The n=3 Weyl triple with t3 turned by exp(1e-4 i H): H Hermitian and
+    commuting with the named generator only, so t3 fails to commute with the
+    other one at a relative residual near 1e-4."""
+    shift, clock, center = make_clock_shift(3)
+    H = np.diag([1.0, -1.0, 0.0]) if commutes_with == "t2" else shift + shift.conj().T
+    w, V = np.linalg.eigh(H)
+    return shift, clock, center @ ((V * np.exp(1e-4j * w)) @ V.conj().T)
+
+
+@pytest.mark.parametrize("relation_tol, outcome", [(1e-3, "metric"), (1e-6, "violated")])
+def test_heisenberg_checks_both_centrality_relations_alike(relation_tol, outcome):
+    # Each relation is checked once, against relation_tol: a t3 that fails to
+    # commute with t1 and one that fails with t2 meet the same fate.
+    got = {}
+    for fails_with, commutes_with in (("t1", "t2"), ("t2", "t1")):
+        t1, t2, t3 = _off_central_triple(commutes_with)
+        other = t1 if fails_with == "t1" else t2
+        assert 1e-6 < np.linalg.norm(other @ t3 - t3 @ other) < 1e-3
+        try:
+            heisenberg_metric(t1, t2, t3, None, CFG, relation_tol=relation_tol)
+            got[fails_with] = "metric"
+        except RelationViolated as exc:
+            assert f"{fails_with} t3 = t3 {fails_with}" in str(exc)
+            got[fails_with] = "violated"
+    assert got == {"t1": outcome, "t2": outcome}

@@ -1,3 +1,12 @@
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import Future
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -28,11 +37,13 @@ from unitarize.fixtures import (
     conjugated_unitary,
     defective_unimodular,
     hermitian_fixture,
+    jittered_unimodular_phases,
     off_circle_fixture,
     positive_definite_fixture,
     unimodular_phases,
 )
-from unitarize.metrics import DIVERGENCE_FACTOR
+from unitarize import metrics
+from unitarize.metrics import BLAS_THREAD_VARS, DIVERGENCE_FACTOR, OVERLAP_MIN_DIM
 
 CFG = ToleranceConfig()
 
@@ -420,3 +431,195 @@ def test_divergent_inputs_raise_the_reference_message(rng, count):
             for name in ("jordan", "off_circle", "scaled_identity")
             for side in ("both", "left", "right", "oracle")
         } - {("jordan", "left"), ("jordan", "right")}
+
+
+# -- the overlapped pass: powers on the worker thread, the sum on the caller --
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """Every object a double-and-add pass waits on, in submission order."""
+    out = []
+    real = metrics._power_submit
+
+    def recording(n):
+        submit = real(n)
+
+        def record(fn, *args):
+            out.append(submit(fn, *args))
+            return out[-1]
+
+        return record
+
+    monkeypatch.setattr(metrics, "_power_submit", recording)
+    return out
+
+
+@pytest.fixture(params=["serial", "overlap"])
+def mode(request, monkeypatch, submitted):
+    """Forces one mode through the policy, whatever the host's BLAS and CPUs;
+    after the test, checks that each product ran where the mode says and
+    that none is left pending."""
+    overlap = request.param == "overlap"
+    monkeypatch.setattr(metrics, "_overlaps", lambda n: overlap)
+    yield request.param
+    assert all(isinstance(f, Future) == overlap for f in submitted)
+    assert not overlap or all(f.done() for f in submitted)
+
+
+@pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
+@pytest.mark.parametrize("count", COUNTS)
+def test_both_modes_equal_the_reference(pair, count, mode, submitted):
+    t1, t2, K = pair
+    for left, right in ((t1, t1), (t1, t2)):
+        expected = _reference_mixed_mean(left, K, right, count)
+        assert np.array_equal(mixed_pullback_mean(left, K, right, count), expected)
+    gram, drift = _reference_oracle(t1, HermitianForm(K).gram, count)
+    form, got = cesaro_oracle(t1, K, count, CFG)
+    assert np.array_equal(form.gram, gram) and got == drift
+    # counts 1 and 2 form no power past the first
+    assert bool(submitted) == (count >= 3)
+
+
+def test_overlapped_divergence_releases_the_work_arrays(monkeypatch, submitted):
+    monkeypatch.setattr(metrics, "_overlaps", lambda n: True)
+    test_divergence_traceback_pins_no_work_arrays()
+    test_divergence_in_the_oracle_releases_the_half_horizon_sum()
+    assert submitted and all(isinstance(f, Future) and f.done() for f in submitted)
+    # nor does the raising frame keep a future, whose result pins the powers
+    T = 1.05 * np.eye(3, dtype=complex)
+    with pytest.raises(DivergenceDetected) as info:
+        mixed_pullback_mean(T, np.eye(3, dtype=complex), T, 512)
+    inner = _traceback_frames(info.value)[-1]
+    assert not [v for v in inner.f_locals.values() if isinstance(v, Future)]
+
+
+@pytest.fixture
+def pinned_host(monkeypatch):
+    """Two usable CPUs, BLAS pinned to one thread, and no worker yet: the
+    policy overlaps from OVERLAP_MIN_DIM unless a test undoes one of them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(metrics, "_worker", None)
+    return monkeypatch
+
+
+def _bounded(n):
+    rng = np.random.default_rng(n)
+    return conjugated_unitary(rng, n, 10.0, jittered_unimodular_phases(rng, n, np.pi / n))[0]
+
+
+@pytest.mark.parametrize("host", ["pinned", "below_cutoff", "one_cpu", "unpinned", "two_blas"])
+def test_policy_starts_a_thread_only_when_all_three_hold(pinned_host, host):
+    n = OVERLAP_MIN_DIM - 1 if host == "below_cutoff" else OVERLAP_MIN_DIM
+    if host == "one_cpu":
+        pinned_host.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        pinned_host.setattr(os, "cpu_count", lambda: 1)
+    for var in BLAS_THREAD_VARS:
+        if host == "unpinned":
+            pinned_host.delenv(var)
+        elif host == "two_blas" and var == "OMP_NUM_THREADS":
+            pinned_host.setenv(var, "2")
+    T = _bounded(n)
+    K = np.eye(n, dtype=complex)
+    before = set(threading.enumerate())
+    got = power_pullback_mean(T, K, 1000)
+    started = set(threading.enumerate()) - before
+    overlaps = host == "pinned"
+    assert metrics._overlaps(n) == overlaps
+    assert (metrics._worker is not None) == overlaps
+    assert len(started) == int(overlaps)
+    assert np.array_equal(got, _reference_mixed_mean(T, K, T, 1000))
+
+
+def test_concurrent_callers_share_one_worker(pinned_host):
+    pinned_host.setattr(metrics, "_overlaps", lambda n: True)
+    cases = [(T, np.eye(len(T), dtype=complex)) for T in map(_bounded, range(4, 9))]
+    expected = [_reference_mixed_mean(T, K, T, 1000) for T, K in cases]
+    failures = []
+    start = threading.Barrier(len(cases))
+
+    def caller(T, K, want):
+        try:
+            start.wait(timeout=60)
+            for _ in range(20):
+                if not np.array_equal(power_pullback_mean(T, K, 1000), want):
+                    failures.append(len(T))
+        except Exception as exc:
+            failures.append(exc)
+
+    before = set(threading.enumerate())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(*case, want))
+                   for case, want in zip(cases, expected)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert not failures
+    started = set(threading.enumerate()) - before
+    assert [t.name.startswith("unitarize-powers") for t in started] == [True]
+
+
+@pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
+def test_host_policy_matches_the_reference_at_the_cutoff(submitted):
+    # The policy as the host has it: with BLAS pinned and two usable CPUs
+    # this is the overlapped pass, otherwise the serial one.
+    n = OVERLAP_MIN_DIM
+    T = _bounded(n)
+    K = positive_definite_fixture(np.random.default_rng(1), n, 3.0)
+    count = (1 << 20) + 3
+    gram, drift = _reference_oracle(T, HermitianForm(K).gram, count)
+    form, got = cesaro_oracle(T, K, count, CFG)
+    assert np.array_equal(form.gram, gram) and got == drift
+    assert submitted
+    assert all(isinstance(f, Future) == metrics._overlaps(n) for f in submitted)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
+def test_forked_child_finishes_an_overlapped_oracle(monkeypatch):
+    monkeypatch.setattr(metrics, "_overlaps", lambda n: True)
+    T = _bounded(8)
+    expected = cesaro_oracle(T, None, 4096, CFG)[0].gram
+    assert metrics._worker is not None
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            got = cesaro_oracle(T, None, 4096, CFG)[0].gram
+            status = 0 if np.array_equal(got, expected) else 2
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.01)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish within 30 s")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_importing_the_cli_starts_no_thread():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import threading, unitarize.cli, unitarize.metrics as m; "
+        "assert threading.active_count() == 1 and m._worker is None"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
