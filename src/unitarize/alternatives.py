@@ -18,6 +18,7 @@ import numpy as np
 from .boundedness import require_bounded
 from .core import (
     DEFAULT_TOLERANCES,
+    PSD_RTOL,
     HermitianForm,
     ToleranceConfig,
     as_operator,
@@ -33,13 +34,7 @@ from .errors import (
     NonPositivePhi,
     NonPositiveWeight,
 )
-from .metrics import (
-    DIVERGENCE_FACTOR,
-    Unitarization,
-    _checked_invariant_gram,
-    _double_and_add,
-    projected_gram,
-)
+from .metrics import Unitarization, _averaged_form, _checked_invariant_gram, _double_and_add
 
 # Default horizon for the finite average inside metric_dependence.  The
 # double-and-add evaluation makes the cost logarithmic in the horizon, so
@@ -61,7 +56,7 @@ class ScalingSpec:
 
     weights: Mapping[int, object]
 
-    def block_for(self, cluster: int, size: int, psd_tol: float) -> np.ndarray:
+    def block_for(self, cluster: int, size: int) -> np.ndarray:
         if cluster not in self.weights:
             raise MissingClusterWeight(f"no weight for eigenvalue cluster {cluster}")
         w = self.weights[cluster]
@@ -78,12 +73,12 @@ class ScalingSpec:
                 f"cluster {cluster}: weight block has shape {block.shape}, "
                 f"expected {(size, size)}"
             )
-        if np.linalg.norm(block - block.conj().T) > 1e-10 * max(
+        if np.linalg.norm(block - block.conj().T) > PSD_RTOL * max(
             np.linalg.norm(block), 1e-300
         ):
             raise NonPositiveWeight(f"cluster {cluster}: weight block is not Hermitian")
         vals = np.linalg.eigvalsh(hermitize(block))
-        if vals[0] <= psd_tol * max(vals[-1], 0.0):
+        if vals[0] <= PSD_RTOL * max(vals[-1], 0.0):
             raise NonPositiveWeight(
                 f"cluster {cluster}: weight block is not positive definite"
             )
@@ -108,7 +103,7 @@ def scaled_metric(
     B = np.zeros((n, n), dtype=np.complex128)
     for c, idx in enumerate(dec.clusters):
         rows = list(idx)
-        B[np.ix_(rows, rows)] = spec.block_for(c, len(rows), cfg.psd_tol)
+        B[np.ix_(rows, rows)] = spec.block_for(c, len(rows))
     extra = set(spec.weights) - set(range(len(dec.clusters)))
     if extra:
         raise InvalidInput(
@@ -116,7 +111,7 @@ def scaled_metric(
             f"the operator has {len(dec.clusters)}"
         )
     Pi = dec.inverse
-    return HermitianForm(hermitize(Pi.conj().T @ B @ Pi), psd_tol=cfg.psd_tol)
+    return HermitianForm(hermitize(Pi.conj().T @ B @ Pi))
 
 
 def phi_metric(
@@ -139,14 +134,13 @@ def phi_metric(
     g = _checked_invariant_gram(T, unitarization)
     dec = eig(T, cfg)
     values = []
-    for c, mean in enumerate(dec.cluster_means()):
+    for c, theta in enumerate(dec.cluster_phases()):
         if isinstance(phi, Mapping):
             if c not in phi:
                 raise MissingClusterWeight(f"no phi value for eigenvalue cluster {c}")
             val = phi[c]
         elif isinstance(phi, Callable):
-            theta = float(np.mod(np.angle(mean), 2.0 * np.pi))
-            val = phi(theta)
+            val = phi(float(theta))
         else:
             raise InvalidInput("phi must be a callable or a cluster-to-value mapping")
         val = complex(val)
@@ -154,7 +148,7 @@ def phi_metric(
             raise NonPositivePhi(f"phi value {val!r} on cluster {c} is not positive")
         values.append(val.real)
     C = dec.spectral_function(values)
-    form = HermitianForm(hermitize(g @ C), psd_tol=cfg.psd_tol)
+    form = HermitianForm(hermitize(g @ C))
     return form, C
 
 
@@ -174,7 +168,7 @@ def commutant_positive_basis(
     T = as_operator(operator)
     dec = require_bounded(T, cfg)
     n = dec.dim
-    G0 = np.asarray(resolve_fiducial(h0, n, cfg).gram)
+    G0 = np.asarray(resolve_fiducial(h0, n).gram)
     P, Pi = dec.eigenvectors, dec.inverse
     M = P.conj().T @ G0 @ P
     out: list[np.ndarray] = []
@@ -237,8 +231,8 @@ def metric_dependence(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
-    h0 = resolve_fiducial(h0, T.shape[0], cfg)
-    h0_prime = resolve_fiducial(h0_prime, T.shape[0], cfg)
+    h0 = resolve_fiducial(h0, T.shape[0])
+    h0_prime = resolve_fiducial(h0_prime, T.shape[0])
     N = int(horizon if horizon is not None else DEPENDENCE_HORIZON)
     if N < 2:
         raise InvalidInput("the averaging horizon must be at least 2")
@@ -246,17 +240,18 @@ def metric_dependence(
     dec = require_bounded(T, cfg)
     G0 = np.asarray(h0.gram)
     G0p = np.asarray(h0_prime.gram)
-    G = HermitianForm(hermitize(projected_gram(dec, G0)), psd_tol=cfg.psd_tol).gram
-    Gp = HermitianForm(hermitize(projected_gram(dec, G0p)), psd_tol=cfg.psd_tol).gram
+    G = _averaged_form(dec, h0).gram
+    Gp = _averaged_form(dec, h0_prime).gram
 
     C = np.linalg.solve(G0p, G0)
     R = np.linalg.solve(Gp, G)
 
     # The pairing Lim h0'([C, T^n] x, T^n y) splits into two power averages,
-    # one with the kernel C* G0' and one with G0' alone; one pass each gives
-    # the sums at N and at N // 2.
-    twisted, twisted_half = _double_and_add(T, C.conj().T @ G0p, T, N, DIVERGENCE_FACTOR)
-    plain, plain_half = _double_and_add(T, G0p, T, N, DIVERGENCE_FACTOR)
+    # one with the kernel C* G0' and one with G0' alone; one pass over the
+    # powers of T gives both sums at N and at N // 2.
+    (twisted, plain), (twisted_half, plain_half) = _double_and_add(
+        T, (C.conj().T @ G0p, G0p), T, N
+    )
 
     def defect(twisted_sum, plain_sum, count: int) -> np.ndarray:
         Z = twisted_sum / count - C.conj().T @ (plain_sum / count)

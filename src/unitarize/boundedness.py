@@ -29,7 +29,7 @@ from .core import (
     spectral_band,
     spectral_norm,
 )
-from .errors import InvalidInput, NotAutomorphism, NotUniformlyBounded, NumericalFailure
+from .errors import NotAutomorphism, NotUniformlyBounded, NumericalFailure
 
 # Power norms are sampled for k in [-POWER_SAMPLE_RANGE, POWER_SAMPLE_RANGE].
 POWER_SAMPLE_RANGE = 32
@@ -45,6 +45,11 @@ POWER_SAMPLE_RANGE = 32
 # powers but sends cond(S) = 100 operators, whose powers reach cond 1e4, down
 # the slow path; a cut of 1e-6 reached 5.4e-10 at cond(S) = 100.
 RECIPROCAL_RTOL = 1e-4
+
+# resolvent_bound_estimate's radii, approaching the unit circle, and its
+# angular grid size per radius.
+RESOLVENT_RADII = (1.5, 1.1, 1.01)
+RESOLVENT_SAMPLES = 2048
 
 VERDICT_BOUNDED = "uniformly_bounded"
 VERDICT_NOT_BOUNDED = "not_bounded"
@@ -264,35 +269,27 @@ def check_normal_dichotomy(
     )
 
 
-def resolvent_bound_estimate(
-    operator,
-    radii=(1.5, 1.1, 1.01),
-    samples: int = 2048,
-) -> float:
+def resolvent_bound_estimate(operator) -> float:
     """Estimate sup over r of (r^2 - 1) times the mean squared resolvent norm.
 
-    For each radius r > 1 the quantity (r^2 - 1)/(2 pi) times the integral of
-    ||(T - r e^{i a})^{-1} u||^2 over the circle stays near ||u||^2 when the
-    power orbit of T is bounded, and blows up as r approaches 1 otherwise.
-    The integral is approximated with a uniform grid over the basis vectors u,
-    and the maximum over radii and basis directions comes back as a raw float.
+    For each radius r in RESOLVENT_RADII the quantity (r^2 - 1)/(2 pi) times
+    the integral of ||(T - r e^{i a})^{-1} u||^2 over the circle stays near
+    ||u||^2 when the power orbit of T is bounded, and blows up as r
+    approaches 1 otherwise.  The integral is approximated with a uniform
+    grid of RESOLVENT_SAMPLES angles for each basis vector u, and the
+    maximum over radii and basis directions comes back as a raw float.
     Grid points where the shift is numerically singular are skipped with a
     warning.
     """
     T = as_operator(operator)
-    radii = tuple(float(r) for r in radii)
-    if any(r <= 1.0 for r in radii):
-        raise InvalidInput("all radii must be strictly greater than 1")
-    if samples < 8:
-        raise InvalidInput("need at least 8 angular samples")
     n = T.shape[0]
     eye = np.eye(n, dtype=np.complex128)
     cut = SINGULAR_RTOL * (1.0 + spectral_norm(T))
     worst = 0.0
-    for r in radii:
+    for r in RESOLVENT_RADII:
         acc = np.zeros(n)
         used = 0
-        for a in np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False):
+        for a in np.linspace(0.0, 2.0 * np.pi, RESOLVENT_SAMPLES, endpoint=False):
             shift = T - r * np.exp(1j * a) * eye
             sv_min = np.linalg.svd(shift, compute_uv=False)[-1]
             if sv_min <= cut:

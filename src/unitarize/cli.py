@@ -26,7 +26,7 @@ import numpy as np
 
 from . import alternatives, boundedness, families, hamiltonian, intertwine, line_models, metrics
 from . import errors
-from .core import DEFAULT_TOLERANCES, ToleranceConfig, invariance_residual
+from .core import DEFAULT_TOLERANCES, PSD_RTOL, ToleranceConfig, invariance_residual
 from .errors import InvalidInput, UnitarizeError
 from .serialization import (
     AnalysisReport,
@@ -61,12 +61,12 @@ def _config(args) -> ToleranceConfig:
     )
 
 
-def _load_fiducial(path: str | None, dim: int, cfg: ToleranceConfig):
+def _load_fiducial(path: str | None, dim: int):
     """A form path, the literal "identity", or None."""
     if path is None or path == "identity":
         return None, {"kind": "identity"}
     payload = load_json(path)
-    form = parse_form(payload, psd_tol=cfg.psd_tol)
+    form = parse_form(payload)
     if form.dim != dim:
         raise InvalidInput(
             f"fiducial form dimension {form.dim} does not match operator "
@@ -493,7 +493,7 @@ def _analyze(args) -> tuple[AnalysisReport, int]:
         payloads.append(payload)
     for dest in sub.forms:
         dim = getattr(args, sub.operators[0]).shape[0]
-        form, payload = _load_fiducial(getattr(args, dest), dim, cfg)
+        form, payload = _load_fiducial(getattr(args, dest), dim)
         setattr(args, dest, form)
         payloads.append(payload)
     # example's --random fills the spec input, so two options can share a dest
@@ -507,10 +507,11 @@ def _analyze(args) -> tuple[AnalysisReport, int]:
     if sub.flags:
         payloads.append({dest: getattr(args, dest) for dest in sub.flags})
 
+    # the block records every threshold the answer was computed under
+    tolerances = dataclasses.asdict(cfg)
+    tolerances.update(psd_tol=PSD_RTOL, cesaro_rel_tol=metrics.DRIFT_RTOL)
     report = AnalysisReport(
-        command=args.command,
-        inputs_digest=inputs_digest(payloads),
-        tolerances=dataclasses.asdict(cfg),
+        command=args.command, inputs_digest=inputs_digest(payloads), tolerances=tolerances
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -33,6 +33,15 @@ RANK_RTOL = 1e-8
 # Relative cutoff below which an operator counts as numerically singular.
 SINGULAR_RTOL = 1e-13
 
+# Relative threshold of the scalar-product test: a Gram matrix is a metric
+# when it is Hermitian and its smallest eigenvalue exceeds this fraction of
+# its largest.
+PSD_RTOL = 1e-10
+
+# Relative Frobenius distance (per dimension) within which a form counts as
+# the standard one.
+IDENTITY_RTOL = 1e-14
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -40,17 +49,16 @@ class ToleranceConfig:
 
     eig_cluster_tol  radius used to merge nearby eigenvalues into clusters
                      (floored at CLUSTER_FLOOR times the operator scale)
-    psd_tol          relative threshold for positive definiteness checks
     unitarity_tol    relative threshold for unit-modulus and unitarity checks
     cesaro_horizon   default number of terms in finite power averages
-    cesaro_rel_tol   drift threshold above which an average counts as slow
+
+    These are the three the command line sets; the positive definiteness
+    threshold is PSD_RTOL and the Cesaro drift threshold metrics.DRIFT_RTOL.
     """
 
     eig_cluster_tol: float = 1e-8
-    psd_tol: float = 1e-10
     unitarity_tol: float = 1e-9
     cesaro_horizon: int = 4096
-    cesaro_rel_tol: float = 1e-6
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -97,21 +105,21 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HermitianForm:
-    """Positive definite Hermitian metric h(x, y) = x* gram y."""
+    """Positive definite Hermitian metric h(x, y) = x* gram y, Hermitian and
+    positive definite within PSD_RTOL."""
 
     gram: np.ndarray
-    psd_tol: float = 1e-10
 
     def __post_init__(self):
         g = as_operator(self.gram)
         scale = np.linalg.norm(g)
         if scale == 0.0:
             raise NotPositiveDefinite("Gram matrix is zero")
-        if np.linalg.norm(g - g.conj().T) > self.psd_tol * scale:
+        if np.linalg.norm(g - g.conj().T) > PSD_RTOL * scale:
             raise InvalidInput("Gram matrix is not Hermitian")
         g = hermitize(g)
         w = np.linalg.eigvalsh(g)
-        if w[0] <= self.psd_tol * max(w[-1], 0.0):
+        if w[0] <= PSD_RTOL * max(w[-1], 0.0):
             raise NotPositiveDefinite(
                 f"Gram matrix is not positive definite: eigenvalue range "
                 f"[{w[0]:.3e}, {w[-1]:.3e}]"
@@ -137,9 +145,9 @@ class HermitianForm:
         val = self.apply(x, x).real
         return float(np.sqrt(max(val, 0.0)))
 
-    def is_identity(self, rtol: float = 1e-14) -> bool:
+    def is_identity(self) -> bool:
         n = self.dim
-        return bool(np.linalg.norm(self.gram - np.eye(n)) <= rtol * n)
+        return bool(np.linalg.norm(self.gram - np.eye(n)) <= IDENTITY_RTOL * n)
 
 
 def effective_cluster_tol(operator_norm: float, cfg: ToleranceConfig | None = None) -> float:
@@ -227,6 +235,14 @@ class EigenDecomposition:
 
     def cluster_means(self) -> np.ndarray:
         return np.array([self.eigenvalues[list(idx)].mean() for idx in self.clusters])
+
+    def cluster_phases(self) -> np.ndarray:
+        """Phase of each cluster mean in [0, 2pi).  A mean within the cluster
+        radius of the wrap point gets 0, so an eigenvalue at 1 cannot leak a
+        spurious 2pi."""
+        theta = np.mod(np.angle(self.cluster_means()), 2.0 * np.pi)
+        theta[2.0 * np.pi - theta <= self.cluster_tol] = 0.0
+        return theta
 
     def labels(self) -> np.ndarray:
         """Cluster position for each eigenvalue index."""
@@ -337,7 +353,7 @@ def psd_sqrt(gram) -> np.ndarray:
         g = np.asarray(gram.gram)
     else:
         g = as_operator(gram)
-        if np.linalg.norm(g - g.conj().T) > 1e-10 * max(np.linalg.norm(g), 1e-300):
+        if np.linalg.norm(g - g.conj().T) > PSD_RTOL * max(np.linalg.norm(g), 1e-300):
             raise InvalidInput("matrix is not Hermitian")
         g = hermitize(g)
     w, u = np.linalg.eigh(g)
@@ -381,28 +397,27 @@ def invert(operator, label: str = "operator") -> np.ndarray:
     return np.linalg.inv(A)
 
 
-def resolve_fiducial(h0, dim: int, cfg: ToleranceConfig | None = None) -> HermitianForm:
+def resolve_fiducial(h0, dim: int) -> HermitianForm:
     """The fiducial form for an operator of the given dimension.
 
     None means the standard form; a Gram matrix is validated into a form.
     A form of another dimension raises InvalidInput.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     if h0 is None:
-        return _standard_form(dim, cfg.psd_tol)
+        return _standard_form(dim)
     if not isinstance(h0, HermitianForm):
-        h0 = HermitianForm(as_operator(h0), psd_tol=cfg.psd_tol)
+        h0 = HermitianForm(as_operator(h0))
     if h0.dim != dim:
         raise InvalidInput("fiducial form and operator dimensions differ")
     return h0
 
 
 @functools.lru_cache(maxsize=16)
-def _standard_form(dim: int, psd_tol: float) -> HermitianForm:
+def _standard_form(dim: int) -> HermitianForm:
     # A form is immutable, so one validated identity per size can serve every
     # call; the finite averages, which never validated a default identity,
     # would otherwise pay an eigvalsh each.
-    return HermitianForm(np.eye(dim, dtype=np.complex128), psd_tol=psd_tol)
+    return HermitianForm.identity(dim)
 
 
 def relative_defect(defect: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

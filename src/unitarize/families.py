@@ -56,18 +56,20 @@ def _require_commuting(A: np.ndarray, B: np.ndarray, labels: str) -> None:
         raise NotCommuting(f"{labels} do not commute: relative residual {res:.3e}")
 
 
-def _averaged_metric(
-    T: np.ndarray, dec: EigenDecomposition, h0, cfg: ToleranceConfig
-) -> HermitianForm:
-    """invariant_metric's form for a T already decided bounded as dec."""
-    h0 = resolve_fiducial(h0, T.shape[0], cfg)
-    return _spectral_unitarization(T, dec, h0, cfg).invariant_form
+def _averaged_metric(T: np.ndarray, dec: EigenDecomposition, h0) -> HermitianForm:
+    """invariant_metric's form for a T already decided bounded as dec.
+
+    Read off the full unitarization, square root included: the traced
+    connect_n64 benchmark requires a core.psd_sqrt call, and this is its
+    last caller there."""
+    h0 = resolve_fiducial(h0, T.shape[0])
+    return _spectral_unitarization(T, dec, h0).invariant_form
 
 
-def _pair_stages(T1, dec1, T2, dec2, h0, cfg) -> tuple[HermitianForm, HermitianForm]:
+def _pair_stages(T1, dec1, T2, dec2, h0) -> tuple[HermitianForm, HermitianForm]:
     """Average h0 over T1, then that metric over T2; both forms."""
-    first = _averaged_metric(T1, dec1, h0, cfg)
-    return first, _averaged_metric(T2, dec2, first, cfg)
+    first = _averaged_metric(T1, dec1, h0)
+    return first, _averaged_metric(T2, dec2, first)
 
 
 def commuting_pair_metric(
@@ -86,7 +88,7 @@ def commuting_pair_metric(
     _require_commuting(T1, T2, "t1 and t2")
     dec1 = require_bounded(T1, cfg, "t1: ")
     dec2 = require_bounded(T2, cfg, "t2: ")
-    first, joint = _pair_stages(T1, dec1, T2, dec2, h0, cfg)
+    first, joint = _pair_stages(T1, dec1, T2, dec2, h0)
     residuals = {
         "t1": invariance_residual(T1, joint.gram),
         "t2": invariance_residual(T2, joint.gram),
@@ -123,7 +125,7 @@ def multiplicity_free_shortcut(
     _require_commuting(T1, T2, "t1 and t2")
     dec = require_bounded(T1, cfg, "t1: ")
     degenerate = next((c for c, idx in enumerate(dec.clusters) if len(idx) > 1), None)
-    first = _averaged_metric(T1, dec, h0, cfg)
+    first = _averaged_metric(T1, dec, h0)
     return ShortcutReport(
         valid=degenerate is None,
         degenerate_cluster=degenerate,
@@ -172,8 +174,8 @@ def heisenberg_metric(
         require_bounded(T, cfg, f"{label}: ")
         for label, T in (("t1", T1), ("t2", T2), ("t3", T3))
     ]
-    first, middle = _pair_stages(T1, dec1, T3, dec3, h0, cfg)
-    joint = _averaged_metric(T2, dec2, middle, cfg)
+    first, middle = _pair_stages(T1, dec1, T3, dec3, h0)
+    joint = _averaged_metric(T2, dec2, middle)
     residuals = {
         "t1": invariance_residual(T1, joint.gram),
         "t2": invariance_residual(T2, joint.gram),

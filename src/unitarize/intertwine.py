@@ -19,7 +19,7 @@ import numpy as np
 from .boundedness import require_bounded
 from .core import (
     DEFAULT_TOLERANCES,
-    HermitianForm,
+    EigenDecomposition,
     ToleranceConfig,
     adjoint_wrt,
     as_operator,
@@ -29,7 +29,7 @@ from .core import (
     resolve_fiducial,
 )
 from .errors import InvalidInput, WeightOnUnmatchedPair
-from .metrics import _spectral_unitarization, mixed_pullback_mean
+from .metrics import _averaged_form, mixed_pullback_mean
 
 # The averaged pairing counts as zero below this relative size; the closed
 # form returns an exact zero for disjoint spectra, so the threshold only has
@@ -105,7 +105,7 @@ def intertwiner(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T1, T2 = as_operator_pair(t1, t2)
-    h0 = resolve_fiducial(h0, T1.shape[0], cfg)
+    h0 = resolve_fiducial(h0, T1.shape[0])
     dec1 = require_bounded(T1, cfg, "t1: ")
     dec2 = require_bounded(T2, cfg, "t2: ")
     pairs, means1, means2 = _match_clusters(dec1, dec2)
@@ -119,8 +119,8 @@ def intertwiner(
     Z = cluster_pairing(dec1, dec2, G0, mask)  # matrix of the limit form: x* Z y
     A0 = np.linalg.solve(G0, Z)
 
-    G1 = np.asarray(_spectral_unitarization(T1, dec1, h0, cfg).invariant_form.gram)
-    form2 = _spectral_unitarization(T2, dec2, h0, cfg).invariant_form
+    G1 = np.asarray(_averaged_form(dec1, h0).gram)
+    form2 = _averaged_form(dec2, h0)
     G2 = np.asarray(form2.gram)
     A1 = np.linalg.solve(G1, G0 @ A0)
     A2 = np.linalg.solve(G2, G0 @ A0)
@@ -171,29 +171,21 @@ def mixed_cesaro(
     cfg = cfg or DEFAULT_TOLERANCES
     T1 = as_operator(t1)
     T2 = T1 if t2 is t1 else as_operator(t2)
-    G0 = np.asarray(resolve_fiducial(h0, T1.shape[0], cfg).gram)
+    G0 = np.asarray(resolve_fiducial(h0, T1.shape[0]).gram)
     N = int(horizon if horizon is not None else cfg.cesaro_horizon)
     return mixed_pullback_mean(T1, G0, T2, N)
 
 
-def _orthonormal_eigenframe(T, dec, h0: HermitianForm, cfg: ToleranceConfig):
-    """Eigenvectors of a bounded T (decomposition dec) mapped to an
-    h0-orthonormal frame of the unitarized operator, for multiplicity-free
-    spectra."""
-    for idx in dec.clusters:
-        if len(idx) > 1:
-            raise InvalidInput(
-                "weighted connecting maps need multiplicity-free spectra; "
-                "a degenerate eigenvalue cluster was found"
-            )
-    result = _spectral_unitarization(T, dec, h0, cfg)
-    Q = result.positive_similarity
-    G0 = np.asarray(h0.gram)
-    frame = Q @ dec.eigenvectors
-    for j in range(frame.shape[1]):
-        nrm = np.sqrt(max((frame[:, j].conj() @ G0 @ frame[:, j]).real, 1e-300))
-        frame[:, j] /= nrm
-    return result, frame
+def _unit_eigenvectors(dec: EigenDecomposition, G: np.ndarray) -> np.ndarray:
+    """The eigenvectors of a multiplicity-free spectrum, each scaled to unit
+    length in the metric with Gram matrix G."""
+    if any(len(idx) > 1 for idx in dec.clusters):
+        raise InvalidInput(
+            "weighted connecting maps need multiplicity-free spectra; "
+            "a degenerate eigenvalue cluster was found"
+        )
+    P = dec.eigenvectors
+    return P / np.sqrt(np.einsum("ij,ij->j", P.conj(), G @ P).real)
 
 
 def intertwiner_scaled(
@@ -209,15 +201,21 @@ def intertwiner_scaled(
     index pairs (position in t1's sorted spectrum, position in t2's) to
     values; a weight on an unmatched pair raises WeightOnUnmatchedPair.
     Both spectra must be multiplicity-free.
+
+    With p_k and q_j the eigenvectors of T1 and T2 and G1, G2 their averaged
+    metrics over h0, the map is A = sum of c p_k q_j* G2 / (|p_k|_G1 |q_j|_G2):
+    each term sends the h_T2-unit eigenvector q_j to c times the h_T1-unit
+    eigenvector p_k and annihilates the other eigenvectors of T2.
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T1, T2 = as_operator_pair(t1, t2)
     n = T1.shape[0]
-    h0 = resolve_fiducial(h0, n, cfg)
+    h0 = resolve_fiducial(h0, n)
     dec1 = require_bounded(T1, cfg, "t1: ")
     dec2 = require_bounded(T2, cfg, "t2: ")
-    res1, frame1 = _orthonormal_eigenframe(T1, dec1, h0, cfg)
-    res2, frame2 = _orthonormal_eigenframe(T2, dec2, h0, cfg)
+    G1, G2 = (np.asarray(_averaged_form(dec, h0).gram) for dec in (dec1, dec2))
+    left = _unit_eigenvectors(dec1, G1)
+    right = G2 @ _unit_eigenvectors(dec2, G2)
     pairs, _, _ = _match_clusters(dec1, dec2)
     matched = {(dec1.clusters[i][0], dec2.clusters[j][0]) for i, j in pairs}
 
@@ -234,16 +232,10 @@ def intertwiner_scaled(
     else:
         table = {pair: complex(weights) for pair in matched}
 
-    G0 = np.asarray(h0.gram)
-    Q1_inv = invert(res1.positive_similarity, "first positive similarity")
-    Q2 = res2.positive_similarity
     A = np.zeros((n, n), dtype=np.complex128)
     for (k, q), c in table.items():
-        if c == 0:
-            continue
-        left = Q1_inv @ frame1[:, k]
-        right = (Q2 @ frame2[:, q]).conj() @ G0
-        A += c * np.outer(left, right)
+        if c != 0:
+            A += c * np.outer(left[:, k], right[:, q].conj())
     return A
 
 

@@ -50,6 +50,10 @@ from .errors import (
 # the Cesaro evaluation; a bounded orbit can never reach it.
 DIVERGENCE_FACTOR = 1e6
 
+# Relative drift between the full-horizon and half-horizon Cesaro means above
+# which cesaro_oracle warns SlowConvergence.
+DRIFT_RTOL = 1e-6
+
 # Smallest dimension at which double-and-add squares its powers on a second
 # thread while the calling thread updates the sum.  numpy's matmul holds the
 # GIL for small operands, so below the cut the two threads take turns and the
@@ -119,26 +123,30 @@ def _positive_similarity(
     return Q, Qinv
 
 
-def _similarity_from_gram(X: np.ndarray, g_raw: np.ndarray, h0: HermitianForm, cfg):
-    """Shared steps of both constructions: the hermitized invariant Gram
-    matrix g and its form, the positive similarity Q with G0 Q^2 = g, the
-    conjugate Q X Q^{-1}, and the relative gram_match residual."""
-    g = hermitize(g_raw)
-    form = HermitianForm(g, psd_tol=cfg.psd_tol)
+def _averaged_form(dec: EigenDecomposition, h0: HermitianForm) -> HermitianForm:
+    """The closed-form invariant metric: h0 averaged over the bounded operator
+    decomposed as dec."""
+    return HermitianForm(hermitize(projected_gram(dec, np.asarray(h0.gram))))
+
+
+def _similarity_from_form(X: np.ndarray, form: HermitianForm, h0: HermitianForm):
+    """Shared steps of both constructions: the invariant Gram matrix g, the
+    positive similarity Q with G0 Q^2 = g, the conjugate Q X Q^{-1}, and the
+    relative gram_match residual."""
+    g = np.asarray(form.gram)
     Q, Qinv = _positive_similarity(g, h0)
     gram_match = float(np.linalg.norm(h0.gram @ Q @ Q - g)) / np.linalg.norm(g)
-    return g, form, Q, Q @ X @ Qinv, gram_match
+    return g, Q, Q @ X @ Qinv, gram_match
 
 
-def _unitarization_from_gram(
+def _unitarization_from_form(
     T: np.ndarray,
-    g_raw: np.ndarray,
+    form: HermitianForm,
     h0: HermitianForm,
-    cfg: ToleranceConfig,
     method: str,
     cesaro_residual: float | None,
 ) -> Unitarization:
-    g, form, Q, U, gram_match = _similarity_from_gram(T, g_raw, h0, cfg)
+    g, Q, U, gram_match = _similarity_from_form(T, form, h0)
     residuals = {
         "invariance": invariance_residual(T, g),
         "unitarity": invariance_residual(U, h0.gram),
@@ -169,12 +177,11 @@ def _checked_invariant_gram(T: np.ndarray, unitarization: Unitarization) -> np.n
 
 
 def _spectral_unitarization(
-    T: np.ndarray, dec: EigenDecomposition, h0: HermitianForm, cfg: ToleranceConfig
+    T: np.ndarray, dec: EigenDecomposition, h0: HermitianForm
 ) -> Unitarization:
     """Closed-form unitarization of a bounded T from its decomposition and a
     resolved fiducial form."""
-    g = projected_gram(dec, np.asarray(h0.gram))
-    return _unitarization_from_gram(T, g, h0, cfg, METHOD_SPECTRAL, None)
+    return _unitarization_from_form(T, _averaged_form(dec, h0), h0, METHOD_SPECTRAL, None)
 
 
 def invariant_metric(
@@ -187,8 +194,8 @@ def invariant_metric(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
-    h0 = resolve_fiducial(h0, T.shape[0], cfg)
-    return _spectral_unitarization(T, require_bounded(T, cfg), h0, cfg)
+    h0 = resolve_fiducial(h0, T.shape[0])
+    return _spectral_unitarization(T, require_bounded(T, cfg), h0)
 
 
 def _overlaps(n: int) -> bool:
@@ -262,18 +269,20 @@ def _next_powers(Lp, A, Rp, B, shared: bool):
     return P, (P if shared else Rp @ B)
 
 
-def _double_and_add(
-    left, kernel, right, count: int, guard: float | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Partial sums S_count and S_{count // 2} of (L^n)* K R^n in one pass.
+def _double_and_add(left, kernels, right, count: int) -> tuple[list, list]:
+    """Partial sums S_count and S_{count // 2} of (L^n)* K R^n in one pass,
+    one pair per kernel K in kernels, all from one chain of powers.
 
     Reads the bits of count from the top, with S_{2L} = S_L + (L^L)* S_L R^L
     and S_{L+1} = S_L + (L^L)* K R^L.  The leading bit gives S_1 = K with
     powers L and R; the S_{count // 2} sum is S just before the last bit.
     A power no later step reads is never formed, and when left is right
     (tested before as_operator copies) each power is formed once.  That is
-    3 log2(count) matmuls with one shared operator and 4 log2(count)
-    otherwise.  S_{count // 2} is None for count 1.
+    log2(count) matmuls for the powers of one shared operator, or
+    2 log2(count) for two, plus 2 log2(count) per kernel for its sum.  Each
+    S_{count // 2} is None for count 1.  A sum whose norm passes
+    DIVERGENCE_FACTOR times its kernel norm and term count raises
+    DivergenceDetected.
 
     The powers of each step are independent of its sum update, so when
     _overlaps holds they are formed on one worker thread while the calling
@@ -284,50 +293,49 @@ def _double_and_add(
     shared = left is right
     L = as_operator(left)
     R = L if shared else as_operator(right)
-    K = as_operator(kernel)
-    if L.shape != K.shape or R.shape != K.shape:
+    Ks = [as_operator(k) for k in kernels]
+    if any(L.shape != K.shape or R.shape != K.shape for K in Ks):
         raise InvalidInput("operator and kernel dimensions differ")
     if count < 1:
         raise InvalidInput("the horizon must be a positive integer")
-    submit = _power_submit(K.shape[0])
-    k_norm = max(np.linalg.norm(K), 1e-300)
+    submit = _power_submit(L.shape[0])
+    k_norms = [max(np.linalg.norm(K), 1e-300) for K in Ks]
     bits = bin(int(count))[2:]
     last = len(bits) - 1
-    half = powers = None
+    halves, powers = [None] * len(Ks), None
     for i, bit in enumerate(bits):
         if i == 0:
-            S, Lp, Rp, length = K, L, R, 1
+            sums, Lp, Rp, length = Ks, L, R, 1
         else:
             if i == last:
-                half = S
+                halves = sums
             squares = i < last or bit == "1"
             if squares:
                 powers = submit(_next_powers, Lp, Lp, Rp, Rp, shared)
-            S = S + Lp.conj().T @ S @ Rp
+            sums = [S + Lp.conj().T @ S @ Rp for S in sums]
             length *= 2
             if squares:
                 Lp, Rp = powers.result()
             if bit == "1":
                 if i < last:
                     powers = submit(_next_powers, Lp, L, Rp, R, shared)
-                S = S + Lp.conj().T @ K @ Rp
+                sums = [S + Lp.conj().T @ K @ Rp for S, K in zip(sums, Ks)]
                 length += 1
                 if i < last:
                     Lp, Rp = powers.result()
-        if guard is not None and np.linalg.norm(S) > guard * k_norm * length:
+        if any(np.linalg.norm(S) > DIVERGENCE_FACTOR * k * length
+               for S, k in zip(sums, k_norms)):
             # The traceback keeps this frame alive for as long as the caller
             # keeps the exception; release the n x n work arrays first.
-            del L, R, K, S, Lp, Rp, half, powers
+            del L, R, Ks, sums, Lp, Rp, halves, powers
             raise DivergenceDetected(
-                f"partial power averages exceeded {guard:.1e} times the kernel "
-                f"norm after {length} terms"
+                f"partial power averages exceeded {DIVERGENCE_FACTOR:.1e} times "
+                f"the kernel norm after {length} terms"
             )
-    return S, half
+    return sums, halves
 
 
-def power_pullback_mean(
-    operator, kernel, count: int, guard: float | None = DIVERGENCE_FACTOR
-) -> np.ndarray:
+def power_pullback_mean(operator, kernel, count: int) -> np.ndarray:
     """Exact mean of (T^n)* K T^n for n = 0 .. count-1.
 
     Evaluated by binary double-and-add on the partial sums, using
@@ -336,12 +344,10 @@ def power_pullback_mean(
     T sits on both sides, so each power is formed once: about 3 log2(count)
     matmuls in one pass.
     """
-    return mixed_pullback_mean(operator, kernel, operator, count, guard)
+    return mixed_pullback_mean(operator, kernel, operator, count)
 
 
-def mixed_pullback_mean(
-    left, kernel, right, count: int, guard: float | None = DIVERGENCE_FACTOR
-) -> np.ndarray:
+def mixed_pullback_mean(left, kernel, right, count: int) -> np.ndarray:
     """Exact mean of (L^n)* K R^n for n = 0 .. count-1 by double-and-add.
 
     One pass over the bits of count, whose prefix before the last bit is the
@@ -352,7 +358,7 @@ def mixed_pullback_mean(
     thread while the sum updates, with the same matmul count and a
     bitwise-equal result.
     """
-    return _double_and_add(left, kernel, right, count, guard)[0] / count
+    return _double_and_add(left, (kernel,), right, count)[0][0] / count
 
 
 def cesaro_oracle(
@@ -367,7 +373,7 @@ def cesaro_oracle(
     drift between the full-horizon mean and the mean at half the horizon.
     Both come from one double-and-add pass (about 3 log2(horizon) matmuls):
     the sum at half the horizon is the prefix of the full sum before its
-    last bit.  A drift above cesaro_rel_tol raises the SlowConvergence
+    last bit.  A drift above DRIFT_RTOL raises the SlowConvergence
     warning; partial sums past the divergence guard raise DivergenceDetected.
     Under the overlap policy each squaring runs on a worker thread while the
     sum updates, with the same matmul count and a bitwise-equal result.
@@ -376,11 +382,11 @@ def cesaro_oracle(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
-    h0 = resolve_fiducial(h0, T.shape[0], cfg)
+    h0 = resolve_fiducial(h0, T.shape[0])
     N = int(horizon if horizon is not None else cfg.cesaro_horizon)
     if N < 1:
         raise InvalidInput("the horizon must be a positive integer")
-    full, half = _double_and_add(T, h0.gram, T, N, DIVERGENCE_FACTOR)
+    (full,), (half,) = _double_and_add(T, (h0.gram,), T, N)
     mean_full = hermitize(full / N)
     drift = 0.0
     if N >= 2:
@@ -388,15 +394,14 @@ def cesaro_oracle(
         drift = float(
             np.linalg.norm(mean_full - mean_part) / max(np.linalg.norm(mean_full), 1e-300)
         )
-        if drift > cfg.cesaro_rel_tol:
+        if drift > DRIFT_RTOL:
             warnings.warn(
                 f"power average still drifting at horizon {N}: relative "
                 f"change {drift:.3e}",
                 SlowConvergence,
                 stacklevel=2,
             )
-    form = HermitianForm(mean_full, psd_tol=cfg.psd_tol)
-    return form, drift
+    return HermitianForm(mean_full), drift
 
 
 def cesaro_unitarization(
@@ -408,11 +413,9 @@ def cesaro_unitarization(
     """Unitarization built from the finite Cesaro mean instead of the closed form."""
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
-    h0 = resolve_fiducial(h0, T.shape[0], cfg)
+    h0 = resolve_fiducial(h0, T.shape[0])
     form, drift = cesaro_oracle(T, h0, horizon, cfg)
-    return _unitarization_from_gram(
-        T, np.asarray(form.gram), h0, cfg, METHOD_CESARO, drift
-    )
+    return _unitarization_from_form(T, form, h0, METHOD_CESARO, drift)
 
 
 def cayley(operator) -> np.ndarray:
@@ -460,15 +463,7 @@ def unitary_log(
     T = as_operator(operator)
     _checked_invariant_gram(T, unitarization)
     dec = eig(T, cfg)
-    phases = []
-    for mean in dec.cluster_means():
-        theta = float(np.mod(np.angle(mean), 2.0 * np.pi))
-        # An eigenvalue within the cluster radius of 1 gets phase 0, so the
-        # wrap point of the angle convention cannot leak a spurious 2 pi.
-        if 2.0 * np.pi - theta <= dec.cluster_tol:
-            theta = 0.0
-        phases.append(theta)
-    return dec.spectral_function(phases)
+    return dec.spectral_function(dec.cluster_phases())
 
 
 def flow_invariant_metric(
@@ -483,7 +478,7 @@ def flow_invariant_metric(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     X = as_operator(generator)
-    h0 = resolve_fiducial(h0, X.shape[0], cfg)
+    h0 = resolve_fiducial(h0, X.shape[0])
     dec = eig(X, cfg)
     band = spectral_band(dec.operator_norm, cfg)
     off_axis = [lam for lam in dec.eigenvalues if abs(lam.real) > band]
@@ -492,8 +487,8 @@ def flow_invariant_metric(
         raise NotBoundedFlow(f"spectrum leaves the imaginary axis: {listed}")
     if not dec.diagonalizable:
         raise NotBoundedFlow("a purely imaginary eigenvalue is defective")
-    g_raw = projected_gram(dec, np.asarray(h0.gram))
-    g, form, Q, skew, gram_match = _similarity_from_gram(X, g_raw, h0, cfg)
+    form = _averaged_form(dec, h0)
+    g, Q, skew, gram_match = _similarity_from_form(X, form, h0)
     scale = max(1.0, dec.operator_norm)
     residuals = {
         "flow_invariance": float(np.linalg.norm(X.conj().T @ g + g @ X))
@@ -536,5 +531,5 @@ def generator_metric(
             )
         )
     image = cayley(H)
-    result = invariant_metric(image, None, cfg)
-    return result.invariant_form, image
+    h0 = resolve_fiducial(None, image.shape[0])
+    return _averaged_form(require_bounded(image, cfg), h0), image

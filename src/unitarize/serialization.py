@@ -84,10 +84,12 @@ def parse_matrix(payload) -> np.ndarray:
     return as_operator(flat.reshape(n, n))
 
 
-def parse_form(payload, psd_tol: float = 1e-10) -> HermitianForm:
+def parse_form(payload) -> HermitianForm:
+    """A form payload (a matrix payload, kind "hermitian_form" if given)
+    validated as a HermitianForm."""
     if isinstance(payload, dict) and payload.get("kind", FORM_KIND) != FORM_KIND:
         raise InvalidInput(f'form payload has kind {payload["kind"]!r}')
-    return HermitianForm(parse_matrix(payload), psd_tol=psd_tol)
+    return HermitianForm(parse_matrix(payload))
 
 
 def load_json(path: str):
@@ -107,8 +109,8 @@ def load_matrix(path: str) -> np.ndarray:
     return parse_matrix(load_json(path))
 
 
-def load_form(path: str, psd_tol: float = 1e-10) -> HermitianForm:
-    return parse_form(load_json(path), psd_tol=psd_tol)
+def load_form(path: str) -> HermitianForm:
+    return parse_form(load_json(path))
 
 
 def canonical_json(obj) -> str:

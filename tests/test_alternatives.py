@@ -99,6 +99,18 @@ def test_phi_mapping_and_positivity(rng):
         phi_metric(T, result, lambda theta: np.cos(theta), CFG)
 
 
+def test_phi_reads_phase_zero_at_eigenvalue_one():
+    # The computed eigenvalue at 1 has a phase a rounding error below zero,
+    # which wraps to 2 pi unless the cluster radius snaps it back, as it
+    # does for unitary_log.
+    T, _, _ = conjugated_unitary(np.random.default_rng(2), 4, 10.0, [0.0, 1.0, 2.5, 4.0])
+    result = invariant_metric(T, None, CFG)
+    seen = []
+    phi_metric(T, result, lambda theta: seen.append(theta) or 1.0, CFG)
+    assert len(seen) == 4 and min(seen) == 0.0 and max(seen) < 2.0 * np.pi
+    assert_allclose(sorted(seen), [0.0, 1.0, 2.5, 4.0], atol=1e-12)
+
+
 def test_commutant_basis_spans_expected_dimension():
     T = np.diag([1.0, 1.0, -1.0]).astype(complex)
     basis = commutant_positive_basis(T, None, CFG)

@@ -1,16 +1,19 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from unitarize import HermitianForm
-from unitarize.cli import SUBCOMMANDS, main
+from unitarize import HermitianForm, ToleranceConfig
+from unitarize.cli import _TOLERANCE_OPTIONS, SUBCOMMANDS, main
+from unitarize.core import PSD_RTOL
 from unitarize.families import make_clock_shift
 from unitarize.fixtures import (
     commuting_conjugated_pair,
     conjugated_unitary,
     unimodular_phases,
 )
+from unitarize.metrics import DRIFT_RTOL
 from unitarize.serialization import form_payload, matrix_payload
 
 INVOLUTION = np.array([[1.0, 2.0], [0.0, -1.0]], dtype=complex)
@@ -377,3 +380,18 @@ def test_only_subcommands_that_read_a_form_take_h0():
     takes = {name for name, sub in SUBCOMMANDS.items() if "h0" in sub.forms}
     assert takes == {"nagy", "oracle", "log", "altmetric", "depend", "pair", "heisenberg",
                      "intertwine"}
+
+
+def test_the_config_is_what_the_command_line_sets():
+    fields = [f.name for f in dataclasses.fields(ToleranceConfig)]
+    assert sorted(fields) == sorted(field for field, _ in _TOLERANCE_OPTIONS.values())
+
+
+def test_report_records_the_config_and_the_fixed_thresholds(tmp_path, capsys):
+    path = write_matrix(tmp_path, "t.json", INVOLUTION)
+    code, report = run_json(capsys, ["oracle", "--in", path, "--tol-cluster", "1e-7",
+                                     "--tol-unitary", "1e-8", "--horizon", "64"])
+    assert code == 0
+    cfg = ToleranceConfig(eig_cluster_tol=1e-7, unitarity_tol=1e-8, cesaro_horizon=64)
+    want = {**dataclasses.asdict(cfg), "psd_tol": PSD_RTOL, "cesaro_rel_tol": DRIFT_RTOL}
+    assert report["tolerances"] == want

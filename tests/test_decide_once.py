@@ -1,7 +1,7 @@
 """Each operator is decided and decomposed once per call, its eigenbasis is
-inverted once per decomposition, each Cesaro mean takes one double-and-add
-pass per kernel, and every entry point that takes a fiducial form validates
-it through one resolver."""
+inverted once per decomposition, each Cesaro answer takes one double-and-add
+pass over the powers of its operators, and every entry point that takes a
+fiducial form validates it through one resolver."""
 
 from types import SimpleNamespace
 
@@ -242,7 +242,7 @@ def test_wrong_size_fiducial_form_is_invalid_input(ops, call, as_form):
 PASS_COUNTS = [
     ("cesaro_oracle", 1, lambda o: u.cesaro_oracle(o.t, o.g, 4096)),
     ("mixed_cesaro", 1, lambda o: u.mixed_cesaro(o.t, o.t2, o.g, 4096)),
-    ("metric_dependence", 2, lambda o: u.metric_dependence(o.t, o.g, o.g2)),
+    ("metric_dependence", 1, lambda o: u.metric_dependence(o.t, o.g, o.g2)),
 ]
 
 
@@ -296,21 +296,38 @@ def test_double_and_add_matmuls(ops, monkeypatch, expected, call):
 
 def _metric_dependence_via_unitarizations(T, g0, g0_prime):
     """metric_dependence's C, R and A with the two limit Gram matrices read
-    off full closed-form unitarizations, as the construction first did."""
-    cfg = u.DEFAULT_TOLERANCES
+    off full closed-form unitarizations and one double-and-add pass per
+    kernel, as the construction first did."""
     T = u.core.as_operator(T)
-    h0, h0p = (u.core.resolve_fiducial(g, T.shape[0], cfg) for g in (g0, g0_prime))
-    dec = u.boundedness.require_bounded(T, cfg)
-    G, Gp = (np.asarray(u.metrics._spectral_unitarization(T, dec, h, cfg).invariant_form.gram)
+    h0, h0p = (u.core.resolve_fiducial(g, T.shape[0]) for g in (g0, g0_prime))
+    dec = u.boundedness.require_bounded(T)
+    G, Gp = (np.asarray(u.metrics._spectral_unitarization(T, dec, h).invariant_form.gram)
              for h in (h0, h0p))
     G0, G0p = np.asarray(h0.gram), np.asarray(h0p.gram)
     C = np.linalg.solve(G0p, G0)
     N = u.alternatives.DEPENDENCE_HORIZON
-    guard = u.metrics.DIVERGENCE_FACTOR
-    twisted, _ = u.metrics._double_and_add(T, C.conj().T @ G0p, T, N, guard)
-    plain, _ = u.metrics._double_and_add(T, G0p, T, N, guard)
+    (twisted,), _ = u.metrics._double_and_add(T, [C.conj().T @ G0p], T, N)
+    (plain,), _ = u.metrics._double_and_add(T, [G0p], T, N)
     A = np.linalg.solve(Gp, (twisted / N - C.conj().T @ (plain / N)).conj().T)
     return C, np.linalg.solve(Gp, G), A
+
+
+# entry points that read only the averaged form of each operator
+SQRT_FREE = [
+    ("intertwiner", lambda o: u.intertwiner(o.t, o.t2, o.g)),
+    ("intertwiner_scaled", lambda o: u.intertwiner_scaled(o.t, o.t2, 1.0, o.g)),
+    ("generator_metric", lambda o: u.generator_metric(-1j * o.flow)),
+]
+
+
+@pytest.mark.parametrize("call", [c[1] for c in SQRT_FREE], ids=[c[0] for c in SQRT_FREE])
+def test_form_readers_take_no_square_root(ops, monkeypatch, call):
+    def no_sqrt(g):
+        raise AssertionError("psd_sqrt called")
+
+    for module in (u.core, u.metrics):
+        monkeypatch.setattr(module, "psd_sqrt", no_sqrt)
+    call(ops)
 
 
 def test_metric_dependence_forms_no_square_root(ops, monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from unitarize import (
+    DEFAULT_TOLERANCES,
     HermitianForm,
     InvalidInput,
     ToleranceConfig,
@@ -13,11 +14,14 @@ from unitarize import (
     make_clock_shift,
     mixed_cesaro,
 )
+from unitarize.boundedness import require_bounded
+from unitarize.core import resolve_fiducial
 from unitarize.fixtures import (
     conjugated_unitary,
     positive_definite_fixture,
     unimodular_phases,
 )
+from unitarize.metrics import _spectral_unitarization
 
 CFG = ToleranceConfig()
 
@@ -77,6 +81,44 @@ def test_scaled_connector_reproduces_fourier_matrix():
     ) / np.sqrt(dim)
     assert_allclose(A, dft, atol=1e-12)
     assert np.linalg.norm(clock @ A - A @ shift) <= 1e-12
+
+
+def _scaled_connector_via_frames(t1, t2, weights, h0):
+    """intertwiner_scaled as first built: each eigenvector pushed through
+    the positive similarity Q of its operator's unitarization to an
+    h0-orthonormal frame, then pulled back through Q1^-1 on the left and
+    Q2 on the right."""
+    h0 = resolve_fiducial(h0, len(t1))
+    G0 = np.asarray(h0.gram)
+    Qs, frames = [], []
+    for t in (t1, t2):
+        dec = require_bounded(t, DEFAULT_TOLERANCES)
+        Q = _spectral_unitarization(np.asarray(t), dec, h0).positive_similarity
+        frame = Q @ dec.eigenvectors
+        frame /= np.sqrt(np.einsum("ij,ij->j", frame.conj(), G0 @ frame).real)
+        Qs.append(Q)
+        frames.append(frame)
+    A = np.zeros_like(G0)
+    for (k, q), c in weights.items():
+        left = np.linalg.inv(Qs[0]) @ frames[0][:, k]
+        right = (Qs[1] @ frames[1][:, q]).conj() @ G0
+        A += c * np.outer(left, right)
+    return A
+
+
+@pytest.mark.parametrize("fiducial", ["identity", "general"])
+def test_scaled_connector_matches_the_frame_construction(rng, fiducial):
+    n = 6
+    for _ in range(5):
+        phases = unimodular_phases(rng, n, min_gap=0.3)
+        T1, _, _ = conjugated_unitary(rng, n, 30.0, phases)
+        T2, _, _ = conjugated_unitary(rng, n, 30.0, phases)
+        h0 = None if fiducial == "identity" else positive_definite_fixture(rng, n, 10.0)
+        weights = {(k, k): complex(*rng.standard_normal(2)) for k in range(n)}
+        got = intertwiner_scaled(T1, T2, weights, h0, CFG)
+        want = _scaled_connector_via_frames(T1, T2, weights, h0)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(T1 @ got - got @ T2) <= 1e-9 * np.linalg.norm(got)
 
 
 def test_scaled_connector_is_linear_in_the_weight():

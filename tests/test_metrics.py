@@ -259,7 +259,7 @@ def test_generator_metric_makes_self_adjoint(rng):
         generator_metric(np.array([[1j, 0.0], [0.0, 1.0]]), CFG)
 
 
-def _reference_mixed_mean(left, kernel, right, count, guard=DIVERGENCE_FACTOR):
+def _reference_mixed_mean(left, kernel, right, count):
     """Reference double-and-add: one pass per count, from S = 0 and identity
     powers, forming both powers at every step."""
     L = np.array(left, dtype=np.complex128)
@@ -282,10 +282,10 @@ def _reference_mixed_mean(left, kernel, right, count, guard=DIVERGENCE_FACTOR):
             Lp = Lp @ L
             Rp = Rp @ R
             length += 1
-        if guard is not None and np.linalg.norm(S) > guard * k_norm * max(length, 1):
+        if np.linalg.norm(S) > DIVERGENCE_FACTOR * k_norm * max(length, 1):
             raise DivergenceDetected(
-                f"partial power averages exceeded {guard:.1e} times the kernel "
-                f"norm after {length} terms"
+                f"partial power averages exceeded {DIVERGENCE_FACTOR:.1e} times the "
+                f"kernel norm after {length} terms"
             )
     return S / count
 
@@ -479,6 +479,18 @@ def test_both_modes_equal_the_reference(pair, count, mode, submitted):
     assert np.array_equal(form.gram, gram) and got == drift
     # counts 1 and 2 form no power past the first
     assert bool(submitted) == (count >= 3)
+
+
+@pytest.mark.parametrize("count", COUNTS)
+def test_one_pass_over_several_kernels_equals_one_pass_each(pair, count, mode):
+    t1, t2, K = pair
+    kernels = (K, K @ t1, np.eye(4, dtype=complex))
+    for left, right in ((t1, t1), (t1, t2)):
+        sums, halves = metrics._double_and_add(left, kernels, right, count)
+        for kernel, S, half in zip(kernels, sums, halves):
+            (alone,), (alone_half,) = metrics._double_and_add(left, (kernel,), right, count)
+            assert np.array_equal(S, alone)
+            assert half is alone_half is None or np.array_equal(half, alone_half)
 
 
 def test_overlapped_divergence_releases_the_work_arrays(monkeypatch, submitted):
