@@ -17,7 +17,6 @@ import numpy as np
 
 from .boundedness import require_bounded
 from .core import (
-    DEFAULT_TOLERANCES,
     PSD_RTOL,
     HermitianForm,
     ToleranceConfig,
@@ -45,6 +44,15 @@ from .metrics import Unitarization, _averaged_form, _checked_invariant_gram, _do
 DEPENDENCE_HORIZON = 1 << 26
 
 
+def _positive_real(value, error: type[Exception], message: str) -> float:
+    """value as a real number above zero, up to 1e-12 relative imaginary
+    rounding; error(message) otherwise."""
+    val = complex(value)
+    if abs(val.imag) > 1e-12 * max(abs(val.real), 1.0) or val.real <= 0.0:
+        raise error(message)
+    return val.real
+
+
 @dataclass(frozen=True)
 class ScalingSpec:
     """One positive weight per eigenvalue cluster.
@@ -61,12 +69,9 @@ class ScalingSpec:
             raise MissingClusterWeight(f"no weight for eigenvalue cluster {cluster}")
         w = self.weights[cluster]
         if np.isscalar(w):
-            val = complex(w)
-            if abs(val.imag) > 1e-12 * max(abs(val.real), 1.0) or val.real <= 0.0:
-                raise NonPositiveWeight(
-                    f"cluster {cluster}: scalar weight must be real positive, got {w!r}"
-                )
-            return val.real * np.eye(size, dtype=np.complex128)
+            message = f"cluster {cluster}: scalar weight must be real positive, got {w!r}"
+            val = _positive_real(w, NonPositiveWeight, message)
+            return val * np.eye(size, dtype=np.complex128)
         block = np.array(w, dtype=np.complex128)
         if block.shape != (size, size):
             raise InvalidInput(
@@ -96,7 +101,6 @@ def scaled_metric(
     at a fiducial metric, which is the whole point: invariance pins the
     eigenbasis but leaves one positive block per cluster free.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
     dec = require_bounded(T, cfg)
     n = dec.dim
@@ -129,7 +133,6 @@ def phi_metric(
     polynomial in the operator in the exact-arithmetic limit, so it commutes
     with it by construction.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
     g = _checked_invariant_gram(T, unitarization)
     dec = eig(T, cfg)
@@ -143,10 +146,9 @@ def phi_metric(
             val = phi(float(theta))
         else:
             raise InvalidInput("phi must be a callable or a cluster-to-value mapping")
-        val = complex(val)
-        if abs(val.imag) > 1e-12 * max(abs(val.real), 1.0) or val.real <= 0.0:
-            raise NonPositivePhi(f"phi value {val!r} on cluster {c} is not positive")
-        values.append(val.real)
+        values.append(_positive_real(
+            val, NonPositivePhi, f"phi value {complex(val)!r} on cluster {c} is not positive"
+        ))
     C = dec.spectral_function(values)
     form = HermitianForm(hermitize(g @ C))
     return form, C
@@ -164,7 +166,6 @@ def commutant_positive_basis(
     commutes with the operator and is self-adjoint for the averaged metric
     h_T built over the given fiducial form.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
     dec = require_bounded(T, cfg)
     n = dec.dim
@@ -229,7 +230,6 @@ def metric_dependence(
     the sum rule R = C + A, the commutator flip [A, T] = -[C, T], and that R
     commutes with the operator.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
     h0 = resolve_fiducial(h0, T.shape[0])
     h0_prime = resolve_fiducial(h0_prime, T.shape[0])

@@ -29,7 +29,7 @@ from .core import (
     spectral_band,
     spectral_norm,
 )
-from .errors import NotAutomorphism, NotUniformlyBounded, NumericalFailure
+from .errors import NotAutomorphism, NotBoundedFlow, NotUniformlyBounded, NumericalFailure
 
 # Power norms are sampled for k in [-POWER_SAMPLE_RANGE, POWER_SAMPLE_RANGE].
 POWER_SAMPLE_RANGE = 32
@@ -155,7 +155,6 @@ def check_uniformly_bounded(
 
     Raises NotAutomorphism for numerically singular input.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
     norms = sampled_power_norms(T)
 
@@ -199,12 +198,18 @@ def require_bounded(
 
 @dataclass(eq=False)
 class GeneratorReport:
-    """Outcome of the bounded-flow decision for a would-be Hamiltonian."""
+    """Outcome of the bounded-flow decision for a would-be Hamiltonian, with
+    the one eigendecomposition the verdict was read from (which
+    require_self_adjoint_like hands on)."""
 
     verdict: str
-    spectrum: np.ndarray
     off_real: tuple[complex, ...]
     defective: tuple[complex, ...]
+    decomposition: EigenDecomposition
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        return self.decomposition.eigenvalues
 
     @property
     def similar_to_self_adjoint(self) -> bool:
@@ -217,7 +222,6 @@ def check_generator(operator, cfg: ToleranceConfig | None = None) -> GeneratorRe
     Equivalent to H being diagonalizable with real spectrum, and to the
     boundedness of e^{itH} over all real t.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     H = as_operator(operator)
     dec = eig(H, cfg)
     band = spectral_band(dec.operator_norm, cfg)
@@ -229,10 +233,24 @@ def check_generator(operator, cfg: ToleranceConfig | None = None) -> GeneratorRe
     ok = not off_real and not defective
     return GeneratorReport(
         verdict=VERDICT_SELF_ADJOINT_LIKE if ok else VERDICT_NOT_SELF_ADJOINT_LIKE,
-        spectrum=dec.eigenvalues,
         off_real=off_real,
         defective=defective,
+        decomposition=dec,
     )
+
+
+def require_self_adjoint_like(
+    operator, cfg: ToleranceConfig | None = None, label: str = ""
+) -> EigenDecomposition:
+    """Decomposition of a generator similar to a self-adjoint operator, taken
+    from its decision; raises NotBoundedFlow with the off-real and defective
+    eigenvalues, prefixed by label, for any other generator."""
+    report = check_generator(operator, cfg)
+    if not report.similar_to_self_adjoint:
+        raise NotBoundedFlow(label + "; ".join(
+            [f"eigenvalue {z:.12g} is off the real axis" for z in report.off_real]
+            + [f"eigenvalue {z:.12g} is defective" for z in report.defective]))
+    return report.decomposition
 
 
 @dataclass(eq=False)

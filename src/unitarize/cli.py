@@ -7,7 +7,10 @@ relations, failed factorization), and 1 for malformed input or usage
 errors, argparse's own included.  Reports are canonical: the same inputs
 produce byte-identical bytes, and their inputs_digest covers every input
 file and every option of the subcommand's own.  Only nagy, oracle, log,
-altmetric (with --phi), depend, pair, heisenberg and intertwine take --h0.  The
+altmetric (with --phi), depend, pair, heisenberg and intertwine take --h0.
+Each subcommand takes the tolerance options its analysis reads: depend takes
+--tol-cluster, --tol-unitary and --horizon, oracle only --horizon, cayley and
+hamiltonian none, and the others --tol-cluster and --tol-unitary.  The
 UNITARIZE_SEED environment variable, a non-negative integer, seeds the
 randomized example generator.
 """
@@ -55,7 +58,9 @@ _FACTORIZATION_RTOL = 1e-9
 
 
 def _config(args) -> ToleranceConfig:
-    given = {field: getattr(args, dest) for dest, (field, _) in _TOLERANCE_OPTIONS.items()}
+    # a subcommand's namespace holds only the tolerance options it takes
+    given = {field: getattr(args, dest, None)
+             for dest, (field, _) in _TOLERANCE_OPTIONS.items()}
     return dataclasses.replace(
         DEFAULT_TOLERANCES, **{k: v for k, v in given.items() if v is not None}
     )
@@ -381,6 +386,7 @@ class Subcommand:
     files      other JSON inputs, exactly one given; argparse reads it and
                fill gets the payload
     flags      the subcommand's own options, as add_argument settings
+    tolerances the _TOLERANCE_OPTIONS the analysis reads, by dest
 
     The inputs digest lists the payloads of the operators, the forms and
     the files (null for one not given), then the flags' values if any.
@@ -392,6 +398,7 @@ class Subcommand:
     forms: tuple[str, ...] = ()
     files: dict[str, dict] = dataclasses.field(default_factory=dict)
     flags: dict[str, dict] = dataclasses.field(default_factory=dict)
+    tolerances: tuple[str, ...] = ("tol_cluster", "tol_unitary")
 
 
 _JSON_FILE = {"type": load_json, "metavar": "FILE"}
@@ -404,16 +411,18 @@ SUBCOMMANDS = {
     "nagy": Subcommand("invariant metric and unitarizing similarity", _nagy,
                        ("infile",), ("h0",)),
     "oracle": Subcommand("finite power average of the fiducial metric", _oracle,
-                         ("infile",), ("h0",)),
+                         ("infile",), ("h0",), tolerances=("horizon",)),
     "cayley": Subcommand("Cayley map between generators and evolutions", _cayley,
-                         ("infile",), flags={"inverse": dict(action="store_true")}),
+                         ("infile",), flags={"inverse": dict(action="store_true")},
+                         tolerances=()),
     "log": Subcommand("self-adjoint logarithm of a unitarizable operator", _log,
                       ("infile",), ("h0",)),
     "altmetric": Subcommand(
         "scaled or spectrally rescaled invariant metrics", _altmetric, ("infile",), ("h0",),
         files={"weights": _JSON_FILE, "phi": _JSON_FILE}),
     "depend": Subcommand("dependence of the limit metric on the fiducial one", _depend,
-                         ("infile",), ("h0", "h0_prime")),
+                         ("infile",), ("h0", "h0_prime"),
+                         tolerances=("tol_cluster", "tol_unitary", "horizon")),
     "pair": Subcommand(
         "joint metric of a commuting pair", _pair, ("t1", "t2"), ("h0",),
         flags={"shortcut": dict(action="store_true",
@@ -424,7 +433,7 @@ SUBCOMMANDS = {
     "intertwine": Subcommand("averaged connecting map between two operators", _intertwine,
                              ("t1", "t2"), ("h0",)),
     "hamiltonian": Subcommand("check a Poisson-energy factorization of linear dynamics",
-                              _hamiltonian, ("dyn", "poisson", "energy")),
+                              _hamiltonian, ("dyn", "poisson", "energy"), tolerances=()),
     "example": Subcommand(
         "build a grid model and check it against closed forms", _example,
         files={
@@ -437,7 +446,8 @@ SUBCOMMANDS = {
         }),
 }
 
-# options every subcommand takes, with the ToleranceConfig field each sets
+# the tolerance options, each with the ToleranceConfig field it sets; a
+# subcommand takes those its analysis reads (Subcommand.tolerances)
 _TOLERANCE_OPTIONS = {
     "tol_cluster": ("eig_cluster_tol", float),
     "tol_unitary": ("unitarity_tol", float),
@@ -475,8 +485,8 @@ def _build_parser() -> argparse.ArgumentParser:
             choice.add_argument(_option(dest), **{"dest": dest, **settings})
         for dest, settings in sub.flags.items():
             p.add_argument(_option(dest), dest=dest, **settings)
-        for dest, (_, kind) in _TOLERANCE_OPTIONS.items():
-            p.add_argument(_option(dest), dest=dest, type=kind)
+        for dest in sub.tolerances:
+            p.add_argument(_option(dest), dest=dest, type=_TOLERANCE_OPTIONS[dest][1])
         p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 

@@ -290,7 +290,6 @@ def eig(operator, cfg: ToleranceConfig | None = None) -> EigenDecomposition:
     eigenvalues from different clusters that sit within twice the radius
     trigger a ClusterAmbiguity warning.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
     w, v = np.linalg.eig(T)
     phase = np.mod(np.angle(w), 2.0 * np.pi)

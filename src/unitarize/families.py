@@ -17,7 +17,6 @@ import numpy as np
 
 from .boundedness import require_bounded
 from .core import (
-    DEFAULT_TOLERANCES,
     EigenDecomposition,
     HermitianForm,
     ToleranceConfig,
@@ -83,7 +82,6 @@ def commuting_pair_metric(
     operators commute, so every term is again t1-invariant and so is the
     cluster-projected limit.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T1, T2 = as_operator_pair(t1, t2)
     _require_commuting(T1, T2, "t1 and t2")
     dec1 = require_bounded(T1, cfg, "t1: ")
@@ -120,7 +118,6 @@ def multiplicity_free_shortcut(
     t1, t2, h0=None, cfg: ToleranceConfig | None = None
 ) -> ShortcutReport:
     """Test whether averaging over t1 alone is already invariant under t2."""
-    cfg = cfg or DEFAULT_TOLERANCES
     T1, T2 = as_operator_pair(t1, t2)
     _require_commuting(T1, T2, "t1 and t2")
     dec = require_bounded(T1, cfg, "t1: ")
@@ -150,7 +147,6 @@ def heisenberg_metric(
     exchange relation turns t2-pullback into a t3-twisted t1-pullback, which
     is why the final metric stays invariant under t1 and t3 as well.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T1 = as_operator(t1)
     T2 = as_operator(t2)
     T3 = as_operator(t3)

@@ -103,7 +103,6 @@ def intertwiner(
     disjoint spectra give an identically zero map, which is a positive
     certificate, not an error.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T1, T2 = as_operator_pair(t1, t2)
     h0 = resolve_fiducial(h0, T1.shape[0])
     dec1 = require_bounded(T1, cfg, "t1: ")
@@ -207,7 +206,6 @@ def intertwiner_scaled(
     each term sends the h_T2-unit eigenvector q_j to c times the h_T1-unit
     eigenvector p_k and annihilates the other eigenvectors of T2.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T1, T2 = as_operator_pair(t1, t2)
     n = T1.shape[0]
     h0 = resolve_fiducial(h0, n)
@@ -239,14 +237,13 @@ def intertwiner_scaled(
     return A
 
 
-def are_intertwined(t1, t2, connector, cfg: ToleranceConfig | None = None) -> bool:
+def are_intertwined(t1, t2, connector) -> bool:
     """Check T1 A = A T2 up to a relative tolerance.
 
     An identically zero connector satisfies the relation trivially; that
     case returns True with a warning rather than pretending to certify
     anything.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T1 = as_operator(t1)
     T2 = as_operator(t2)
     A = as_operator(connector)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCES,
     HermitianForm,
     ToleranceConfig,
     eig,
@@ -265,7 +264,6 @@ def spectrum_match_report(
     covering radius of the spectrum on the circle (largest arc gap over 2)
     for the translation model, whose eigenvalues equidistribute.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T, _ = build(spec)
     computed = np.array(eig(T, cfg).eigenvalues)
     predicted = np.array(expected_spectrum(spec))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundedness import VERDICT_SELF_ADJOINT_LIKE, check_generator, require_bounded
+from .boundedness import require_bounded, require_self_adjoint_like
 from .core import (
     DEFAULT_TOLERANCES,
     EigenDecomposition,
@@ -36,12 +36,10 @@ from .core import (
     psd_sqrt,
     require_nonsingular,
     resolve_fiducial,
-    spectral_band,
 )
 from .errors import (
     DivergenceDetected,
     InvalidInput,
-    NotBoundedFlow,
     SingularShift,
     SlowConvergence,
 )
@@ -192,7 +190,6 @@ def invariant_metric(
     Raises NotUniformlyBounded, carrying the reasons, when the power orbit
     of the operator is unbounded.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
     h0 = resolve_fiducial(h0, T.shape[0])
     return _spectral_unitarization(T, require_bounded(T, cfg), h0)
@@ -411,7 +408,6 @@ def cesaro_unitarization(
     cfg: ToleranceConfig | None = None,
 ) -> Unitarization:
     """Unitarization built from the finite Cesaro mean instead of the closed form."""
-    cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
     h0 = resolve_fiducial(h0, T.shape[0])
     form, drift = cesaro_oracle(T, h0, horizon, cfg)
@@ -459,7 +455,6 @@ def unitary_log(
     unitarization must belong to the same operator; its metric is checked
     for invariance before use.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
     _checked_invariant_gram(T, unitarization)
     dec = eig(T, cfg)
@@ -471,22 +466,14 @@ def flow_invariant_metric(
 ) -> Unitarization:
     """Invariant metric for a bounded one-parameter flow e^{tX}.
 
-    The flow is bounded over all real t exactly when X is diagonalizable
-    with purely imaginary spectrum; anything else raises NotBoundedFlow.
+    The flow is bounded over all real t exactly when -iX is similar to a
+    self-adjoint operator; anything else raises NotBoundedFlow.
     The returned unitarized matrix is Q X Q^{-1}, skew-adjoint for the
     fiducial form, and the invariant form satisfies X* G + G X = 0.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     X = as_operator(generator)
     h0 = resolve_fiducial(h0, X.shape[0])
-    dec = eig(X, cfg)
-    band = spectral_band(dec.operator_norm, cfg)
-    off_axis = [lam for lam in dec.eigenvalues if abs(lam.real) > band]
-    if off_axis:
-        listed = ", ".join(f"{lam:.6g}" for lam in off_axis[:4])
-        raise NotBoundedFlow(f"spectrum leaves the imaginary axis: {listed}")
-    if not dec.diagonalizable:
-        raise NotBoundedFlow("a purely imaginary eigenvalue is defective")
+    dec = require_self_adjoint_like(-1j * X, cfg, "flow generator X, as -iX: ")
     form = _averaged_form(dec, h0)
     g, Q, skew, gram_match = _similarity_from_form(X, form, h0)
     scale = max(1.0, dec.operator_norm)
@@ -514,22 +501,11 @@ def generator_metric(
 ) -> tuple[HermitianForm, np.ndarray]:
     """Metric that makes a real-spectrum diagonalizable H self-adjoint.
 
-    Routed through the Cayley map: H is similar to self-adjoint exactly when
-    its Cayley image is similar to unitary, and the invariant metric of the
-    image does both jobs.  Returns the form and the Cayley image.
+    H is similar to self-adjoint exactly when its Cayley image is similar to
+    unitary, and one metric does both jobs: the standard form averaged over
+    the eigenclusters of H, which the image shares.  Returns the form and
+    the Cayley image; raises NotBoundedFlow for any other H.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     H = as_operator(operator)
-    report = check_generator(H, cfg)
-    if report.verdict != VERDICT_SELF_ADJOINT_LIKE:
-        raise NotBoundedFlow(
-            "operator is not similar to a self-adjoint one: "
-            + (
-                f"off-real eigenvalues {[f'{z:.6g}' for z in report.off_real]}"
-                if report.off_real
-                else f"defective eigenvalues {[f'{z:.6g}' for z in report.defective]}"
-            )
-        )
-    image = cayley(H)
-    h0 = resolve_fiducial(None, image.shape[0])
-    return _averaged_form(require_bounded(image, cfg), h0), image
+    dec = require_self_adjoint_like(H, cfg)
+    return _averaged_form(dec, resolve_fiducial(None, H.shape[0])), cayley(H)

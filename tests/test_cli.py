@@ -323,8 +323,13 @@ def test_text_format_mentions_outcome(tmp_path, capsys):
     ["cayley", "--in", "@t", "--h0", "identity"],
     ["altmetric", "--in", "@t", "--weights", "@w", "--phi", "@w"],
     ["altmetric", "--in", "@t", "--weights", "@w", "--h0", "@g"],
+    ["cayley", "--in", "@t", "--tol-cluster", "1e-6"],
+    ["hamiltonian", "--dyn", "@t", "--poisson", "@t", "--energy", "@t", "--horizon", "64"],
+    ["oracle", "--in", "@t", "--tol-unitary", "1e-6"],
+    ["check", "--in", "@t", "--horizon", "64"],
 ], ids=["missing_in", "unknown_subcommand", "unknown_option", "check_h0", "cayley_h0",
-        "weights_and_phi", "weights_h0"])
+        "weights_and_phi", "weights_h0", "cayley_tol_cluster", "hamiltonian_horizon",
+        "oracle_tol_unitary", "check_horizon"])
 def test_argparse_usage_errors_exit_one(tmp_path, capsys, argv):
     paths = {"t": write_matrix(tmp_path, "t.json", INVOLUTION), "w": str(tmp_path / "w.json"),
              "g": str(tmp_path / "g.json")}
@@ -389,7 +394,7 @@ def test_the_config_is_what_the_command_line_sets():
 
 def test_report_records_the_config_and_the_fixed_thresholds(tmp_path, capsys):
     path = write_matrix(tmp_path, "t.json", INVOLUTION)
-    code, report = run_json(capsys, ["oracle", "--in", path, "--tol-cluster", "1e-7",
+    code, report = run_json(capsys, ["depend", "--in", path, "--tol-cluster", "1e-7",
                                      "--tol-unitary", "1e-8", "--horizon", "64"])
     assert code == 0
     cfg = ToleranceConfig(eig_cluster_tol=1e-7, unitarity_tol=1e-8, cesaro_horizon=64)

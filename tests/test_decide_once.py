@@ -15,6 +15,7 @@ from unitarize.fixtures import (
     hermitian_fixture,
     invertible_with_condition,
     positive_definite_fixture,
+    real_spectrum_fixture,
     unimodular_phases,
 )
 
@@ -50,6 +51,9 @@ EIG_COUNTS = [
     ("intertwiner_scaled", 2, lambda o: u.intertwiner_scaled(o.t, o.t2, 1.0)),
     ("commuting_pair_metric", 2, lambda o: u.commuting_pair_metric(o.a, o.b)),
     ("heisenberg_metric", 3, lambda o: u.heisenberg_metric(*o.weyl)),
+    ("check_generator", 1, lambda o: u.check_generator(-1j * o.flow)),
+    ("generator_metric", 1, lambda o: u.generator_metric(-1j * o.flow)),
+    ("flow_invariant_metric", 1, lambda o: u.flow_invariant_metric(o.flow, o.g)),
 ]
 
 
@@ -172,10 +176,8 @@ SVD_FAMILY = {
 }
 
 
-def test_boundedness_check_svd_calls(ops, monkeypatch):
-    """32 power SVDs (the k = 1 one is also the singularity test), eig's
-    spectral norm and the bound's cond; a well-conditioned orbit never
-    forms inv(T)."""
+def _count_svd_family(monkeypatch) -> list[str]:
+    """The names of the SVD_FAMILY and inv calls made from now on."""
     calls = []
 
     def counting(name, fn, applies):
@@ -188,11 +190,36 @@ def test_boundedness_check_svd_calls(ops, monkeypatch):
     for name, applies in SVD_FAMILY.items():
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name), applies))
     monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv, lambda *a: True))
+    return calls
+
+
+def test_boundedness_check_svd_calls(ops, monkeypatch):
+    """32 power SVDs (the k = 1 one is also the singularity test), eig's
+    spectral norm and the bound's cond; a well-conditioned orbit never
+    forms inv(T)."""
+    calls = _count_svd_family(monkeypatch)
     report = u.check_uniformly_bounded(ops.t)
     assert report.bounded and len(report.decomposition.clusters) == N
     assert calls.count("inv") == 0
     assert len(calls) == 34
     assert calls.count("svd") == 32
+
+
+def test_generator_metric_svd_calls(rng, monkeypatch):
+    """eig's spectral norm, the inverse eigenbasis's singularity test and
+    the Cayley shift's: the image is mapped, not decided."""
+    H = real_spectrum_fixture(rng, 8, 10.0)
+    calls = _count_svd_family(monkeypatch)
+    u.generator_metric(H)
+    assert len([c for c in calls if c != "inv"]) <= 3
+
+
+def test_generator_report_carries_the_decomposition_it_decided_on(ops):
+    report = u.check_generator(-1j * ops.flow)
+    dec = report.decomposition
+    assert report.similar_to_self_adjoint and dec.diagonalizable
+    assert report.spectrum is dec.eigenvalues
+    assert u.boundedness.require_self_adjoint_like(-1j * ops.flow).diagonalizable
 
 
 def test_report_carries_the_decomposition_it_decided_on(ops):

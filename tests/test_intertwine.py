@@ -39,7 +39,7 @@ def test_connector_relations_on_shared_spectrum(rng):
     for key, value in result.relation_residuals.items():
         assert value <= 1e-8, key
     # the second-metric connector exchanges the two operators
-    assert are_intertwined(T1, T2, result.in_first_metric, CFG)
+    assert are_intertwined(T1, T2, result.in_first_metric)
 
 
 def test_connector_vanishes_for_disjoint_spectra():
@@ -152,7 +152,7 @@ def test_scaled_connector_requires_simple_spectra():
 def test_are_intertwined_detects_violations(rng):
     shift, clock, _ = make_clock_shift(3)
     A = intertwiner_scaled(clock, shift, 1.0, cfg=CFG)
-    assert are_intertwined(clock, shift, A, CFG)
-    assert not are_intertwined(shift, clock, A, CFG)
+    assert are_intertwined(clock, shift, A)
+    assert not are_intertwined(shift, clock, A)
     with pytest.warns(UserWarning, match="zero"):
-        assert are_intertwined(clock, shift, np.zeros((3, 3)), CFG)
+        assert are_intertwined(clock, shift, np.zeros((3, 3)))

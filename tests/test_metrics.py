@@ -37,12 +37,15 @@ from unitarize.fixtures import (
     conjugated_unitary,
     defective_unimodular,
     hermitian_fixture,
+    invertible_with_condition,
     jittered_unimodular_phases,
     off_circle_fixture,
     positive_definite_fixture,
+    real_spectrum_fixture,
     unimodular_phases,
 )
 from unitarize import metrics
+from unitarize.boundedness import require_bounded
 from unitarize.metrics import BLAS_THREAD_VARS, DIVERGENCE_FACTOR, OVERLAP_MIN_DIM
 
 CFG = ToleranceConfig()
@@ -245,8 +248,13 @@ def test_flow_invariant_metric():
     assert np.linalg.norm(X.conj().T @ G + G @ X) <= 1e-12 * np.linalg.norm(G)
     skew = result.unitarized
     assert np.linalg.norm(skew + skew.conj().T) <= 1e-12
-    with pytest.raises(NotBoundedFlow):
-        flow_invariant_metric(np.array([[1.0, 0.0], [0.0, 2.0]]), None, CFG)
+
+
+@pytest.mark.parametrize("X", [np.diag([1.0, 2.0]), np.array([[1j, 1.0], [0.0, 1j]])],
+                         ids=["off_axis", "defective"])
+def test_flow_invariant_metric_rejects_unbounded_flows(X):
+    with pytest.raises(NotBoundedFlow, match=r"^flow generator X"):
+        flow_invariant_metric(X, None, CFG)
 
 
 def test_generator_metric_makes_self_adjoint(rng):
@@ -257,6 +265,43 @@ def test_generator_metric_makes_self_adjoint(rng):
     assert np.linalg.norm(image.conj().T @ G @ image - G) <= 1e-10 * np.linalg.norm(G)
     with pytest.raises(NotBoundedFlow):
         generator_metric(np.array([[1j, 0.0], [0.0, 1.0]]), CFG)
+
+
+@pytest.mark.parametrize("cond", [None, 10.0], ids=["diagonal", "conjugated"])
+def test_generator_metric_on_close_large_eigenvalues(rng, cond):
+    """The Cayley map puts the images of 2000 and 2001 about 5e-7 apart,
+    inside the image's cluster radius but above its rank cut, so a second
+    decision on the image called this self-adjoint-like H defective."""
+    H = np.diag([2000.0, 2001.0]).astype(complex)
+    if cond is not None:
+        s = invertible_with_condition(rng, 2, cond)
+        H = np.linalg.solve(s, H @ s)
+    G = generator_metric(H, CFG)[0].gram
+    defect = np.linalg.norm(H.conj().T @ G - G @ H)
+    assert defect <= 1e-10 * np.linalg.norm(H) * np.linalg.norm(G)
+
+
+def _generator_metric_via_cayley(H):
+    """generator_metric's form as first built: the invariant metric of the
+    Cayley image, read from a second decision on the image."""
+    image = cayley(H)
+    dec = require_bounded(image, CFG)
+    return metrics._averaged_form(dec, HermitianForm.identity(image.shape[0])).gram
+
+
+def test_generator_metric_matches_the_cayley_route(rng):
+    answered = 0
+    for n in range(2, 9):
+        for cond in (1.0, 10.0, 100.0):
+            H = real_spectrum_fixture(rng, n, cond)
+            try:
+                want = _generator_metric_via_cayley(H)
+            except NotUniformlyBounded:
+                continue
+            answered += 1
+            got = generator_metric(H, CFG)[0].gram
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert answered >= 18
 
 
 def _reference_mixed_mean(left, kernel, right, count):
