@@ -51,7 +51,7 @@ def main():
     gap = np.linalg.norm(scaled.gram - base.invariant_form.gram)
     print(f"  distance from the plain average: {gap:.3g}")
 
-    form, factor = phi_metric(T, base, lambda theta: 1.5 + np.cos(theta))
+    form, factor = phi_metric(base, lambda theta: 1.5 + np.cos(theta))
     print("\nspectral weight phi(theta) = 1.5 + cos(theta):")
     print(f"  phi metric invariance: {invariance(T, form.gram):.3e}")
     comm = np.linalg.norm(T @ factor - factor @ T)

@@ -22,7 +22,6 @@ from .boundedness import (
     check_generator,
     check_normal_dichotomy,
     check_uniformly_bounded,
-    resolvent_bound_estimate,
     sampled_power_norms,
 )
 from .core import (
@@ -49,7 +48,6 @@ from .errors import (
     NotPositiveDefinite,
     NotSelfAdjoint,
     NotUniformlyBounded,
-    NumericalFailure,
     RelationViolated,
     SingularShift,
     SlowConvergence,
@@ -106,7 +104,6 @@ from .metrics import (
     invariant_metric,
     inverse_cayley,
     mixed_pullback_mean,
-    power_pullback_mean,
     unitary_log,
 )
 

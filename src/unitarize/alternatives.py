@@ -21,7 +21,6 @@ from .core import (
     HermitianForm,
     ToleranceConfig,
     as_operator,
-    eig,
     hermitize,
     invert,
     relative_defect,
@@ -33,7 +32,7 @@ from .errors import (
     NonPositivePhi,
     NonPositiveWeight,
 )
-from .metrics import Unitarization, _averaged_form, _checked_invariant_gram, _double_and_add
+from .metrics import Unitarization, _averaged_form, _carried_decomposition, _double_and_add
 
 # Default horizon for the finite average inside metric_dependence.  The
 # double-and-add evaluation makes the cost logarithmic in the horizon, so
@@ -118,24 +117,21 @@ def scaled_metric(
     return HermitianForm(hermitize(Pi.conj().T @ B @ Pi))
 
 
-def phi_metric(
-    operator,
-    unitarization: Unitarization,
-    phi,
-    cfg: ToleranceConfig | None = None,
-) -> tuple[HermitianForm, np.ndarray]:
-    """Rescale an invariant metric by a positive function of the spectrum.
+def phi_metric(unitarization: Unitarization, phi) -> tuple[HermitianForm, np.ndarray]:
+    """Rescale the invariant metric of a closed-form unitarization of T by a
+    positive function of the spectrum of T.
 
     phi is either a callable acting on the eigenvalue phase in [0, 2 pi) or
     a mapping from cluster position to value; values must be strictly
     positive reals.  Returns the rescaled invariant form together with the
     positive operator C implementing it, h_phi(x, y) = h_T(C x, y).  C is a
     polynomial in the operator in the exact-arithmetic limit, so it commutes
-    with it by construction.
+    with it by construction.  The clusters and phases are read off the
+    decomposition the unitarization carries; a Cesaro or flow unitarization
+    carries none and raises InvalidInput.
     """
-    T = as_operator(operator)
-    g = _checked_invariant_gram(T, unitarization)
-    dec = eig(T, cfg)
+    dec = _carried_decomposition(unitarization)
+    g = np.asarray(unitarization.invariant_form.gram)
     values = []
     for c, theta in enumerate(dec.cluster_phases()):
         if isinstance(phi, Mapping):

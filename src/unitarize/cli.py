@@ -132,7 +132,7 @@ def _cayley(report, a, cfg):
 def _log(report, a, cfg):
     T = a.infile
     result = metrics.invariant_metric(T, a.h0, cfg)
-    gen = metrics.unitary_log(T, result, cfg)
+    gen = metrics.unitary_log(result)
     w, v = np.linalg.eig(gen)
     rebuilt = v @ (np.exp(1j * w)[:, None] * np.linalg.inv(v))
     g = np.asarray(result.invariant_form.gram)
@@ -194,7 +194,7 @@ def _altmetric(report, a, cfg):
     else:
         phi = _parse_phi(a.phi)
         result = metrics.invariant_metric(T, a.h0, cfg)
-        form, commuting = alternatives.phi_metric(T, result, phi, cfg)
+        form, commuting = alternatives.phi_metric(result, phi)
         report.verdicts["outcome"] = "phi_metric"
         report.matrices["phi_gram"] = matrix_payload(form.gram)
         report.matrices["commuting_factor"] = matrix_payload(commuting)

@@ -9,10 +9,6 @@ class InvalidInput(UnitarizeError):
     """Malformed input: wrong shape, non-finite entries, bad parameters."""
 
 
-class NumericalFailure(UnitarizeError):
-    """A numerical routine failed to produce a usable result."""
-
-
 class NotPositiveDefinite(UnitarizeError):
     """A matrix expected to be Hermitian positive definite is not."""
 

@@ -29,7 +29,6 @@ from .core import (
     ToleranceConfig,
     as_operator,
     cluster_pairing,
-    eig,
     hermitize,
     invariance_residual,
     invert,
@@ -84,6 +83,11 @@ class Unitarization:
     method               which construction produced the metric
     cesaro_residual      drift of the finite average (None for closed form)
     residuals            named consistency residuals, all relative
+    decomposition        the EigenDecomposition of T the closed form was
+                         averaged over, which unitary_log and phi_metric
+                         read; None for a Cesaro mean, which never
+                         decomposes, and for a flow, whose decomposition
+                         belongs to -iX rather than to an evolution T
     """
 
     invariant_form: HermitianForm
@@ -92,6 +96,7 @@ class Unitarization:
     method: str
     cesaro_residual: float | None
     residuals: dict[str, float]
+    decomposition: EigenDecomposition | None = None
 
 
 def projected_gram(dec: EigenDecomposition, kernel: np.ndarray) -> np.ndarray:
@@ -160,18 +165,14 @@ def _unitarization_from_form(
     )
 
 
-def _checked_invariant_gram(T: np.ndarray, unitarization: Unitarization) -> np.ndarray:
-    """Gram matrix of a unitarization supplied for T, checked to be T-invariant."""
-    g = np.asarray(unitarization.invariant_form.gram)
-    if g.shape[0] != T.shape[0]:
-        raise InvalidInput("operator and unitarization dimensions differ")
-    inv_res = invariance_residual(T, g)
-    if inv_res > 1e-6:
+def _carried_decomposition(unitarization: Unitarization) -> EigenDecomposition:
+    """The decomposition a closed-form unitarization was averaged over."""
+    if unitarization.decomposition is None:
         raise InvalidInput(
-            f"the supplied metric is not invariant under this operator "
-            f"(residual {inv_res:.3e})"
+            "a Cesaro or flow unitarization carries no eigendecomposition of "
+            "its operator; take the closed form from invariant_metric"
         )
-    return g
+    return unitarization.decomposition
 
 
 def _spectral_unitarization(
@@ -179,7 +180,9 @@ def _spectral_unitarization(
 ) -> Unitarization:
     """Closed-form unitarization of a bounded T from its decomposition and a
     resolved fiducial form."""
-    return _unitarization_from_form(T, _averaged_form(dec, h0), h0, METHOD_SPECTRAL, None)
+    result = _unitarization_from_form(T, _averaged_form(dec, h0), h0, METHOD_SPECTRAL, None)
+    result.decomposition = dec
+    return result
 
 
 def invariant_metric(
@@ -332,18 +335,6 @@ def _double_and_add(left, kernels, right, count: int) -> tuple[list, list]:
     return sums, halves
 
 
-def power_pullback_mean(operator, kernel, count: int) -> np.ndarray:
-    """Exact mean of (T^n)* K T^n for n = 0 .. count-1.
-
-    Evaluated by binary double-and-add on the partial sums, using
-    S_{2L} = S_L + (T^L)* S_L T^L and S_{L+1} = S_L + (T^L)* K T^L, so the
-    result is the literal finite sum reassociated into a fixed-shape tree.
-    T sits on both sides, so each power is formed once: about 3 log2(count)
-    matmuls in one pass.
-    """
-    return mixed_pullback_mean(operator, kernel, operator, count)
-
-
 def mixed_pullback_mean(left, kernel, right, count: int) -> np.ndarray:
     """Exact mean of (L^n)* K R^n for n = 0 .. count-1 by double-and-add.
 
@@ -381,8 +372,6 @@ def cesaro_oracle(
     T = as_operator(operator)
     h0 = resolve_fiducial(h0, T.shape[0])
     N = int(horizon if horizon is not None else cfg.cesaro_horizon)
-    if N < 1:
-        raise InvalidInput("the horizon must be a positive integer")
     (full,), (half,) = _double_and_add(T, (h0.gram,), T, N)
     mean_full = hermitize(full / N)
     drift = 0.0
@@ -445,19 +434,16 @@ def inverse_cayley(operator) -> np.ndarray:
     return np.linalg.solve(shift.T, (1j * (np.eye(n) + T)).T).T
 
 
-def unitary_log(
-    operator, unitarization: Unitarization, cfg: ToleranceConfig | None = None
-) -> np.ndarray:
-    """Generator A with exp(iA) = T and A self-adjoint for the invariant metric.
+def unitary_log(unitarization: Unitarization) -> np.ndarray:
+    """Generator A with exp(iA) = T and A self-adjoint for the invariant metric
+    of a closed-form unitarization of T.
 
     Eigenvalue phases are taken in [0, 2pi), with phase 0 (not 2 pi) for the
-    eigenvalue 1, and one shared phase per cluster.  The supplied
-    unitarization must belong to the same operator; its metric is checked
-    for invariance before use.
+    eigenvalue 1, and one shared phase per cluster, all read off the
+    decomposition the unitarization carries.  A Cesaro or flow unitarization
+    carries none and raises InvalidInput.
     """
-    T = as_operator(operator)
-    _checked_invariant_gram(T, unitarization)
-    dec = eig(T, cfg)
+    dec = _carried_decomposition(unitarization)
     return dec.spectral_function(dec.cluster_phases())
 
 

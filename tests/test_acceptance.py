@@ -248,13 +248,13 @@ def test_criterion_06_weighted_averages_commute():
         def phi(theta):
             return a0 + a1 * np.cos(theta + b1) + a2 * np.sin(2.0 * theta + b2)
 
-        _, factor = phi_metric(T, uni, phi)
+        _, factor = phi_metric(uni, phi)
         res = np.linalg.norm(T @ factor - factor @ T)
         worst = max(worst, float(res / (np.linalg.norm(T) * np.linalg.norm(factor))))
 
     T, _, _ = conjugated_unitary(rng, 4, 10.0, unimodular_phases(rng, 4))
     uni = invariant_metric(T)
-    flat_form, _ = phi_metric(T, uni, lambda theta: np.ones_like(theta))
+    flat_form, _ = phi_metric(uni, lambda theta: np.ones_like(theta))
     flat = _rel(flat_form.gram - uni.invariant_form.gram, uni.invariant_form.gram)
 
     ok = worst <= 1e-9 and flat <= 1e-12

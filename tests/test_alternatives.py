@@ -75,7 +75,7 @@ def test_phi_metric_commutes_and_stays_invariant(rng):
     T, _, _ = conjugated_unitary(rng, n, 15.0, unimodular_phases(rng, n))
     result = invariant_metric(T, None, CFG)
     phi = lambda theta: 1.0 + 0.5 * np.cos(theta)
-    form, factor = phi_metric(T, result, phi, CFG)
+    form, factor = phi_metric(result, phi)
     G = form.gram
     assert invariance_residual(T, G) <= 1e-9
     assert np.linalg.norm(T @ factor - factor @ T) <= 1e-9 * np.linalg.norm(factor)
@@ -85,7 +85,7 @@ def test_phi_identity_returns_limit_metric(rng):
     n = 3
     T, _, _ = conjugated_unitary(rng, n, 10.0, unimodular_phases(rng, n))
     result = invariant_metric(T, None, CFG)
-    form, factor = phi_metric(T, result, lambda theta: 1.0, CFG)
+    form, factor = phi_metric(result, lambda theta: 1.0)
     assert_allclose(form.gram, result.invariant_form.gram, atol=1e-12)
     assert_allclose(factor, np.eye(n), atol=1e-10)
 
@@ -93,10 +93,10 @@ def test_phi_identity_returns_limit_metric(rng):
 def test_phi_mapping_and_positivity(rng):
     T, _, _ = conjugated_unitary(rng, 3, 5.0, unimodular_phases(rng, 3))
     result = invariant_metric(T, None, CFG)
-    form, _ = phi_metric(T, result, {0: 2.0, 1: 0.5, 2: 1.0}, CFG)
+    form, _ = phi_metric(result, {0: 2.0, 1: 0.5, 2: 1.0})
     assert invariance_residual(T, form.gram) <= 1e-9
     with pytest.raises(NonPositivePhi):
-        phi_metric(T, result, lambda theta: np.cos(theta), CFG)
+        phi_metric(result, lambda theta: np.cos(theta))
 
 
 def test_phi_reads_phase_zero_at_eigenvalue_one():
@@ -106,7 +106,7 @@ def test_phi_reads_phase_zero_at_eigenvalue_one():
     T, _, _ = conjugated_unitary(np.random.default_rng(2), 4, 10.0, [0.0, 1.0, 2.5, 4.0])
     result = invariant_metric(T, None, CFG)
     seen = []
-    phi_metric(T, result, lambda theta: seen.append(theta) or 1.0, CFG)
+    phi_metric(result, lambda theta: seen.append(theta) or 1.0)
     assert len(seen) == 4 and min(seen) == 0.0 and max(seen) < 2.0 * np.pi
     assert_allclose(sorted(seen), [0.0, 1.0, 2.5, 4.0], atol=1e-12)
 

@@ -10,7 +10,6 @@ from unitarize import (
     check_generator,
     check_normal_dichotomy,
     check_uniformly_bounded,
-    resolvent_bound_estimate,
     sampled_power_norms,
 )
 from unitarize.boundedness import (
@@ -115,15 +114,6 @@ def test_normal_dichotomy_normal_but_not_unimodular(rng):
 def test_normal_dichotomy_rejects_non_normal():
     T = np.array([[1.0, 2.0], [0.0, -1.0]], dtype=complex)
     assert check_normal_dichotomy(T, CFG).verdict == VERDICT_NOT_NORMAL
-
-
-def test_resolvent_estimate_separates_bounded_from_jordan(rng):
-    U = haar_unitary(rng, 4)
-    J = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-    bounded_est = resolvent_bound_estimate(U)
-    jordan_est = resolvent_bound_estimate(J)
-    assert bounded_est < 10.0
-    assert jordan_est > 100.0 * bounded_est
 
 
 # -- power norms against extended precision ---------------------------------

@@ -1,14 +1,17 @@
 """Each operator is decided and decomposed once per call, its eigenbasis is
-inverted once per decomposition, each Cesaro answer takes one double-and-add
-pass over the powers of its operators, and every entry point that takes a
-fiducial form validates it through one resolver."""
+inverted once per decomposition, a closed-form unitarization hands its
+decomposition on, each Cesaro answer takes one double-and-add pass over the
+powers of its operators, and every entry point that takes a fiducial form or
+a horizon validates it through one guard."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import unitarize as u
+from unitarize.cli import main
 from unitarize.fixtures import (
     commuting_conjugated_pair,
     conjugated_unitary,
@@ -54,12 +57,14 @@ EIG_COUNTS = [
     ("check_generator", 1, lambda o: u.check_generator(-1j * o.flow)),
     ("generator_metric", 1, lambda o: u.generator_metric(-1j * o.flow)),
     ("flow_invariant_metric", 1, lambda o: u.flow_invariant_metric(o.flow, o.g)),
+    ("unitary_log", 1, lambda o: u.unitary_log(u.invariant_metric(o.t))),
+    ("phi_metric", 1,
+     lambda o: u.phi_metric(u.invariant_metric(o.t), lambda theta: 1.0 + theta)),
 ]
 
 
-@pytest.mark.parametrize("expected, call", [c[1:] for c in EIG_COUNTS],
-                         ids=[c[0] for c in EIG_COUNTS])
-def test_lapack_eig_calls_per_entry_point(ops, monkeypatch, expected, call):
+def _count_eig(monkeypatch) -> list[tuple]:
+    """The shapes of the np.linalg.eig calls made from now on."""
     calls = []
     real_eig = np.linalg.eig
 
@@ -68,7 +73,33 @@ def test_lapack_eig_calls_per_entry_point(ops, monkeypatch, expected, call):
         return real_eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    return calls
+
+
+@pytest.mark.parametrize("expected, call", [c[1:] for c in EIG_COUNTS],
+                         ids=[c[0] for c in EIG_COUNTS])
+def test_lapack_eig_calls_per_entry_point(ops, monkeypatch, expected, call):
+    calls = _count_eig(monkeypatch)
     call(ops)
+    assert len(calls) == expected
+
+
+# subcommand arguments, expected np.linalg.eig calls: log's second is the
+# independent reconstruction check on the generator
+CLI_EIG_COUNTS = [
+    ("log", ["log", "--in", "t.json"], 2),
+    ("altmetric_phi", ["altmetric", "--in", "t.json", "--phi", "phi.json"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, expected", [c[1:] for c in CLI_EIG_COUNTS],
+                         ids=[c[0] for c in CLI_EIG_COUNTS])
+def test_lapack_eig_calls_per_subcommand(ops, tmp_path, monkeypatch, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.json").write_text(json.dumps(u.serialization.matrix_payload(ops.t)))
+    (tmp_path / "phi.json").write_text("2.0")
+    calls = _count_eig(monkeypatch)
+    assert main(argv) == 0
     assert len(calls) == expected
 
 
@@ -81,8 +112,9 @@ INVERSION_COUNTS = [
     ("commutant_positive_basis", 1, lambda o: u.commutant_positive_basis(o.t, o.g)),
     ("metric_dependence", 1, lambda o: u.metric_dependence(o.t, o.g, o.g2)),
     ("multiplicity_free_shortcut", 1, lambda o: u.multiplicity_free_shortcut(o.a, o.b)),
-    ("unitary_log", 1, lambda o: u.unitary_log(o.t, o.nagy)),
-    ("phi_metric", 1, lambda o: u.phi_metric(o.t, o.nagy, lambda theta: 1.0 + theta)),
+    ("unitary_log", 1, lambda o: u.unitary_log(u.invariant_metric(o.t))),
+    ("phi_metric", 1,
+     lambda o: u.phi_metric(u.invariant_metric(o.t), lambda theta: 1.0 + theta)),
     ("flow_invariant_metric", 1, lambda o: u.flow_invariant_metric(o.flow, o.g)),
     ("schrodinger_states", 1, lambda o: u.schrodinger_states(o.energy, np.ones(N), [0.0, 1.0])),
     ("intertwiner", 2, lambda o: u.intertwiner(o.t, o.t2, o.g)),
@@ -95,7 +127,6 @@ INVERSION_COUNTS = [
 @pytest.mark.parametrize("expected, call", [c[1:] for c in INVERSION_COUNTS],
                          ids=[c[0] for c in INVERSION_COUNTS])
 def test_eigenvector_inversions_per_entry_point(ops, monkeypatch, expected, call):
-    ops.nagy = u.invariant_metric(ops.t)
     ops.energy = u.QuadraticObservable(hermitian_fixture(np.random.default_rng(3), N),
                                        u.HermitianForm.identity(N))
     calls = []
@@ -111,6 +142,27 @@ def test_eigenvector_inversions_per_entry_point(ops, monkeypatch, expected, call
             monkeypatch.setattr(module, "invert", counting_invert)
     call(ops)
     assert len(calls) == expected
+
+
+# the readers of a closed-form unitarization's decomposition
+DECOMPOSITION_READERS = [
+    ("unitary_log", lambda r: u.unitary_log(r)),
+    ("phi_metric", lambda r: u.phi_metric(r, lambda theta: 1.0 + theta)),
+]
+
+
+@pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
+@pytest.mark.parametrize("read", [c[1] for c in DECOMPOSITION_READERS],
+                         ids=[c[0] for c in DECOMPOSITION_READERS])
+@pytest.mark.parametrize("build", [
+    lambda o: u.cesaro_unitarization(o.t, o.g, 64),
+    lambda o: u.flow_invariant_metric(o.flow, o.g),
+], ids=["cesaro", "flow"])
+def test_readers_refuse_a_unitarization_without_decomposition(ops, build, read):
+    result = build(ops)
+    assert result.decomposition is None
+    with pytest.raises(u.InvalidInput, match="carries no eigendecomposition"):
+        read(result)
 
 
 @pytest.fixture
@@ -265,6 +317,22 @@ def test_wrong_size_fiducial_form_is_invalid_input(ops, call, as_form):
         call(ops, h0)
 
 
+# Every public entry point taking a Cesaro horizon, called with horizon h.
+BAD_HORIZON = [
+    ("cesaro_oracle", lambda o, h: u.cesaro_oracle(o.t, o.g, h)),
+    ("cesaro_unitarization", lambda o, h: u.cesaro_unitarization(o.t, o.g, h)),
+    ("mixed_cesaro", lambda o, h: u.mixed_cesaro(o.t, o.t2, o.g, h)),
+    ("mixed_pullback_mean", lambda o, h: u.mixed_pullback_mean(o.t, o.g, o.t2, h)),
+]
+
+
+@pytest.mark.parametrize("call", [c[1] for c in BAD_HORIZON], ids=[c[0] for c in BAD_HORIZON])
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_non_positive_horizon_is_invalid_input(ops, call, horizon):
+    with pytest.raises(u.InvalidInput, match="^the horizon must be a positive integer$"):
+        call(ops, horizon)
+
+
 # entry point, expected double-and-add passes, call
 PASS_COUNTS = [
     ("cesaro_oracle", 1, lambda o: u.cesaro_oracle(o.t, o.g, 4096)),
@@ -293,7 +361,8 @@ def test_double_and_add_passes_per_entry_point(ops, monkeypatch, expected, call)
 # entry point, expected n x n matrix products at horizon 2^20, call
 MATMUL_COUNTS = [
     ("cesaro_oracle", 59, lambda o: u.cesaro_oracle(o.t, None, 1 << 20)),
-    ("power_pullback_mean", 59, lambda o: u.power_pullback_mean(o.t, o.g, 1 << 20)),
+    ("mixed_pullback_mean_shared", 59,
+     lambda o: u.mixed_pullback_mean(o.t, o.g, o.t, 1 << 20)),
     ("mixed_cesaro", 78, lambda o: u.mixed_cesaro(o.t, o.t2, None, 1 << 20)),
     ("mixed_cesaro_shared", 59, lambda o: u.mixed_cesaro(o.t, o.t, None, 1 << 20)),
 ]

@@ -29,7 +29,6 @@ from unitarize import (
     metric_dependence,
     mixed_cesaro,
     mixed_pullback_mean,
-    power_pullback_mean,
     unitary_log,
 )
 from unitarize.core import hermitize
@@ -114,7 +113,7 @@ def test_power_pullback_mean_matches_direct_sum(rng):
     for _ in range(count):
         acc += P.conj().T @ K @ P
         P = T @ P
-    assert_allclose(power_pullback_mean(T, K, count), acc / count, atol=1e-12)
+    assert_allclose(mixed_pullback_mean(T, K, T, count), acc / count, atol=1e-12)
 
 
 def test_mixed_pullback_mean_matches_direct_sum(rng):
@@ -211,7 +210,7 @@ def test_divergence_in_the_oracle_releases_the_half_horizon_sum():
 
 def test_unitary_log_closed_form():
     result = invariant_metric(INVOLUTION, None, CFG)
-    A = unitary_log(INVOLUTION, result, CFG)
+    A = unitary_log(result)
     assert_allclose(A, np.array([[0.0, -np.pi], [0.0, np.pi]]), atol=1e-12)
     # T = exp(iA) and A is self-adjoint for the invariant form
     assert_allclose(series_exp(1j * A), INVOLUTION, atol=1e-12)
@@ -223,7 +222,7 @@ def test_unitary_log_generic(rng):
     n = 4
     T, _, _ = conjugated_unitary(rng, n, 10.0, unimodular_phases(rng, n))
     result = invariant_metric(T, None, CFG)
-    A = unitary_log(T, result, CFG)
+    A = unitary_log(result)
     assert_allclose(series_exp(1j * A), T, atol=1e-9 * np.linalg.norm(T))
 
 
@@ -384,7 +383,7 @@ def test_pullback_means_equal_the_two_pass_reference(pair, count):
         assert np.array_equal(mixed_cesaro(left, right, K, count), expected), name
     for op in (t1, t1.tolist()):
         expected = _reference_mixed_mean(op, K, op, count)
-        assert np.array_equal(power_pullback_mean(op, K, count), expected)
+        assert np.array_equal(mixed_pullback_mean(op, K, op, count), expected)
 
 
 @pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
@@ -582,7 +581,7 @@ def test_policy_starts_a_thread_only_when_all_three_hold(pinned_host, host):
     T = _bounded(n)
     K = np.eye(n, dtype=complex)
     before = set(threading.enumerate())
-    got = power_pullback_mean(T, K, 1000)
+    got = mixed_pullback_mean(T, K, T, 1000)
     started = set(threading.enumerate()) - before
     overlaps = host == "pinned"
     assert metrics._overlaps(n) == overlaps
@@ -602,7 +601,7 @@ def test_concurrent_callers_share_one_worker(pinned_host):
         try:
             start.wait(timeout=60)
             for _ in range(20):
-                if not np.array_equal(power_pullback_mean(T, K, 1000), want):
+                if not np.array_equal(mixed_pullback_mean(T, K, T, 1000), want):
                     failures.append(len(T))
         except Exception as exc:
             failures.append(exc)
