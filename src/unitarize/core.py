@@ -4,12 +4,16 @@ Operators are plain complex ndarrays.  A metric is a thin wrapper around its
 Gram matrix; the associated scalar product is antilinear in the first slot,
 h(x, y) = x* G y.  Eigendecompositions come back sorted, phase-fixed, and
 grouped into clusters so that every routine downstream sees the same
-deterministic spectral data.
+deterministic spectral data.  The one worker thread also lives here: the
+double-and-add pass (metrics) and the decision (boundedness) hand it one
+independent half of their work under one policy (_overlaps).
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +45,30 @@ PSD_RTOL = 1e-10
 # Relative Frobenius distance (per dimension) within which a form counts as
 # the standard one.
 IDENTITY_RTOL = 1e-14
+
+# Smallest dimension at which independent work runs on a second thread: the
+# powers of a double-and-add step while the calling thread updates the sum
+# (metrics), and the sampled power norms while the calling thread runs eig
+# (boundedness).  numpy's matmul holds the GIL for small operands, so below
+# the cut the two threads take turns and the hand-off is pure cost.
+# Calibrated on a 2-core x86 host with one OpenBLAS thread.  Double-and-add,
+# at horizon 2^20, as serial / overlapped time of one pass with one shared
+# operator (cesaro_oracle) and with two (mixed_cesaro): n=8 0.25 / 0.96 ms,
+# n=32 0.88 / 1.63 ms, n=64 1.04x slower with one operator and 1.2x faster
+# with two, n=72 1.06x and 1.3x faster, n=128 1.25x and 1.9x, n=256 1.33x
+# and 2.0x.  One shared operator leaves the worker one product per step
+# against the sum's two, which caps its gain at 1.5x.  The decision,
+# check_uniformly_bounded on a bounded operator at cond 10, as serial /
+# overlapped time (medians of 9 alternating rounds, ranges over runs): n=32
+# 11 / 13 ms, n=64 1.0-1.1x faster, n=72 1.05-1.25x, n=96 1.3-1.5x, n=128
+# 1.15-1.4x, n=256 1.2-1.3x.  Its critical path is the power chain, which
+# outlasts eig, so the decision gains less than a two-operator pass.
+OVERLAP_MIN_DIM = 72
+
+# The thread counts the BLAS libraries numpy ships with obey.  The overlap
+# only pays when each product runs on one thread: a multithreaded BLAS
+# already spreads one product over every core.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -430,3 +458,69 @@ def invariance_residual(operator: np.ndarray, gram) -> float:
     g = np.asarray(gram)
     defect = operator.conj().T @ g @ operator - g
     return float(np.linalg.norm(defect) / np.linalg.norm(g))
+
+
+def _overlaps(n: int) -> bool:
+    """Whether work on dimension-n operators goes to the worker thread: n at
+    least OVERLAP_MIN_DIM, at least two usable CPUs, and BLAS pinned to one
+    thread (some BLAS_THREAD_VARS set, every one set reading 1)."""
+    if n < OVERLAP_MIN_DIM:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return False
+    pins = [os.environ[v].strip() for v in BLAS_THREAD_VARS if v in os.environ]
+    return bool(pins) and all(v == "1" for v in pins)
+
+
+class _Deferred:
+    """The serial twin of a future: fn runs on the calling thread when its
+    result is read, so the caller does its own half of the work first.  A
+    double-and-add pass that formed its powers first instead was 1.13x
+    slower at n=256 with unpinned BLAS on a 2-core host."""
+
+    __slots__ = ("_call",)
+
+    def __init__(self, fn, *args):
+        self._call = (fn, args)
+
+    def result(self):
+        fn, args = self._call
+        self._call = None
+        return fn(*args)
+
+
+# The one worker thread, started by the first overlapped call.  A forked child
+# inherits the executor but not its thread, so the child forgets both.
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _overlap_submit(n: int):
+    """submit(fn, *args) -> an object with result(): the worker's when
+    _overlaps(n), otherwise one that runs fn on the calling thread.  A task
+    given to the worker must not submit work itself: there is one worker,
+    and it would wait on its own queue."""
+    global _worker
+    if not _overlaps(n):
+        return _Deferred
+    with _worker_lock:
+        if _worker is None:
+            # Imported here so that importing the package starts no thread
+            # and loads no executor machinery.
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="unitarize-worker")
+        return _worker.submit

@@ -14,13 +14,12 @@ generators X of bounded flows e^{tX}.
 
 from __future__ import annotations
 
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .boundedness import require_bounded, require_self_adjoint_like
 from .core import (
     DEFAULT_TOLERANCES,
@@ -50,23 +49,6 @@ DIVERGENCE_FACTOR = 1e6
 # Relative drift between the full-horizon and half-horizon Cesaro means above
 # which cesaro_oracle warns SlowConvergence.
 DRIFT_RTOL = 1e-6
-
-# Smallest dimension at which double-and-add squares its powers on a second
-# thread while the calling thread updates the sum.  numpy's matmul holds the
-# GIL for small operands, so below the cut the two threads take turns and the
-# hand-off is pure cost.  Calibrated on a 2-core x86 host with one OpenBLAS
-# thread, at horizon 2^20, as serial / overlapped time of one pass with one
-# shared operator (cesaro_oracle) and with two (mixed_cesaro): n=8 0.25 / 0.96
-# ms, n=32 0.88 / 1.63 ms, n=64 1.04x slower with one operator and 1.2x faster
-# with two, n=72 1.06x and 1.3x faster, n=128 1.25x and 1.9x, n=256 1.33x and
-# 2.0x.  One shared operator leaves the worker one product per step against
-# the sum's two, which caps its gain at 1.5x.
-OVERLAP_MIN_DIM = 72
-
-# The thread counts the BLAS libraries numpy ships with obey.  The overlap
-# only pays when each product runs on one thread: a multithreaded BLAS
-# already spreads one product over every core.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 METHOD_SPECTRAL = "spectral_projection"
 METHOD_CESARO = "cesaro"
@@ -198,71 +180,6 @@ def invariant_metric(
     return _spectral_unitarization(T, require_bounded(T, cfg), h0)
 
 
-def _overlaps(n: int) -> bool:
-    """Whether a double-and-add pass at dimension n forms its powers on the
-    worker thread: n at least OVERLAP_MIN_DIM, at least two usable CPUs, and
-    BLAS pinned to one thread (some BLAS_THREAD_VARS set, every one set
-    reading 1)."""
-    if n < OVERLAP_MIN_DIM:
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return False
-    pins = [os.environ[v].strip() for v in BLAS_THREAD_VARS if v in os.environ]
-    return bool(pins) and all(v == "1" for v in pins)
-
-
-class _Deferred:
-    """The serial twin of a future: the product is formed on the calling
-    thread when its result is read, so a serial pass updates the sum before
-    it forms the powers.  Forming the powers first made a two-operator pass
-    at n=256 with unpinned BLAS 1.13x slower on a 2-core host."""
-
-    __slots__ = ("_call",)
-
-    def __init__(self, fn, *args):
-        self._call = (fn, args)
-
-    def result(self):
-        fn, args = self._call
-        self._call = None
-        return fn(*args)
-
-
-# The one worker thread, started by the first overlapped pass.  A forked child
-# inherits the executor but not its thread, so the child forgets both.
-_worker = None
-_worker_lock = threading.Lock()
-
-
-def _forget_worker() -> None:
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _power_submit(n: int):
-    """submit(fn, *args) -> an object with result(): the worker's when
-    _overlaps(n), otherwise one that runs fn on the calling thread."""
-    global _worker
-    if not _overlaps(n):
-        return _Deferred
-    with _worker_lock:
-        if _worker is None:
-            # Imported here so that importing the package starts no thread
-            # and loads no executor machinery.
-            from concurrent.futures import ThreadPoolExecutor
-
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="unitarize-powers")
-        return _worker.submit
-
-
 def _next_powers(Lp, A, Rp, B, shared: bool):
     """Lp @ A and Rp @ B, with one product when both sides are the same."""
     P = Lp @ A
@@ -285,7 +202,7 @@ def _double_and_add(left, kernels, right, count: int) -> tuple[list, list]:
     DivergenceDetected.
 
     The powers of each step are independent of its sum update, so when
-    _overlaps holds they are formed on one worker thread while the calling
+    core._overlaps holds they are formed on one worker thread while the calling
     thread updates the sum; otherwise the calling thread forms them after
     the sum update.  Both modes run the same products on the same operands,
     so the matmul count and every bit of the result are the same.
@@ -298,7 +215,7 @@ def _double_and_add(left, kernels, right, count: int) -> tuple[list, list]:
         raise InvalidInput("operator and kernel dimensions differ")
     if count < 1:
         raise InvalidInput("the horizon must be a positive integer")
-    submit = _power_submit(L.shape[0])
+    submit = core._overlap_submit(L.shape[0])
     k_norms = [max(np.linalg.norm(K), 1e-300) for K in Ks]
     bits = bin(int(count))[2:]
     last = len(bits) - 1
@@ -341,7 +258,7 @@ def mixed_pullback_mean(left, kernel, right, count: int) -> np.ndarray:
     One pass over the bits of count, whose prefix before the last bit is the
     sum at count // 2.  It takes about 4 log2(count) matmuls, or
     3 log2(count) when left is right and each power is formed once.  Under
-    the overlap policy (_overlaps: n >= OVERLAP_MIN_DIM, two usable CPUs,
+    the overlap policy (core._overlaps: n >= OVERLAP_MIN_DIM, two usable CPUs,
     BLAS pinned to one thread) each step's powers are formed on a worker
     thread while the sum updates, with the same matmul count and a
     bitwise-equal result.

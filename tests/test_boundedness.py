@@ -1,8 +1,12 @@
 import functools
+import threading
+import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from unitarize import boundedness, core
 from unitarize import (
     InvalidInput,
     NotAutomorphism,
@@ -22,11 +26,14 @@ from unitarize.boundedness import (
     VERDICT_NOT_NORMAL,
     VERDICT_SELF_ADJOINT_LIKE,
 )
+from unitarize.core import OVERLAP_MIN_DIM
+from unitarize.errors import ClusterAmbiguity
 from unitarize.fixtures import (
     conjugated_unitary,
     defective_unimodular,
     haar_unitary,
     invertible_with_condition,
+    jittered_unimodular_phases,
     normal_fixture,
     off_circle_fixture,
     unimodular_phases,
@@ -244,3 +251,128 @@ def test_power_norms_equal_the_repeated_products(rng, kind):
         assert guarded_out == 0
     else:
         assert guarded_out > 0
+
+
+# -- the overlapped decision: eig on the caller, power norms on the worker --
+
+N_CUT = OVERLAP_MIN_DIM
+
+
+def _conjugated(rng, diagonal, superdiagonal=0.0):
+    """S^-1 J S at cond(S) = 10, where J is diag(diagonal) with J[0, 1] set
+    to superdiagonal: 1 over a repeated first eigenvalue is a Jordan block."""
+    j = np.diag(diagonal).astype(complex)
+    j[0, 1] = superdiagonal
+    s = invertible_with_condition(rng, len(diagonal), 10.0)
+    return np.linalg.solve(s, j @ s)
+
+
+def _cutoff_input(rng, kind):
+    """Bounded, Jordan and off-circle operators at the overlap cutoff; the
+    phases are jittered because rejection sampling of this many fails."""
+    d = np.exp(1j * jittered_unimodular_phases(rng, N_CUT, np.pi / N_CUT))
+    if kind == "jordan":
+        d[1] = d[0]
+        return _conjugated(rng, d, 1.0)
+    if kind == "off_circle":
+        d[3] *= 1.05
+    return _conjugated(rng, d)
+
+
+def _report_fields(r):
+    """Every part of a report, in bitwise-comparable form."""
+    dec = r.decomposition
+    return (r.verdict, r.off_circle, r.defective, r.bound_estimate,
+            np.array(list(r.sampled_power_norms.items())).tobytes(),
+            dec.eigenvalues.tobytes(), dec.eigenvectors.tobytes(), dec.clusters)
+
+
+@pytest.mark.parametrize("kind, verdict", [
+    ("bounded", VERDICT_BOUNDED),
+    ("jordan", VERDICT_NOT_BOUNDED),
+    ("off_circle", VERDICT_NOT_BOUNDED),
+])
+def test_overlapped_decision_equals_the_serial_one(rng, kind, verdict, monkeypatch, submitted):
+    T = _cutoff_input(rng, kind)
+    reports = []
+    for overlap in (False, True):
+        monkeypatch.setattr(core, "_overlaps", lambda n, o=overlap: o)
+        reports.append(check_uniformly_bounded(T, CFG))
+    serial, overlapped = reports
+    assert serial.verdict == verdict
+    assert bool(serial.defective) == (kind == "jordan")
+    assert bool(serial.off_circle) == (kind == "off_circle")
+    assert _report_fields(overlapped) == _report_fields(serial)
+    # one hand-off per decision, and the worker's is finished on return
+    assert [isinstance(f, Future) for f in submitted] == [False, True]
+    assert submitted[1].done()
+
+
+def test_host_policy_decision_at_the_cutoff(rng, monkeypatch, submitted):
+    # The policy as the host has it: with BLAS pinned and two usable CPUs
+    # this decision overlaps, otherwise it is serial.
+    T = _cutoff_input(rng, "bounded")
+    got = check_uniformly_bounded(T, CFG)
+    assert [isinstance(f, Future) for f in submitted] == [core._overlaps(N_CUT)]
+    assert all(f.done() for f in submitted if isinstance(f, Future))
+    monkeypatch.setattr(core, "_overlaps", lambda n: False)
+    assert _report_fields(got) == _report_fields(check_uniformly_bounded(T, CFG))
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_singular_operator_raises_before_either_half(monkeypatch, submitted, overlap):
+    monkeypatch.setattr(core, "_overlaps", lambda n: overlap)
+    eig_calls = []
+    monkeypatch.setattr(boundedness, "eig", lambda *a: eig_calls.append(a))
+    T = np.diag(np.r_[np.ones(N_CUT - 1), 0.0]).astype(complex)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NotAutomorphism, match="singular"):
+            check_uniformly_bounded(T, CFG)
+    assert not submitted and not eig_calls and not caught
+
+
+def test_worker_failure_reaches_the_caller(rng, monkeypatch, submitted):
+    monkeypatch.setattr(core, "_overlaps", lambda n: True)
+    ran_on = []
+
+    def failing(*args):
+        ran_on.append(threading.current_thread())
+        raise RuntimeError("power chain failed")
+
+    monkeypatch.setattr(boundedness, "sampled_power_norms", failing)
+    with pytest.raises(RuntimeError, match="power chain failed"):
+        check_uniformly_bounded(_cutoff_input(rng, "bounded"), CFG)
+    assert ran_on and ran_on[0] is not threading.current_thread()
+    assert len(submitted) == 1 and submitted[0].done()
+
+
+def test_cluster_ambiguity_reaches_the_caller_when_overlapped(rng, monkeypatch, submitted):
+    # two eigenvalues 1.5 cluster radii apart: one pair in the ambiguity zone
+    cfg = ToleranceConfig(eig_cluster_tol=1e-4)
+    d = np.exp(1j * jittered_unimodular_phases(rng, N_CUT, np.pi / N_CUT))
+    d[1] = d[0] * np.exp(1.5e-4j)
+    T = _conjugated(rng, d)
+    caught = []
+    for overlap in (False, True):
+        monkeypatch.setattr(core, "_overlaps", lambda n, o=overlap: o)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            check_uniformly_bounded(T, cfg)
+        caught.append([(w.category, str(w.message), w.filename) for w in record])
+    serial, overlapped = caught
+    assert len(serial) == 1 and serial[0][0] is ClusterAmbiguity
+    assert "1 eigenvalue pair(s)" in serial[0][1]
+    assert overlapped == serial
+    assert [isinstance(f, Future) for f in submitted] == [False, True]
+
+
+def test_given_singular_values_stand_in_for_the_singularity_test(rng, monkeypatch):
+    T = _cutoff_input(rng, "bounded")
+    sv = np.linalg.svd(T, compute_uv=False)
+    expected = sampled_power_norms(T)
+    svd_calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svd_calls.append(1) or real_svd(*a, **kw))
+    assert sampled_power_norms(T, POWER_SAMPLE_RANGE, sv) == expected
+    assert len(svd_calls) == POWER_SAMPLE_RANGE - 1

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from unitarize import (
     DivergenceDetected,
+    check_uniformly_bounded,
     SlowConvergence,
     HermitianForm,
     NotBoundedFlow,
@@ -43,9 +44,10 @@ from unitarize.fixtures import (
     real_spectrum_fixture,
     unimodular_phases,
 )
-from unitarize import metrics
+from unitarize import core, metrics
 from unitarize.boundedness import require_bounded
-from unitarize.metrics import BLAS_THREAD_VARS, DIVERGENCE_FACTOR, OVERLAP_MIN_DIM
+from unitarize.core import BLAS_THREAD_VARS, OVERLAP_MIN_DIM
+from unitarize.metrics import DIVERGENCE_FACTOR
 
 CFG = ToleranceConfig()
 
@@ -480,32 +482,13 @@ def test_divergent_inputs_raise_the_reference_message(rng, count):
 # -- the overlapped pass: powers on the worker thread, the sum on the caller --
 
 
-@pytest.fixture
-def submitted(monkeypatch):
-    """Every object a double-and-add pass waits on, in submission order."""
-    out = []
-    real = metrics._power_submit
-
-    def recording(n):
-        submit = real(n)
-
-        def record(fn, *args):
-            out.append(submit(fn, *args))
-            return out[-1]
-
-        return record
-
-    monkeypatch.setattr(metrics, "_power_submit", recording)
-    return out
-
-
 @pytest.fixture(params=["serial", "overlap"])
 def mode(request, monkeypatch, submitted):
     """Forces one mode through the policy, whatever the host's BLAS and CPUs;
     after the test, checks that each product ran where the mode says and
     that none is left pending."""
     overlap = request.param == "overlap"
-    monkeypatch.setattr(metrics, "_overlaps", lambda n: overlap)
+    monkeypatch.setattr(core, "_overlaps", lambda n: overlap)
     yield request.param
     assert all(isinstance(f, Future) == overlap for f in submitted)
     assert not overlap or all(f.done() for f in submitted)
@@ -538,7 +521,7 @@ def test_one_pass_over_several_kernels_equals_one_pass_each(pair, count, mode):
 
 
 def test_overlapped_divergence_releases_the_work_arrays(monkeypatch, submitted):
-    monkeypatch.setattr(metrics, "_overlaps", lambda n: True)
+    monkeypatch.setattr(core, "_overlaps", lambda n: True)
     test_divergence_traceback_pins_no_work_arrays()
     test_divergence_in_the_oracle_releases_the_half_horizon_sum()
     assert submitted and all(isinstance(f, Future) and f.done() for f in submitted)
@@ -558,7 +541,7 @@ def pinned_host(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for var in BLAS_THREAD_VARS:
         monkeypatch.setenv(var, "1")
-    monkeypatch.setattr(metrics, "_worker", None)
+    monkeypatch.setattr(core, "_worker", None)
     return monkeypatch
 
 
@@ -584,18 +567,29 @@ def test_policy_starts_a_thread_only_when_all_three_hold(pinned_host, host):
     got = mixed_pullback_mean(T, K, T, 1000)
     started = set(threading.enumerate()) - before
     overlaps = host == "pinned"
-    assert metrics._overlaps(n) == overlaps
-    assert (metrics._worker is not None) == overlaps
+    assert core._overlaps(n) == overlaps
+    assert (core._worker is not None) == overlaps
     assert len(started) == int(overlaps)
     assert np.array_equal(got, _reference_mixed_mean(T, K, T, 1000))
 
 
+def _decided(T):
+    """What a decision reports, in bitwise-comparable form."""
+    r = check_uniformly_bounded(T, CFG)
+    return (r.verdict, r.sampled_power_norms, r.bound_estimate,
+            r.decomposition.eigenvalues.tobytes(), r.decomposition.eigenvectors.tobytes())
+
+
 def test_concurrent_callers_share_one_worker(pinned_host):
-    pinned_host.setattr(metrics, "_overlaps", lambda n: True)
+    # Five Cesaro callers and two deciders, all forced onto the one worker.
+    decided = [_bounded(6), defective_unimodular(np.random.default_rng(5), 6, 10.0)]
+    pinned_host.setattr(core, "_overlaps", lambda n: False)
+    decisions = [_decided(T) for T in decided]
+    pinned_host.setattr(core, "_overlaps", lambda n: True)
     cases = [(T, np.eye(len(T), dtype=complex)) for T in map(_bounded, range(4, 9))]
     expected = [_reference_mixed_mean(T, K, T, 1000) for T, K in cases]
     failures = []
-    start = threading.Barrier(len(cases))
+    start = threading.Barrier(len(cases) + len(decided))
 
     def caller(T, K, want):
         try:
@@ -606,12 +600,23 @@ def test_concurrent_callers_share_one_worker(pinned_host):
         except Exception as exc:
             failures.append(exc)
 
+    def decider(T, want):
+        try:
+            start.wait(timeout=60)
+            for _ in range(20):
+                if _decided(T) != want:
+                    failures.append(("decision", len(T)))
+        except Exception as exc:
+            failures.append(exc)
+
     before = set(threading.enumerate())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         callers = [threading.Thread(target=caller, args=(*case, want))
                    for case, want in zip(cases, expected)]
+        callers += [threading.Thread(target=decider, args=case)
+                    for case in zip(decided, decisions)]
         for t in callers:
             t.start()
         for t in callers:
@@ -621,7 +626,7 @@ def test_concurrent_callers_share_one_worker(pinned_host):
     assert not any(t.is_alive() for t in callers)
     assert not failures
     started = set(threading.enumerate()) - before
-    assert [t.name.startswith("unitarize-powers") for t in started] == [True]
+    assert [t.name.startswith("unitarize-worker") for t in started] == [True]
 
 
 @pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
@@ -636,17 +641,17 @@ def test_host_policy_matches_the_reference_at_the_cutoff(submitted):
     form, got = cesaro_oracle(T, K, count, CFG)
     assert np.array_equal(form.gram, gram) and got == drift
     assert submitted
-    assert all(isinstance(f, Future) == metrics._overlaps(n) for f in submitted)
+    assert all(isinstance(f, Future) == core._overlaps(n) for f in submitted)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 @pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
 def test_forked_child_finishes_an_overlapped_oracle(monkeypatch):
-    monkeypatch.setattr(metrics, "_overlaps", lambda n: True)
+    monkeypatch.setattr(core, "_overlaps", lambda n: True)
     T = _bounded(8)
     expected = cesaro_oracle(T, None, 4096, CFG)[0].gram
-    assert metrics._worker is not None
+    assert core._worker is not None
     pid = os.fork()
     if pid == 0:
         status = 1
@@ -673,8 +678,8 @@ def test_importing_the_cli_starts_no_thread():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     code = (
-        "import threading, unitarize.cli, unitarize.metrics as m; "
-        "assert threading.active_count() == 1 and m._worker is None"
+        "import threading, unitarize.cli, unitarize.core as c; "
+        "assert threading.active_count() == 1 and c._worker is None"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
