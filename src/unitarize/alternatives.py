@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundedness import require_bounded
+from .boundedness import bounded
 from .core import (
     PSD_RTOL,
     HermitianForm,
@@ -101,20 +101,20 @@ def scaled_metric(
     eigenbasis but leaves one positive block per cluster free.
     """
     T = as_operator(operator)
-    dec = require_bounded(T, cfg)
-    n = dec.dim
-    B = np.zeros((n, n), dtype=np.complex128)
-    for c, idx in enumerate(dec.clusters):
-        rows = list(idx)
-        B[np.ix_(rows, rows)] = spec.block_for(c, len(rows))
-    extra = set(spec.weights) - set(range(len(dec.clusters)))
-    if extra:
-        raise InvalidInput(
-            f"weights given for nonexistent clusters {sorted(extra)}; "
-            f"the operator has {len(dec.clusters)}"
-        )
-    Pi = dec.inverse
-    return HermitianForm(hermitize(Pi.conj().T @ B @ Pi))
+    with bounded(T, cfg) as dec:
+        n = dec.dim
+        B = np.zeros((n, n), dtype=np.complex128)
+        for c, idx in enumerate(dec.clusters):
+            rows = list(idx)
+            B[np.ix_(rows, rows)] = spec.block_for(c, len(rows))
+        extra = set(spec.weights) - set(range(len(dec.clusters)))
+        if extra:
+            raise InvalidInput(
+                f"weights given for nonexistent clusters {sorted(extra)}; "
+                f"the operator has {len(dec.clusters)}"
+            )
+        Pi = dec.inverse
+        return HermitianForm(hermitize(Pi.conj().T @ B @ Pi))
 
 
 def phi_metric(unitarization: Unitarization, phi) -> tuple[HermitianForm, np.ndarray]:
@@ -163,11 +163,11 @@ def commutant_positive_basis(
     h_T built over the given fiducial form.
     """
     T = as_operator(operator)
-    dec = require_bounded(T, cfg)
-    n = dec.dim
-    G0 = np.asarray(resolve_fiducial(h0, n).gram)
-    P, Pi = dec.eigenvectors, dec.inverse
-    M = P.conj().T @ G0 @ P
+    with bounded(T, cfg) as dec:
+        n = dec.dim
+        G0 = np.asarray(resolve_fiducial(h0, n).gram)
+        P, Pi = dec.eigenvectors, dec.inverse
+        M = P.conj().T @ G0 @ P
     out: list[np.ndarray] = []
     for idx in dec.clusters:
         rows = list(idx)
@@ -233,11 +233,11 @@ def metric_dependence(
     if N < 2:
         raise InvalidInput("the averaging horizon must be at least 2")
 
-    dec = require_bounded(T, cfg)
+    with bounded(T, cfg) as dec:
+        G = _averaged_form(dec, h0).gram
+        Gp = _averaged_form(dec, h0_prime).gram
     G0 = np.asarray(h0.gram)
     G0p = np.asarray(h0_prime.gram)
-    G = _averaged_form(dec, h0).gram
-    Gp = _averaged_form(dec, h0_prime).gram
 
     C = np.linalg.solve(G0p, G0)
     R = np.linalg.solve(Gp, G)

@@ -3,23 +3,29 @@
 In finite dimension, sup over all integers k of ||T^k|| is finite exactly
 when T is diagonalizable and every eigenvalue sits on the unit circle.  The
 verdicts here are spectral; the sampled power norms included in each report
-are a diagnostic, not the decision path.  They cost one SVD per power: the
-singular values of T^k give ||T^k|| as the largest and ||T^-k|| as the
-reciprocal of the smallest.  The reciprocal is trusted only while T^k is
-well conditioned (RECIPROCAL_RTOL); for the other powers T^-k is formed.  A
+are a diagnostic, not the decision path.  The singular values of T^k give
+||T^k|| as the largest and ||T^-k|| as the reciprocal of the smallest, so
+one SVD per power serves both signs; the powers are decomposed a stack at a
+time, sized so that numpy runs each stack's SVD without the GIL
+(GIL_HELD_MAX_OUTPUT).  The reciprocal is trusted only while T^k is well
+conditioned (RECIPROCAL_RTOL); for the other powers T^-k is formed.  A
 parallel criterion handles generators: e^{itH} is bounded in t exactly when
 H is diagonalizable with real spectrum.
 
 The two halves of a decision are independent.  The calling thread runs the
-singularity test (the k = 1 SVD), then eig and the verdict; the power norms
-from k = 2 on run on the worker thread meanwhile when core._overlaps holds
-(the policy of the overlapped double-and-add), and on the calling thread
-after the verdict otherwise.  Either way each half runs the same LAPACK
-calls on the same operands, so the report is bitwise the same.
+singularity test (the k = 1 SVD, whose largest singular value is also the
+operator norm eig reads), then eig and the verdict; the power norms from
+k = 2 on run on the worker thread meanwhile when core._overlaps holds (the
+policy of the overlapped double-and-add), and on the calling thread after
+the verdict otherwise.  Either way each half runs the same LAPACK calls on
+the same operands, so the report is bitwise the same.  The constructions
+decide through bounded(), whose with-block runs on the calling thread
+before the norms are read, so the answer is built while they finish.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +58,18 @@ POWER_SAMPLE_RANGE = 32
 # the slow path; a cut of 1e-6 reached 5.4e-10 at cond(S) = 100.
 RECIPROCAL_RTOL = 1e-4
 
+# numpy runs a linalg call without the GIL only when its output has more
+# than this many elements, and a values-only SVD of an n x n matrix has n.  So
+# the powers T^k are decomposed in stacks of b, the fewest with b n past the
+# cut: one SVD per power at n = 128 held the GIL throughout, and the power
+# chain on the worker thread ran in turn with the calling thread's work.
+# Measured with numpy 2.4.6 and one OpenBLAS thread on a 2-core x86 host, as
+# the time of two threads each taking the same values-only SVDs over one
+# thread taking both shares: 1.94x faster at n = 501 and 0.95x at n = 500;
+# at n = 128, stacks of 4 1.97x and stacks of 3 0.86x.  The singular values
+# of a stack are bitwise those of one call per matrix.
+GIL_HELD_MAX_OUTPUT = 500
+
 VERDICT_BOUNDED = "uniformly_bounded"
 VERDICT_NOT_BOUNDED = "not_bounded"
 VERDICT_SELF_ADJOINT_LIKE = "similar_to_self_adjoint"
@@ -72,7 +90,7 @@ class BoundednessReport:
     verdict is positive, and None otherwise.  decomposition is the one
     eigendecomposition the verdict was read from; the constructions that
     need a bounded operator's spectral data take it from here (through
-    require_bounded) rather than decomposing the operator again.
+    bounded) rather than decomposing the operator again.
     sampled_power_norms maps k in [-32, 32] to ||T^k||; each negative power
     is 1 / sigma_min(T^k) while T^k passes the conditioning guard
     RECIPROCAL_RTOL and the norm of the formed T^-k otherwise, within
@@ -103,6 +121,36 @@ class BoundednessReport:
         return tuple(out)
 
 
+def _power_stack_size(n: int, k_range: int) -> int:
+    """How many powers of an n x n operator one SVD call decomposes: the
+    fewest whose singular values number more than GIL_HELD_MAX_OUTPUT, at
+    most the k_range - 1 powers after the first, and at least one."""
+    return max(1, min(k_range - 1, GIL_HELD_MAX_OUTPUT // n + 1))
+
+
+def _power_singular_values(T: np.ndarray, k_range: int, sv: np.ndarray):
+    """(k, singular values of T^k) for k = 1 .. k_range, where sv are those of
+    T.  Each T^k is the same left-to-right product as T^(k-1) @ T, written
+    into a stack of _power_stack_size powers that one SVD call decomposes."""
+    if k_range < 1:
+        return
+    yield 1, sv
+    n = T.shape[0]
+    b = _power_stack_size(n, k_range)
+    # T^k goes to slot (k - 2) % len(slots) rather than a fresh array per
+    # power: on the worker thread, whose allocator keeps what it frees, that
+    # holds peak RSS lower.  A second slot keeps a stack of one from reading
+    # and writing the same buffer.
+    slots = np.empty((max(b, 2), n, n), dtype=T.dtype)
+    fwd = T
+    for start in range(2, k_range + 1, b):
+        first = (start - 2) % len(slots)
+        stack = slots[first:first + min(b, k_range + 1 - start)]
+        for power in stack:
+            fwd = np.matmul(fwd, T, out=power)
+        yield from enumerate(np.linalg.svd(stack, compute_uv=False), start)
+
+
 def sampled_power_norms(
     T, k_range: int = POWER_SAMPLE_RANGE, singular_values=None
 ) -> dict[int, float]:
@@ -113,12 +161,14 @@ def sampled_power_norms(
     matrix, ||T^-k|| = 1 / sigma_min(T^k).  The reciprocal is taken only
     while sigma_min(T^k) >= RECIPROCAL_RTOL * sigma_max(T^k); for any other
     k the norm comes from an SVD of T^-k, the running product of inv(T),
-    which is built only when such a k comes up.  So a well-conditioned
-    orbit costs k_range SVDs and no inverse, and the k = 1 SVD is the
-    singularity test's.  A caller that has validated T (as_operator) and
-    run that test passes the singular values it returned as
-    singular_values; T is then read as given, neither copied nor decomposed
-    again.
+    which is built only when such a k comes up.  The k = 1 SVD is the
+    singularity test's; the powers from k = 2 on are decomposed in stacks
+    of _power_stack_size (4 at n = 128, one from n = 501 on), so a
+    well-conditioned orbit costs 1 + ceil((k_range - 1) / b) SVD calls over
+    k_range matrices, and no inverse.  A caller that has validated T
+    (as_operator) and run that test passes the singular values it returned
+    as singular_values; T is then read as given, neither copied nor
+    decomposed again.
 
     Positive-k norms, and negative-k norms that fail the guard, equal the
     spectral norms of the repeated products exactly.  Against a 100-digit
@@ -134,17 +184,9 @@ def sampled_power_norms(
         T = as_operator(T)
         sv = require_nonsingular(T, NotAutomorphism, "operator is numerically singular")
     norms = {0: 1.0}
-    fwd = T
-    # T^k alternates between two buffers rather than taking a fresh array
-    # per power: on the worker thread, whose allocator keeps what it frees,
-    # that held peak RSS at n = 128 about 0.3 MB lower.
-    chain = (np.empty_like(T), np.empty_like(T))
     bwd = None  # T^-built, from the first k that fails the guard on
     built = 0
-    for k in range(1, k_range + 1):
-        if k > 1:
-            fwd = np.matmul(fwd, T, out=chain[k % 2])
-            sv = np.linalg.svd(fwd, compute_uv=False)
+    for k, sv in _power_singular_values(T, k_range, sv):
         norms[k] = float(sv[0])
         if sv[-1] >= RECIPROCAL_RTOL * sv[0]:
             norms[-k] = float(1.0 / sv[-1])
@@ -160,13 +202,16 @@ def sampled_power_norms(
 
 
 def check_uniformly_bounded(
-    operator, cfg: ToleranceConfig | None = None
+    operator, cfg: ToleranceConfig | None = None, *, _pending: list | None = None
 ) -> BoundednessReport:
     """Decide sup_k ||T^k|| < infinity over all integer powers k.
 
     The power norms run on the worker thread while this thread runs eig
     when core._overlaps holds, and after the verdict otherwise (see the
-    module docstring); the report is bitwise the same either way.
+    module docstring); the report is bitwise the same either way.  bounded
+    passes _pending, a list: the report then comes back with no power
+    norms, and the object that yields them goes on the list for bounded to
+    read when its block ends.
 
     Raises NotAutomorphism for numerically singular input.
     """
@@ -177,7 +222,7 @@ def check_uniformly_bounded(
     submit = core._overlap_submit(T.shape[0])
     powers = submit(sampled_power_norms, T, POWER_SAMPLE_RANGE, sv)
     try:
-        dec = eig(T, cfg)
+        dec = eig(T, cfg, float(sv[0]))
         band = spectral_band(dec.operator_norm, cfg)
         moduli = np.abs(dec.eigenvalues)
         off = tuple(
@@ -186,11 +231,21 @@ def check_uniformly_bounded(
         means = [complex(z) for z in dec.cluster_means()]
         defective = [means[c] for c in dec.defective_clusters if abs(abs(means[c]) - 1.0) <= band]
         ok = not off and not defective
-        bound = float(np.linalg.cond(dec.eigenvectors)) if ok else None
-    finally:
-        # Also when eig raises, so that no decision leaves work queued on
-        # the worker.
+        bound = None
+        if ok:
+            # cond(P), from the SVD of P that dec.inverse's singularity test
+            # reads too
+            p_sv = dec.eigenvector_singular_values
+            bound = float(p_sv[0] / p_sv[-1])
+    except BaseException:
+        # No decision leaves work queued on the worker.
+        powers.result()
+        raise
+    if _pending is None:
         norms = powers.result()
+    else:
+        _pending.append(powers)
+        norms = {}
     return BoundednessReport(
         verdict=VERDICT_BOUNDED if ok else VERDICT_NOT_BOUNDED,
         off_circle=off,
@@ -201,18 +256,27 @@ def check_uniformly_bounded(
     )
 
 
-def require_bounded(
-    operator, cfg: ToleranceConfig | None = None, label: str = ""
-) -> EigenDecomposition:
-    """Decomposition of a power-bounded operator, taken from its decision.
+@contextlib.contextmanager
+def bounded(operator, cfg: ToleranceConfig | None = None, label: str = ""):
+    """``with bounded(T, cfg, "t1: ") as dec:`` decides T and binds dec, the
+    decomposition its verdict was read from.
 
-    Raises NotUniformlyBounded with the reasons, prefixed by label (such as
-    "t1: "), when the power orbit is unbounded.
+    The block runs on the calling thread before the decision's power norms
+    are read, so on the overlapped path it runs while the worker finishes
+    them; they are read when the block ends, also when it raises, so no
+    block leaves work on the worker.  When the power orbit is unbounded the
+    norms are read first and then NotUniformlyBounded is raised with the
+    reasons, prefixed by label, and the block does not run.
     """
-    report = check_uniformly_bounded(operator, cfg)
+    pending = []
+    report = check_uniformly_bounded(operator, cfg, _pending=pending)
     if not report.bounded:
+        pending[0].result()
         raise NotUniformlyBounded(label + "; ".join(report.reasons))
-    return report.decomposition
+    try:
+        yield report.decomposition
+    finally:
+        pending[0].result()
 
 
 @dataclass(eq=False)

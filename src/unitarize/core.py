@@ -59,10 +59,13 @@ IDENTITY_RTOL = 1e-14
 # and 2.0x.  One shared operator leaves the worker one product per step
 # against the sum's two, which caps its gain at 1.5x.  The decision,
 # check_uniformly_bounded on a bounded operator at cond 10, as serial /
-# overlapped time (medians of 9 alternating rounds, ranges over runs): n=32
-# 11 / 13 ms, n=64 1.0-1.1x faster, n=72 1.05-1.25x, n=96 1.3-1.5x, n=128
-# 1.15-1.4x, n=256 1.2-1.3x.  Its critical path is the power chain, which
-# outlasts eig, so the decision gains less than a two-operator pass.
+# overlapped time (medians of 9 alternating rounds, ranges over 2-3 runs),
+# with the power norms' SVDs in stacks that release the GIL
+# (boundedness.GIL_HELD_MAX_OUTPUT): n=64 1.12-1.35x faster, n=72
+# 1.15-1.36x, n=128 1.45-1.50x, against 1.11x, 1.02x and 1.43x with one SVD
+# per power; invariant_metric, whose closed form is built while the norms
+# finish, n=64 1.25x, n=72 1.26-1.57x, n=128 1.60x.  n=64 now gains too; the
+# cut stays at 72 until the workloads at n=64 are measured with it moved.
 OVERLAP_MIN_DIM = 72
 
 # The thread counts the BLAS libraries numpy ships with obey.  The overlap
@@ -286,10 +289,19 @@ class EigenDecomposition:
         return lab[:, None] == lab[None, :]
 
     @functools.cached_property
+    def eigenvector_singular_values(self) -> np.ndarray:
+        """Singular values of P, descending, from one SVD taken on first use:
+        the decision's bound estimate cond(P) and the singularity test of
+        inverse both read them."""
+        sv = np.linalg.svd(self.eigenvectors, compute_uv=False)
+        sv.setflags(write=False)
+        return sv
+
+    @functools.cached_property
     def inverse(self) -> np.ndarray:
         """P^{-1}, inverted on first use and then shared (read-only) by every
         spectral function and cluster pairing built on this decomposition."""
-        Pi = invert(self.eigenvectors, "eigenvector matrix")
+        Pi = invert(self.eigenvectors, "eigenvector matrix", self.eigenvector_singular_values)
         Pi.setflags(write=False)
         return Pi
 
@@ -308,7 +320,9 @@ def cluster_pairing(dec1: EigenDecomposition, dec2: EigenDecomposition, kernel, 
     return dec1.inverse.conj().T @ M @ dec2.inverse
 
 
-def eig(operator, cfg: ToleranceConfig | None = None) -> EigenDecomposition:
+def eig(
+    operator, cfg: ToleranceConfig | None = None, operator_norm: float | None = None
+) -> EigenDecomposition:
     """Eigendecomposition with deterministic ordering and clustering.
 
     Eigenvalues are sorted by phase (wrapped to [0, 2pi)) and then modulus.
@@ -316,7 +330,9 @@ def eig(operator, cfg: ToleranceConfig | None = None) -> EigenDecomposition:
     into clusters; each cluster of size m is tested for geometric
     multiplicity m through the singular values of (T - mean*I).  Pairs of
     eigenvalues from different clusters that sit within twice the radius
-    trigger a ClusterAmbiguity warning.
+    trigger a ClusterAmbiguity warning.  A caller that holds the largest
+    singular value of the operator passes it as operator_norm, which then
+    stands in for an SVD of the operator.
     """
     T = as_operator(operator)
     w, v = np.linalg.eig(T)
@@ -325,7 +341,7 @@ def eig(operator, cfg: ToleranceConfig | None = None) -> EigenDecomposition:
     w = w[order]
     v = _fix_column_phases(v[:, order])
 
-    op_norm = spectral_norm(T)
+    op_norm = spectral_norm(T) if operator_norm is None else operator_norm
     scale = 1.0 + op_norm
     tol = effective_cluster_tol(op_norm, cfg)
     labels = _cluster_labels(w, tol)
@@ -405,22 +421,27 @@ def adjoint_wrt(operator, form: HermitianForm) -> np.ndarray:
     return np.linalg.solve(form.gram, A.conj().T @ form.gram)
 
 
-def require_nonsingular(a: np.ndarray, error: type[Exception], message: str) -> np.ndarray:
+def require_nonsingular(
+    a: np.ndarray, error: type[Exception], message: str, singular_values=None
+) -> np.ndarray:
     """Raise error(message) when a is numerically singular.
 
     Returns the singular values of a (descending) that the test read, so a
-    caller that needs them does not take a second SVD.
+    caller that needs them does not take a second SVD.  A caller that
+    already holds them passes them as singular_values, and the test reads
+    those instead.
     """
-    sv = np.linalg.svd(a, compute_uv=False)
+    sv = np.linalg.svd(a, compute_uv=False) if singular_values is None else singular_values
     if sv[-1] <= SINGULAR_RTOL * (1.0 + sv[0]):
         raise error(message)
     return sv
 
 
-def invert(operator, label: str = "operator") -> np.ndarray:
-    """Inverse with an explicit singularity check."""
+def invert(operator, label: str = "operator", singular_values=None) -> np.ndarray:
+    """Inverse with an explicit singularity check, which reads singular_values
+    when the caller holds them (see require_nonsingular)."""
     A = as_operator(operator)
-    require_nonsingular(A, InvalidInput, f"{label} is numerically singular")
+    require_nonsingular(A, InvalidInput, f"{label} is numerically singular", singular_values)
     return np.linalg.inv(A)
 
 

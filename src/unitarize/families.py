@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundedness import require_bounded
+from .boundedness import bounded
 from .core import (
     EigenDecomposition,
     HermitianForm,
@@ -84,13 +84,12 @@ def commuting_pair_metric(
     """
     T1, T2 = as_operator_pair(t1, t2)
     _require_commuting(T1, T2, "t1 and t2")
-    dec1 = require_bounded(T1, cfg, "t1: ")
-    dec2 = require_bounded(T2, cfg, "t2: ")
-    first, joint = _pair_stages(T1, dec1, T2, dec2, h0)
-    residuals = {
-        "t1": invariance_residual(T1, joint.gram),
-        "t2": invariance_residual(T2, joint.gram),
-    }
+    with bounded(T1, cfg, "t1: ") as dec1, bounded(T2, cfg, "t2: ") as dec2:
+        first, joint = _pair_stages(T1, dec1, T2, dec2, h0)
+        residuals = {
+            "t1": invariance_residual(T1, joint.gram),
+            "t2": invariance_residual(T2, joint.gram),
+        }
     return FamilyResult(
         form=joint,
         stages=[("t1", first), ("t2", joint)],
@@ -120,9 +119,9 @@ def multiplicity_free_shortcut(
     """Test whether averaging over t1 alone is already invariant under t2."""
     T1, T2 = as_operator_pair(t1, t2)
     _require_commuting(T1, T2, "t1 and t2")
-    dec = require_bounded(T1, cfg, "t1: ")
-    degenerate = next((c for c, idx in enumerate(dec.clusters) if len(idx) > 1), None)
-    first = _averaged_metric(T1, dec, h0)
+    with bounded(T1, cfg, "t1: ") as dec:
+        degenerate = next((c for c, idx in enumerate(dec.clusters) if len(idx) > 1), None)
+        first = _averaged_metric(T1, dec, h0)
     return ShortcutReport(
         valid=degenerate is None,
         degenerate_cluster=degenerate,
@@ -166,17 +165,18 @@ def heisenberg_metric(
     if broken:
         raise RelationViolated("; ".join(broken))
 
-    dec1, dec2, dec3 = [
-        require_bounded(T, cfg, f"{label}: ")
-        for label, T in (("t1", T1), ("t2", T2), ("t3", T3))
-    ]
-    first, middle = _pair_stages(T1, dec1, T3, dec3, h0)
-    joint = _averaged_metric(T2, dec2, middle)
-    residuals = {
-        "t1": invariance_residual(T1, joint.gram),
-        "t2": invariance_residual(T2, joint.gram),
-        "t3": invariance_residual(T3, joint.gram),
-    }
+    with (
+        bounded(T1, cfg, "t1: ") as dec1,
+        bounded(T2, cfg, "t2: ") as dec2,
+        bounded(T3, cfg, "t3: ") as dec3,
+    ):
+        first, middle = _pair_stages(T1, dec1, T3, dec3, h0)
+        joint = _averaged_metric(T2, dec2, middle)
+        residuals = {
+            "t1": invariance_residual(T1, joint.gram),
+            "t2": invariance_residual(T2, joint.gram),
+            "t3": invariance_residual(T3, joint.gram),
+        }
     stages = [("t1", first), ("t3", middle), ("t2", joint)]
     return FamilyResult(form=joint, stages=stages, unitarity_residuals=residuals)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundedness import require_bounded
+from .boundedness import bounded
 from .core import (
     DEFAULT_TOLERANCES,
     EigenDecomposition,
@@ -105,8 +105,13 @@ def intertwiner(
     """
     T1, T2 = as_operator_pair(t1, t2)
     h0 = resolve_fiducial(h0, T1.shape[0])
-    dec1 = require_bounded(T1, cfg, "t1: ")
-    dec2 = require_bounded(T2, cfg, "t2: ")
+    with bounded(T1, cfg, "t1: ") as dec1, bounded(T2, cfg, "t2: ") as dec2:
+        return _averaged_connection(T1, dec1, T2, dec2, h0)
+
+
+def _averaged_connection(T1, dec1, T2, dec2, h0: HermitianForm) -> IntertwineResult:
+    """intertwiner's closed form and certificate, from the two decompositions
+    and the resolved fiducial form."""
     pairs, means1, means2 = _match_clusters(dec1, dec2)
     matched = np.zeros((means1.size, means2.size), dtype=bool)
     for i, j in pairs:
@@ -209,9 +214,8 @@ def intertwiner_scaled(
     T1, T2 = as_operator_pair(t1, t2)
     n = T1.shape[0]
     h0 = resolve_fiducial(h0, n)
-    dec1 = require_bounded(T1, cfg, "t1: ")
-    dec2 = require_bounded(T2, cfg, "t2: ")
-    G1, G2 = (np.asarray(_averaged_form(dec, h0).gram) for dec in (dec1, dec2))
+    with bounded(T1, cfg, "t1: ") as dec1, bounded(T2, cfg, "t2: ") as dec2:
+        G1, G2 = (np.asarray(_averaged_form(dec, h0).gram) for dec in (dec1, dec2))
     left = _unit_eigenvectors(dec1, G1)
     right = G2 @ _unit_eigenvectors(dec2, G2)
     pairs, _, _ = _match_clusters(dec1, dec2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .boundedness import require_bounded, require_self_adjoint_like
+from .boundedness import bounded, require_self_adjoint_like
 from .core import (
     DEFAULT_TOLERANCES,
     EigenDecomposition,
@@ -173,11 +173,13 @@ def invariant_metric(
     """Invariant metric and unitarizing similarity for a power-bounded operator.
 
     Raises NotUniformlyBounded, carrying the reasons, when the power orbit
-    of the operator is unbounded.
+    of the operator is unbounded.  The closed form is built while the
+    decision's power norms finish (see boundedness.bounded).
     """
     T = as_operator(operator)
     h0 = resolve_fiducial(h0, T.shape[0])
-    return _spectral_unitarization(T, require_bounded(T, cfg), h0)
+    with bounded(T, cfg) as dec:
+        return _spectral_unitarization(T, dec, h0)
 
 
 def _next_powers(Lp, A, Rp, B, shared: bool):

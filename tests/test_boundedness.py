@@ -1,5 +1,6 @@
 import functools
 import threading
+import time
 import warnings
 from concurrent.futures import Future
 
@@ -10,6 +11,7 @@ from unitarize import boundedness, core
 from unitarize import (
     InvalidInput,
     NotAutomorphism,
+    NotUniformlyBounded,
     ToleranceConfig,
     check_generator,
     check_normal_dichotomy,
@@ -267,15 +269,19 @@ def _conjugated(rng, diagonal, superdiagonal=0.0):
     return np.linalg.solve(s, j @ s)
 
 
-def _cutoff_input(rng, kind):
-    """Bounded, Jordan and off-circle operators at the overlap cutoff; the
-    phases are jittered because rejection sampling of this many fails."""
-    d = np.exp(1j * jittered_unimodular_phases(rng, N_CUT, np.pi / N_CUT))
+def _cutoff_input(rng, kind, n=N_CUT):
+    """Bounded, Jordan, off-circle and spread-diagonal operators, by default
+    at the overlap cutoff; the phases are jittered because rejection
+    sampling of this many fails.  The spread diagonal has eigenvalues 3 and
+    1/3, so the reciprocal guard fails from some power on."""
+    d = np.exp(1j * jittered_unimodular_phases(rng, n, np.pi / n))
     if kind == "jordan":
         d[1] = d[0]
         return _conjugated(rng, d, 1.0)
     if kind == "off_circle":
         d[3] *= 1.05
+    elif kind == "spread_diagonal":
+        d[:2] = 3.0, 1.0 / 3.0
     return _conjugated(rng, d)
 
 
@@ -373,6 +379,148 @@ def test_given_singular_values_stand_in_for_the_singularity_test(rng, monkeypatc
     expected = sampled_power_norms(T)
     svd_calls = []
     real_svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svd_calls.append(1) or real_svd(*a, **kw))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, **kw: svd_calls.append(a.shape) or real_svd(a, **kw))
     assert sampled_power_norms(T, POWER_SAMPLE_RANGE, sv) == expected
-    assert len(svd_calls) == POWER_SAMPLE_RANGE - 1
+    # the powers k = 2 .. 32 in stacks of b, and no SVD of T itself
+    b = boundedness._power_stack_size(N_CUT, POWER_SAMPLE_RANGE)
+    assert len(svd_calls) == -(-(POWER_SAMPLE_RANGE - 1) // b)
+    assert sum(shape[0] for shape in svd_calls) == POWER_SAMPLE_RANGE - 1
+    assert all(shape[1:] == (N_CUT, N_CUT) for shape in svd_calls)
+
+
+# -- stacked SVDs against one SVD per power ------------------------------------
+
+
+def _one_svd_per_power(T, k_range):
+    """The reference for the stacked SVDs: sampled_power_norms with one
+    values-only SVD of each T^k, the same products and the same guard.
+    Returns the norms and how many negative powers failed the guard."""
+    sv = np.linalg.svd(T, compute_uv=False)
+    norms = {0: 1.0}
+    fwd = T
+    bwd = None
+    built = guarded_out = 0
+    for k in range(1, k_range + 1):
+        if k > 1:
+            fwd = fwd @ T
+            sv = np.linalg.svd(fwd, compute_uv=False)
+        norms[k] = float(sv[0])
+        if sv[-1] >= RECIPROCAL_RTOL * sv[0]:
+            norms[-k] = float(1.0 / sv[-1])
+            continue
+        guarded_out += 1
+        if bwd is None:
+            Tinv = bwd = np.linalg.inv(T)
+            built = 1
+        for _ in range(built, k):
+            bwd = bwd @ Tinv
+        built = k
+        norms[-k] = float(np.linalg.norm(bwd, 2))
+    return norms, guarded_out
+
+
+# both sides of the stack-size steps 9 -> 8 (n = 62 | 63) and 5 -> 4
+# (n = 125 | 126), the benchmark's 64, 72 and 128, and small n, where the
+# cap at k_range - 1 sets the size
+STACKING_DIMS = [4, 16, 62, 63, 64, 72, 125, 126, 128]
+STACKING_RANGES = [1, 2, 5, 32, 64]
+
+
+@pytest.mark.parametrize("n", STACKING_DIMS)
+def test_stacked_power_norms_equal_one_svd_per_power(rng, n):
+    for kind in ("bounded", "jordan", "off_circle", "spread_diagonal"):
+        T = _cutoff_input(rng, kind, n)
+        # one SVD per power reads the same chain whatever the range, so the
+        # widest range's norms, cut down, serve every narrower one
+        ref, guarded_out = _one_svd_per_power(T, max(STACKING_RANGES))
+        assert guarded_out > 0 or kind in ("bounded", "off_circle")
+        for k_range in STACKING_RANGES:
+            want = {k: v for k, v in ref.items() if abs(k) <= k_range}
+            assert sampled_power_norms(T, k_range) == want, (kind, k_range)
+
+
+@pytest.mark.parametrize("n, k_range, size", [
+    (4, 32, 31), (4, 5, 4), (16, 64, 32), (62, 32, 9), (63, 32, 8),
+    (72, 32, 7), (125, 32, 5), (126, 32, 4), (128, 32, 4), (128, 3, 2),
+    (250, 32, 3), (251, 32, 2), (500, 32, 2), (501, 32, 1), (1024, 32, 1),
+    (16, 2, 1), (16, 1, 1), (16, 0, 1),
+])
+def test_power_stack_size(n, k_range, size):
+    """The fewest powers whose singular values number more than the GIL
+    cut, capped at the k_range - 1 powers after the first, at least one."""
+    assert boundedness._power_stack_size(n, k_range) == size
+    if 1 < size < k_range - 1:
+        assert size * n > boundedness.GIL_HELD_MAX_OUTPUT >= (size - 1) * n
+
+
+# -- bounded(): the block runs while the power norms finish -------------------
+
+
+def _gated_power_norms(monkeypatch):
+    """Make the worker's power norms wait until the returned event is set,
+    so a block that ran before they were read can say so."""
+    release = threading.Event()
+    real = boundedness.sampled_power_norms
+
+    def gated(*args):
+        assert release.wait(10), "the power norms were read before the block ran"
+        return real(*args)
+
+    monkeypatch.setattr(boundedness, "sampled_power_norms", gated)
+    return release
+
+
+def test_bounded_block_runs_before_the_norms_are_read(rng, monkeypatch, submitted):
+    monkeypatch.setattr(core, "_overlaps", lambda n: True)
+    release = _gated_power_norms(monkeypatch)
+    T = _cutoff_input(rng, "bounded")
+    with boundedness.bounded(T, CFG) as dec:
+        assert len(submitted) == 1 and not submitted[0].done()
+        release.set()
+    assert submitted[0].done()
+    monkeypatch.setattr(core, "_overlaps", lambda n: False)
+    serial = check_uniformly_bounded(T, CFG).decomposition
+    assert dec.eigenvalues.tobytes() == serial.eigenvalues.tobytes()
+    assert dec.eigenvectors.tobytes() == serial.eigenvectors.tobytes()
+
+
+def test_bounded_block_that_raises_leaves_no_work_on_the_worker(rng, monkeypatch, submitted):
+    monkeypatch.setattr(core, "_overlaps", lambda n: True)
+    release = _gated_power_norms(monkeypatch)
+    with pytest.raises(KeyError, match="raised in the block"):
+        with boundedness.bounded(_cutoff_input(rng, "bounded"), CFG):
+            release.set()
+            raise KeyError("raised in the block")
+    assert len(submitted) == 1 and submitted[0].done()
+
+
+def test_worker_failure_after_a_clean_block_reaches_the_caller(rng, monkeypatch, submitted):
+    monkeypatch.setattr(core, "_overlaps", lambda n: True)
+
+    def failing(*args):
+        raise RuntimeError("power chain failed")
+
+    monkeypatch.setattr(boundedness, "sampled_power_norms", failing)
+    ran = []
+    with pytest.raises(RuntimeError, match="power chain failed"):
+        with boundedness.bounded(_cutoff_input(rng, "bounded"), CFG) as dec:
+            ran.append(dec)
+    assert ran and len(submitted) == 1 and submitted[0].done()
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_unbounded_verdict_raises_after_the_norms_are_read(rng, monkeypatch, submitted, overlap):
+    monkeypatch.setattr(core, "_overlaps", lambda n: overlap)
+    read = []
+    real = boundedness.sampled_power_norms
+    # slow enough that the worker would still be running if the verdict
+    # were raised before the norms were read
+    monkeypatch.setattr(boundedness, "sampled_power_norms",
+                        lambda *args: time.sleep(0.2) or read.append(1) or real(*args))
+    with pytest.raises(NotUniformlyBounded, match=r"^t2: unimodular eigenvalue .* is defective$"):
+        with boundedness.bounded(_cutoff_input(rng, "jordan"), CFG, "t2: "):
+            pytest.fail("the block ran for an unbounded operator")
+    assert read == [1]
+    assert [isinstance(f, Future) for f in submitted] == [overlap]
+    assert all(f.done() for f in submitted if isinstance(f, Future))

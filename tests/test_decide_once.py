@@ -132,10 +132,10 @@ def test_eigenvector_inversions_per_entry_point(ops, monkeypatch, expected, call
     calls = []
     real_invert = u.core.invert
 
-    def counting_invert(a, label="operator"):
+    def counting_invert(a, label="operator", singular_values=None):
         if "eigenvector matrix" in label:
             calls.append(label)
-        return real_invert(a, label)
+        return real_invert(a, label, singular_values)
 
     for module in (u.core, u.metrics, u.alternatives, u.intertwine, u.hamiltonian):
         if hasattr(module, "invert"):
@@ -172,14 +172,16 @@ def degenerate(rng):
     phases = np.array([0.5, 0.5, 2.0, 4.0])
     t1, _, _ = conjugated_unitary(rng, N, 10.0, phases)
     t2, _, _ = conjugated_unitary(rng, N, 10.0, np.array([0.5, 2.0, 2.0, 5.0]))
-    return u.boundedness.require_bounded(t1), u.boundedness.require_bounded(t2)
+    return (u.check_uniformly_bounded(t1).decomposition,
+            u.check_uniformly_bounded(t2).decomposition)
 
 
 def test_inverse_is_computed_once_and_read_only(degenerate, monkeypatch):
     dec, _ = degenerate
     calls = []
     real_invert = u.core.invert
-    monkeypatch.setattr(u.core, "invert", lambda a, label: calls.append(label) or real_invert(a, label))
+    monkeypatch.setattr(u.core, "invert",
+                        lambda a, label, sv: calls.append(label) or real_invert(a, label, sv))
     first = dec.inverse
     assert dec.inverse is first and calls == ["eigenvector matrix"]
     assert np.array_equal(first, real_invert(dec.eigenvectors))
@@ -215,9 +217,9 @@ def test_cluster_pairing_is_the_explicit_formula(degenerate, rng, same):
         assert np.array_equal(u.metrics.projected_gram(dec1, K), want)
 
 
-# numpy.linalg entry points that cost one SVD each, and when: norm and cond
-# reach svd through numpy's module globals, so they are counted at the call,
-# as the benchmark's tracer does.
+# numpy.linalg entry points that cost one SVD per matrix, and when: norm and
+# cond reach svd through numpy's module globals, so they are counted at the
+# call, as the benchmark's tracer does.
 SVD_FAMILY = {
     "svd": lambda *a, **kw: True,
     "norm": lambda x, ord=None, axis=None, keepdims=False: (
@@ -229,13 +231,16 @@ SVD_FAMILY = {
 
 
 def _count_svd_family(monkeypatch) -> list[str]:
-    """The names of the SVD_FAMILY and inv calls made from now on."""
+    """The names of the SVD_FAMILY and inv calls made from now on, once per
+    matrix decomposed: a call on a stack of matrices counts its leading
+    dimension."""
     calls = []
 
     def counting(name, fn, applies):
         def wrapper(*args, **kwargs):
             if applies(*args, **kwargs):
-                calls.append(name)
+                a = np.asarray(args[0])
+                calls.extend([name] * (a.shape[0] if a.ndim == 3 else 1))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -246,15 +251,18 @@ def _count_svd_family(monkeypatch) -> list[str]:
 
 
 def test_boundedness_check_svd_calls(ops, monkeypatch):
-    """32 power SVDs (the k = 1 one is also the singularity test), eig's
-    spectral norm and the bound's cond; a well-conditioned orbit never
-    forms inv(T)."""
+    """32 power SVDs, the k = 1 one also the singularity test and eig's
+    spectral norm, and one of the eigenvector matrix for the bound's
+    cond(P), which the inverse eigenbasis's singularity test reads too; a
+    well-conditioned orbit never forms inv(T)."""
     calls = _count_svd_family(monkeypatch)
     report = u.check_uniformly_bounded(ops.t)
     assert report.bounded and len(report.decomposition.clusters) == N
     assert calls.count("inv") == 0
-    assert len(calls) == 34
-    assert calls.count("svd") == 32
+    assert len(calls) == 33
+    assert calls.count("svd") == 33
+    report.decomposition.inverse
+    assert calls.count("inv") == 1 and len(calls) == 34
 
 
 def test_generator_metric_svd_calls(rng, monkeypatch):
@@ -282,10 +290,11 @@ def test_report_carries_the_decomposition_it_decided_on(ops):
     assert np.all(np.abs(np.abs(dec.eigenvalues) - 1.0) <= 1e-9)
 
 
-def test_require_bounded_labels_the_reasons():
+def test_bounded_labels_the_reasons():
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(u.NotUniformlyBounded, match=r"^t1: unimodular eigenvalue"):
-        u.boundedness.require_bounded(jordan, label="t1: ")
+        with u.boundedness.bounded(jordan, label="t1: "):
+            pytest.fail("the block ran for an unbounded operator")
 
 
 # Every public entry point taking a fiducial form, called with operators of
@@ -396,7 +405,7 @@ def _metric_dependence_via_unitarizations(T, g0, g0_prime):
     kernel, as the construction first did."""
     T = u.core.as_operator(T)
     h0, h0p = (u.core.resolve_fiducial(g, T.shape[0]) for g in (g0, g0_prime))
-    dec = u.boundedness.require_bounded(T)
+    dec = u.check_uniformly_bounded(T).decomposition
     G, Gp = (np.asarray(u.metrics._spectral_unitarization(T, dec, h).invariant_form.gram)
              for h in (h0, h0p))
     G0, G0p = np.asarray(h0.gram), np.asarray(h0p.gram)

@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,7 +13,13 @@ from unitarize import (
     make_clock_shift,
     multiplicity_free_shortcut,
 )
-from unitarize.fixtures import commuting_conjugated_pair
+from unitarize import core
+from unitarize.core import OVERLAP_MIN_DIM
+from unitarize.fixtures import (
+    commuting_conjugated_pair,
+    invertible_with_condition,
+    jittered_unimodular_phases,
+)
 
 CFG = ToleranceConfig()
 
@@ -125,3 +133,40 @@ def test_heisenberg_checks_both_centrality_relations_alike(relation_tol, outcome
             assert f"{fails_with} t3 = t3 {fails_with}" in str(exc)
             got[fails_with] = "violated"
     assert got == {"t1": outcome, "t2": outcome}
+
+
+# -- overlapped decisions: each construction's answer built as the norms finish --
+
+
+def _weyl_and_pair_at_the_cutoff(rng):
+    """A Weyl triple and a commuting pair of dimension OVERLAP_MIN_DIM,
+    conjugated at cond 10; the pair's phases are jittered because rejection
+    sampling of this many fails."""
+    n = OVERLAP_MIN_DIM
+    s = invertible_with_condition(rng, n, 10.0)
+    triple = [np.linalg.solve(s, m @ s) for m in make_clock_shift(n)]
+    d1, d2 = (np.exp(1j * jittered_unimodular_phases(rng, n, np.pi / n)) for _ in range(2))
+    pair = [np.linalg.solve(s, d[:, None] * s) for d in (d1, d2)]
+    return triple, pair
+
+
+def _family_bytes(result):
+    return ([(label, form.gram.tobytes()) for label, form in result.stages],
+            result.form.gram.tobytes(), result.unitarity_residuals)
+
+
+@pytest.mark.parametrize("construction", ["commuting_pair_metric", "heisenberg_metric"])
+def test_overlapped_construction_equals_the_serial_one(rng, monkeypatch, submitted, construction):
+    triple, pair = _weyl_and_pair_at_the_cutoff(rng)
+    call = {
+        "commuting_pair_metric": lambda: commuting_pair_metric(*pair, None, CFG),
+        "heisenberg_metric": lambda: heisenberg_metric(*triple, None, CFG),
+    }[construction]
+    results = []
+    for overlap in (False, True):
+        monkeypatch.setattr(core, "_overlaps", lambda n, o=overlap: o)
+        results.append(_family_bytes(call()))
+    assert results[1] == results[0]
+    decisions = 2 if construction == "commuting_pair_metric" else 3
+    assert [isinstance(f, Future) for f in submitted] == [False] * decisions + [True] * decisions
+    assert all(f.done() for f in submitted[decisions:])

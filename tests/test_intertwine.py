@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,10 +16,12 @@ from unitarize import (
     make_clock_shift,
     mixed_cesaro,
 )
-from unitarize.boundedness import require_bounded
-from unitarize.core import resolve_fiducial
+from unitarize import core
+from unitarize.boundedness import bounded
+from unitarize.core import OVERLAP_MIN_DIM, resolve_fiducial
 from unitarize.fixtures import (
     conjugated_unitary,
+    jittered_unimodular_phases,
     positive_definite_fixture,
     unimodular_phases,
 )
@@ -92,8 +96,8 @@ def _scaled_connector_via_frames(t1, t2, weights, h0):
     G0 = np.asarray(h0.gram)
     Qs, frames = [], []
     for t in (t1, t2):
-        dec = require_bounded(t, DEFAULT_TOLERANCES)
-        Q = _spectral_unitarization(np.asarray(t), dec, h0).positive_similarity
+        with bounded(t, DEFAULT_TOLERANCES) as dec:
+            Q = _spectral_unitarization(np.asarray(t), dec, h0).positive_similarity
         frame = Q @ dec.eigenvectors
         frame /= np.sqrt(np.einsum("ij,ij->j", frame.conj(), G0 @ frame).real)
         Qs.append(Q)
@@ -156,3 +160,26 @@ def test_are_intertwined_detects_violations(rng):
     assert not are_intertwined(shift, clock, A)
     with pytest.warns(UserWarning, match="zero"):
         assert are_intertwined(clock, shift, np.zeros((3, 3)))
+
+
+def test_overlapped_intertwiner_equals_the_serial_one(rng, monkeypatch, submitted):
+    """At n = OVERLAP_MIN_DIM the second decision's eig and the connecting
+    map run while the worker finishes the power norms; the result is the
+    serial one bit for bit.  The operators share half their eigenvalues."""
+    n = OVERLAP_MIN_DIM
+    phases = jittered_unimodular_phases(rng, n, np.pi / n)
+    other = phases.copy()
+    other[::2] += np.pi / n
+    T1, _, _ = conjugated_unitary(rng, n, 10.0, phases)
+    T2, _, _ = conjugated_unitary(rng, n, 10.0, other)
+    results = []
+    for overlap in (False, True):
+        monkeypatch.setattr(core, "_overlaps", lambda n, o=overlap: o)
+        r = intertwiner(T1, T2, None, CFG)
+        results.append((r.in_fiducial_metric.tobytes(), r.in_first_metric.tobytes(),
+                        r.in_second_metric.tobytes(), r.common_eigenvalues, r.rank,
+                        r.relation_residuals))
+    assert results[0][4] == n // 2
+    assert results[1] == results[0]
+    assert [isinstance(f, Future) for f in submitted] == [False, False, True, True]
+    assert all(f.done() for f in submitted[2:])

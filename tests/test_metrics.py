@@ -45,7 +45,7 @@ from unitarize.fixtures import (
     unimodular_phases,
 )
 from unitarize import core, metrics
-from unitarize.boundedness import require_bounded
+from unitarize.boundedness import bounded
 from unitarize.core import BLAS_THREAD_VARS, OVERLAP_MIN_DIM
 from unitarize.metrics import DIVERGENCE_FACTOR
 
@@ -286,8 +286,8 @@ def _generator_metric_via_cayley(H):
     """generator_metric's form as first built: the invariant metric of the
     Cayley image, read from a second decision on the image."""
     image = cayley(H)
-    dec = require_bounded(image, CFG)
-    return metrics._averaged_form(dec, HermitianForm.identity(image.shape[0])).gram
+    with bounded(image, CFG) as dec:
+        return metrics._averaged_form(dec, HermitianForm.identity(image.shape[0])).gram
 
 
 def test_generator_metric_matches_the_cayley_route(rng):
