@@ -15,9 +15,10 @@ H is diagonalizable with real spectrum.
 The two halves of a decision are independent.  The calling thread runs the
 singularity test (the k = 1 SVD, whose largest singular value is also the
 operator norm eig reads), then eig and the verdict; the power norms from
-k = 2 on run on the worker thread meanwhile when core._overlaps holds (the
-policy of the overlapped double-and-add), and on the calling thread after
-the verdict otherwise.  Either way each half runs the same LAPACK calls on
+k = 2 on run on the worker thread meanwhile when one stack of their SVDs
+releases the GIL (n >= 17) and the host suits (core._overlaps: two usable
+CPUs, BLAS pinned to one thread), and on the calling thread after the
+verdict otherwise.  Either way each half runs the same LAPACK calls on
 the same operands, so the report is bitwise the same.  The constructions
 decide through bounded(), whose with-block runs on the calling thread
 before the norms are read, so the answer is built while they finish.
@@ -68,6 +69,21 @@ RECIPROCAL_RTOL = 1e-4
 # thread taking both shares: 1.94x faster at n = 501 and 0.95x at n = 500;
 # at n = 128, stacks of 4 1.97x and stacks of 3 0.86x.  The singular values
 # of a stack are bitwise those of one call per matrix.
+#
+# The cut also sets when a decision overlaps: exactly when one stack's SVD
+# runs without the GIL, n * _power_stack_size(n, POWER_SAMPLE_RANGE) > 500,
+# which holds from n = 17 on (at n = 16 a stack of 31 powers has 496 values).
+# Measured on the same host as serial over overlapped time, medians of 7
+# alternating rounds:
+#
+#   n    check_uniformly_bounded   invariant_metric   intertwiner
+#   8    0.86x
+#   12   about 1.0x
+#   16   1.08x (the stack holds the GIL)
+#   20   1.38x                     1.25x              1.35x
+#   24   1.40x                     1.53x              1.46x
+#   32   1.35x                     1.36x              1.38x
+#   64   1.37x                     1.55x              1.48x
 GIL_HELD_MAX_OUTPUT = 500
 
 VERDICT_BOUNDED = "uniformly_bounded"
@@ -207,19 +223,23 @@ def check_uniformly_bounded(
     """Decide sup_k ||T^k|| < infinity over all integer powers k.
 
     The power norms run on the worker thread while this thread runs eig
-    when core._overlaps holds, and after the verdict otherwise (see the
-    module docstring); the report is bitwise the same either way.  bounded
-    passes _pending, a list: the report then comes back with no power
-    norms, and the object that yields them goes on the list for bounded to
-    read when its block ends.
+    from n = 17 on when core._overlaps holds, and after the verdict
+    otherwise (see the module docstring); the report is bitwise the same
+    either way.  bounded passes _pending, a list: the report then comes back
+    with no power norms, and the object that yields them goes on the list
+    for bounded to read when its block ends.
 
     Raises NotAutomorphism for numerically singular input.
     """
     T = as_operator(operator)
     sv = require_nonsingular(T, NotAutomorphism, "operator is numerically singular")
-    # sampled_power_norms and eig are read from the module at call time, so
-    # a wrapper put in their place (a tracer, a test) sees both calls.
-    submit = core._overlap_submit(T.shape[0])
+    # The norms go to the worker when one stack of their SVDs runs without
+    # the GIL (n >= 17; see GIL_HELD_MAX_OUTPUT).  sampled_power_norms and eig
+    # are read from the module at call time, so a wrapper put in their place
+    # (a tracer, a test) sees both calls.
+    n = T.shape[0]
+    releases_gil = n * _power_stack_size(n, POWER_SAMPLE_RANGE) > GIL_HELD_MAX_OUTPUT
+    submit = core._overlap_submit(releases_gil)
     powers = submit(sampled_power_norms, T, POWER_SAMPLE_RANGE, sv)
     try:
         dec = eig(T, cfg, float(sv[0]))

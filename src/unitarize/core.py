@@ -6,7 +6,8 @@ h(x, y) = x* G y.  Eigendecompositions come back sorted, phase-fixed, and
 grouped into clusters so that every routine downstream sees the same
 deterministic spectral data.  The one worker thread also lives here: the
 double-and-add pass (metrics) and the decision (boundedness) hand it one
-independent half of their work under one policy (_overlaps).
+independent half of their work when the host suits (_overlaps) and their own
+size test passes.
 """
 
 from __future__ import annotations
@@ -46,26 +47,18 @@ PSD_RTOL = 1e-10
 # the standard one.
 IDENTITY_RTOL = 1e-14
 
-# Smallest dimension at which independent work runs on a second thread: the
-# powers of a double-and-add step while the calling thread updates the sum
-# (metrics), and the sampled power norms while the calling thread runs eig
-# (boundedness).  numpy's matmul holds the GIL for small operands, so below
-# the cut the two threads take turns and the hand-off is pure cost.
-# Calibrated on a 2-core x86 host with one OpenBLAS thread.  Double-and-add,
-# at horizon 2^20, as serial / overlapped time of one pass with one shared
-# operator (cesaro_oracle) and with two (mixed_cesaro): n=8 0.25 / 0.96 ms,
-# n=32 0.88 / 1.63 ms, n=64 1.04x slower with one operator and 1.2x faster
-# with two, n=72 1.06x and 1.3x faster, n=128 1.25x and 1.9x, n=256 1.33x
-# and 2.0x.  One shared operator leaves the worker one product per step
-# against the sum's two, which caps its gain at 1.5x.  The decision,
-# check_uniformly_bounded on a bounded operator at cond 10, as serial /
-# overlapped time (medians of 9 alternating rounds, ranges over 2-3 runs),
-# with the power norms' SVDs in stacks that release the GIL
-# (boundedness.GIL_HELD_MAX_OUTPUT): n=64 1.12-1.35x faster, n=72
-# 1.15-1.36x, n=128 1.45-1.50x, against 1.11x, 1.02x and 1.43x with one SVD
-# per power; invariant_metric, whose closed form is built while the norms
-# finish, n=64 1.25x, n=72 1.26-1.57x, n=128 1.60x.  n=64 now gains too; the
-# cut stays at 72 until the workloads at n=64 are measured with it moved.
+# Smallest dimension at which a double-and-add pass (metrics) forms each
+# step's powers on the worker thread while the calling thread updates the sum.
+# numpy's matmul holds the GIL for small operands, so below the cut the two
+# threads take turns and the hand-off is pure cost.  Calibrated on a 2-core
+# x86 host with one OpenBLAS thread, as serial over overlapped time of one
+# pass at horizon 2^20 (above 1: the overlap is faster).  With one shared
+# operator (cesaro_oracle): n=8 0.26x, n=32 0.56x, n=48 0.75x, n=56 0.88x,
+# n=64 0.96x, n=72 1.06x, n=128 1.25x, n=256 1.33x.  With two (mixed_cesaro):
+# n=64 1.2x, n=72 1.3x, n=128 1.9x, n=256 2.0x.  One shared operator leaves
+# the worker one product per step against the sum's two, which caps its gain
+# at 1.5x.  The decision has its own size test, set by when its power SVDs
+# release the GIL (boundedness.GIL_HELD_MAX_OUTPUT).
 OVERLAP_MIN_DIM = 72
 
 # The thread counts the BLAS libraries numpy ships with obey.  The overlap
@@ -198,10 +191,13 @@ def spectral_band(operator_norm: float, cfg: ToleranceConfig | None = None) -> f
     return max(cfg.unitarity_tol, CLUSTER_FLOOR * (1.0 + operator_norm))
 
 
-def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
-    """Transitive closure of the relation |v_i - v_j| <= tol."""
-    n = values.size
-    labels = np.arange(n)
+def _cluster_labels(dist: np.ndarray, tol: float) -> np.ndarray:
+    """Transitive closure of the relation dist[i, j] <= tol, as the smallest
+    index of each index's class.  The close pairs come from one vectorised
+    comparison and are merged in (i, j) order; the merging loop runs over
+    those pairs only, not over all n^2 / 2 of them."""
+    n = len(dist)
+    labels = list(range(n))
 
     def find(i):
         while labels[i] != i:
@@ -209,13 +205,11 @@ def _cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
             i = labels[i]
         return i
 
-    dist = np.abs(values[:, None] - values[None, :])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i, j] <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    labels[max(ri, rj)] = min(ri, rj)
+    rows, cols = np.nonzero(np.triu(dist <= tol, 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            labels[max(ri, rj)] = min(ri, rj)
     return np.array([find(i) for i in range(n)])
 
 
@@ -344,7 +338,8 @@ def eig(
     op_norm = spectral_norm(T) if operator_norm is None else operator_norm
     scale = 1.0 + op_norm
     tol = effective_cluster_tol(op_norm, cfg)
-    labels = _cluster_labels(w, tol)
+    dist = np.abs(w[:, None] - w[None, :])
+    labels = _cluster_labels(dist, tol)
 
     clusters = []
     for root in sorted(set(labels.tolist())):
@@ -352,7 +347,6 @@ def eig(
     clusters.sort(key=lambda idx: idx[0])
     clusters = tuple(clusters)
 
-    dist = np.abs(w[:, None] - w[None, :])
     cross = labels[:, None] != labels[None, :]
     near = int(np.sum(cross & (dist <= 2.0 * tol)) // 2)
     if near:
@@ -481,11 +475,12 @@ def invariance_residual(operator: np.ndarray, gram) -> float:
     return float(np.linalg.norm(defect) / np.linalg.norm(g))
 
 
-def _overlaps(n: int) -> bool:
-    """Whether work on dimension-n operators goes to the worker thread: n at
-    least OVERLAP_MIN_DIM, at least two usable CPUs, and BLAS pinned to one
-    thread (some BLAS_THREAD_VARS set, every one set reading 1)."""
-    if n < OVERLAP_MIN_DIM:
+def _overlaps(large_enough: bool) -> bool:
+    """Whether work goes to the worker thread: the caller's own size test
+    passed (large_enough), the process may run on at least two CPUs, and
+    BLAS is pinned to one thread (some BLAS_THREAD_VARS set, every one set
+    reading 1)."""
+    if not large_enough:
         return False
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -498,7 +493,7 @@ def _overlaps(n: int) -> bool:
 
 
 class _Deferred:
-    """The serial twin of a future: fn runs on the calling thread when its
+    """The serial twin of a _Task: fn runs on the calling thread when its
     result is read, so the caller does its own half of the work first.  A
     double-and-add pass that formed its powers first instead was 1.13x
     slower at n=256 with unpinned BLAS on a 2-core host."""
@@ -514,8 +509,52 @@ class _Deferred:
         return fn(*args)
 
 
-# The one worker thread, started by the first overlapped call.  A forked child
-# inherits the executor but not its thread, so the child forgets both.
+class _Task:
+    """fn(*args) as handed to the worker thread: result() waits for the
+    worker to run it, then returns its value or raises its exception."""
+
+    __slots__ = ("_call", "_done", "_value", "_error")
+
+    def __init__(self, fn, *args):
+        self._call = (fn, args)
+        self._done = threading.Event()
+        self._value = self._error = None
+
+    def run(self) -> None:
+        fn, args = self._call
+        self._call = None
+        try:
+            self._value = fn(*args)
+        except BaseException as exc:
+            self._error = exc
+        self._done.set()
+
+    def done(self) -> bool:
+        return self._done.is_set()
+
+    def result(self):
+        self._done.wait()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def _work(tasks) -> None:
+    # The worker thread's loop.  It binds no task between runs, so an idle
+    # worker holds no operand or result alive.
+    while True:
+        tasks.get().run()
+
+
+def _submit(tasks, fn, *args) -> _Task:
+    task = _Task(fn, *args)
+    tasks.put(task)
+    return task
+
+
+# The one worker thread's task queue, made with the thread by the first
+# overlapped call.  A forked child inherits the queue but not the thread, so
+# the child forgets both.
 _worker = None
 _worker_lock = threading.Lock()
 
@@ -529,19 +568,24 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _overlap_submit(n: int):
-    """submit(fn, *args) -> an object with result(): the worker's when
-    _overlaps(n), otherwise one that runs fn on the calling thread.  A task
-    given to the worker must not submit work itself: there is one worker,
-    and it would wait on its own queue."""
+def _overlap_submit(large_enough: bool):
+    """submit(fn, *args) -> an object with result(): a _Task run by the
+    worker thread when _overlaps(large_enough), otherwise a _Deferred that
+    runs fn on the calling thread.  Each caller brings its own size test as
+    large_enough.  A task given to the worker must not submit work itself:
+    there is one worker, and it would wait on its own queue."""
     global _worker
-    if not _overlaps(n):
+    if not _overlaps(large_enough):
         return _Deferred
     with _worker_lock:
         if _worker is None:
-            # Imported here so that importing the package starts no thread
-            # and loads no executor machinery.
-            from concurrent.futures import ThreadPoolExecutor
+            # Imported here so that importing the package loads no queue
+            # machinery; nor does it start a thread.  The thread is a daemon
+            # so that it does not hold the interpreter open at exit: every
+            # submitter waits on its task, so by then the worker is idle.
+            import queue
 
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="unitarize-worker")
-        return _worker.submit
+            _worker = queue.SimpleQueue()
+            threading.Thread(target=_work, args=(_worker,), name="unitarize-worker",
+                             daemon=True).start()
+        return functools.partial(_submit, _worker)

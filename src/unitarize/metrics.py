@@ -203,11 +203,12 @@ def _double_and_add(left, kernels, right, count: int) -> tuple[list, list]:
     DIVERGENCE_FACTOR times its kernel norm and term count raises
     DivergenceDetected.
 
-    The powers of each step are independent of its sum update, so when
-    core._overlaps holds they are formed on one worker thread while the calling
-    thread updates the sum; otherwise the calling thread forms them after
-    the sum update.  Both modes run the same products on the same operands,
-    so the matmul count and every bit of the result are the same.
+    The powers of each step are independent of its sum update, so from
+    n = core.OVERLAP_MIN_DIM on, when core._overlaps holds, they are formed
+    on one worker thread while the calling thread updates the sum; otherwise
+    the calling thread forms them after the sum update.  Both modes run the
+    same products on the same operands, so the matmul count and every bit of
+    the result are the same.
     """
     shared = left is right
     L = as_operator(left)
@@ -217,7 +218,7 @@ def _double_and_add(left, kernels, right, count: int) -> tuple[list, list]:
         raise InvalidInput("operator and kernel dimensions differ")
     if count < 1:
         raise InvalidInput("the horizon must be a positive integer")
-    submit = core._overlap_submit(L.shape[0])
+    submit = core._overlap_submit(L.shape[0] >= core.OVERLAP_MIN_DIM)
     k_norms = [max(np.linalg.norm(K), 1e-300) for K in Ks]
     bits = bin(int(count))[2:]
     last = len(bits) - 1
@@ -260,7 +261,7 @@ def mixed_pullback_mean(left, kernel, right, count: int) -> np.ndarray:
     One pass over the bits of count, whose prefix before the last bit is the
     sum at count // 2.  It takes about 4 log2(count) matmuls, or
     3 log2(count) when left is right and each power is formed once.  Under
-    the overlap policy (core._overlaps: n >= OVERLAP_MIN_DIM, two usable CPUs,
+    the overlap policy (n >= core.OVERLAP_MIN_DIM, two usable CPUs,
     BLAS pinned to one thread) each step's powers are formed on a worker
     thread while the sum updates, with the same matmul count and a
     bitwise-equal result.

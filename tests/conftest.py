@@ -20,7 +20,7 @@ def rng(request):
 @pytest.fixture
 def submitted(monkeypatch):
     """Every object a double-and-add pass or a decision waits on, in
-    submission order: futures of the worker, or serial stand-ins."""
+    submission order: the worker's tasks, or serial stand-ins."""
     out = []
     real = core._overlap_submit
 

@@ -2,7 +2,6 @@ import functools
 import threading
 import time
 import warnings
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from unitarize.boundedness import (
     VERDICT_NOT_NORMAL,
     VERDICT_SELF_ADJOINT_LIKE,
 )
-from unitarize.core import OVERLAP_MIN_DIM
+from unitarize.core import _Task
 from unitarize.errors import ClusterAmbiguity
 from unitarize.fixtures import (
     conjugated_unitary,
@@ -257,7 +256,9 @@ def test_power_norms_equal_the_repeated_products(rng, kind):
 
 # -- the overlapped decision: eig on the caller, power norms on the worker --
 
-N_CUT = OVERLAP_MIN_DIM
+# The decision's overlap cut: from n = 17 on one stack of the power SVDs
+# runs without the GIL (test_metrics.test_each_kind_of_work_overlaps_from_its_own_cut).
+N_CUT = 17
 
 
 def _conjugated(rng, diagonal, superdiagonal=0.0):
@@ -310,7 +311,7 @@ def test_overlapped_decision_equals_the_serial_one(rng, kind, verdict, monkeypat
     assert bool(serial.off_circle) == (kind == "off_circle")
     assert _report_fields(overlapped) == _report_fields(serial)
     # one hand-off per decision, and the worker's is finished on return
-    assert [isinstance(f, Future) for f in submitted] == [False, True]
+    assert [isinstance(f, _Task) for f in submitted] == [False, True]
     assert submitted[1].done()
 
 
@@ -319,8 +320,8 @@ def test_host_policy_decision_at_the_cutoff(rng, monkeypatch, submitted):
     # this decision overlaps, otherwise it is serial.
     T = _cutoff_input(rng, "bounded")
     got = check_uniformly_bounded(T, CFG)
-    assert [isinstance(f, Future) for f in submitted] == [core._overlaps(N_CUT)]
-    assert all(f.done() for f in submitted if isinstance(f, Future))
+    assert [isinstance(f, _Task) for f in submitted] == [core._overlaps(True)]
+    assert all(f.done() for f in submitted if isinstance(f, _Task))
     monkeypatch.setattr(core, "_overlaps", lambda n: False)
     assert _report_fields(got) == _report_fields(check_uniformly_bounded(T, CFG))
 
@@ -370,7 +371,7 @@ def test_cluster_ambiguity_reaches_the_caller_when_overlapped(rng, monkeypatch, 
     assert len(serial) == 1 and serial[0][0] is ClusterAmbiguity
     assert "1 eigenvalue pair(s)" in serial[0][1]
     assert overlapped == serial
-    assert [isinstance(f, Future) for f in submitted] == [False, True]
+    assert [isinstance(f, _Task) for f in submitted] == [False, True]
 
 
 def test_given_singular_values_stand_in_for_the_singularity_test(rng, monkeypatch):
@@ -522,5 +523,5 @@ def test_unbounded_verdict_raises_after_the_norms_are_read(rng, monkeypatch, sub
         with boundedness.bounded(_cutoff_input(rng, "jordan"), CFG, "t2: "):
             pytest.fail("the block ran for an unbounded operator")
     assert read == [1]
-    assert [isinstance(f, Future) for f in submitted] == [overlap]
-    assert all(f.done() for f in submitted if isinstance(f, Future))
+    assert [isinstance(f, _Task) for f in submitted] == [overlap]
+    assert all(f.done() for f in submitted if isinstance(f, _Task))

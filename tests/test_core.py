@@ -12,7 +12,9 @@ from unitarize import (
     eig,
     psd_sqrt,
 )
+from unitarize import core
 from unitarize.core import ClusterAmbiguity, effective_cluster_tol, invert
+from unitarize.fixtures import defective_unimodular
 
 
 def test_as_operator_rejects_nonsquare():
@@ -87,6 +89,60 @@ def test_eig_warns_on_ambiguous_clustering():
     T = np.diag([1.0, 1.0 + gap]).astype(complex)
     with pytest.warns(ClusterAmbiguity):
         eig(T, cfg)
+
+
+def _double_loop_labels(values, tol):
+    """The reference clustering: every pair i < j in order, merged when
+    |v_i - v_j| <= tol, by union-find that keeps the smaller root."""
+    n = values.size
+    labels = np.arange(n)
+
+    def find(i):
+        while labels[i] != i:
+            labels[i] = labels[labels[i]]
+            i = labels[i]
+        return i
+
+    dist = np.abs(values[:, None] - values[None, :])
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i, j] <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    labels[max(ri, rj)] = min(ri, rj)
+    return np.array([find(i) for i in range(n)])
+
+
+def _cluster_spectra(rng):
+    """(values, tol) cases: chains whose links are each within the radius but
+    whose ends are not, in shuffled order; split Jordan eigenvalues at the
+    radius eig uses; and pairs exactly at the radius or one ulp past it."""
+    tol = 1e-6
+    for _ in range(5):
+        chain = np.exp(1j * (0.9 * tol * np.arange(12)))
+        spread = np.exp(1j * np.linspace(1.0, 5.0, 8))
+        yield rng.permutation(np.r_[chain, spread, chain[::3] * 1j]), tol
+    for n in (4, 8):
+        T = defective_unimodular(rng, n, 10.0)
+        op_norm = float(np.linalg.norm(T, 2))
+        yield np.linalg.eig(T)[0], effective_cluster_tol(op_norm)
+    base = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    at = base + tol
+    gap = np.abs(at - base)
+    past = base + np.nextafter(gap, np.inf)
+    yield rng.permutation(np.r_[base, at, past]), float(gap.max())
+    yield np.r_[base, at, past], float(gap.min())
+
+
+def test_cluster_labels_match_the_double_loop(rng):
+    merged = 0
+    for values, tol in _cluster_spectra(rng):
+        dist = np.abs(values[:, None] - values[None, :])
+        want = _double_loop_labels(values, tol)
+        assert np.array_equal(core._cluster_labels(dist, tol), want)
+        merged += len(set(want.tolist())) < values.size
+    # every case merges some pair, so none passes on singletons alone
+    assert merged == 9
 
 
 def test_same_cluster_mask():

@@ -1,5 +1,3 @@
-from concurrent.futures import Future
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,7 +12,7 @@ from unitarize import (
     multiplicity_free_shortcut,
 )
 from unitarize import core
-from unitarize.core import OVERLAP_MIN_DIM
+from unitarize.core import _Task
 from unitarize.fixtures import (
     commuting_conjugated_pair,
     invertible_with_condition,
@@ -138,11 +136,10 @@ def test_heisenberg_checks_both_centrality_relations_alike(relation_tol, outcome
 # -- overlapped decisions: each construction's answer built as the norms finish --
 
 
-def _weyl_and_pair_at_the_cutoff(rng):
-    """A Weyl triple and a commuting pair of dimension OVERLAP_MIN_DIM,
-    conjugated at cond 10; the pair's phases are jittered because rejection
-    sampling of this many fails."""
-    n = OVERLAP_MIN_DIM
+def _weyl_and_pair(rng, n):
+    """A Weyl triple and a commuting pair of dimension n, conjugated at
+    cond 10; the pair's phases are jittered because rejection sampling of
+    this many fails."""
     s = invertible_with_condition(rng, n, 10.0)
     triple = [np.linalg.solve(s, m @ s) for m in make_clock_shift(n)]
     d1, d2 = (np.exp(1j * jittered_unimodular_phases(rng, n, np.pi / n)) for _ in range(2))
@@ -155,9 +152,14 @@ def _family_bytes(result):
             result.form.gram.tobytes(), result.unitarity_residuals)
 
 
-@pytest.mark.parametrize("construction", ["commuting_pair_metric", "heisenberg_metric"])
-def test_overlapped_construction_equals_the_serial_one(rng, monkeypatch, submitted, construction):
-    triple, pair = _weyl_and_pair_at_the_cutoff(rng)
+# at the decision's overlap cut (test_boundedness.N_CUT) and connect_n64's size
+@pytest.mark.parametrize("construction, n", [
+    ("commuting_pair_metric", 17), ("heisenberg_metric", 17),
+    ("commuting_pair_metric", 64), ("heisenberg_metric", 64),
+], ids=["commuting_pair_metric", "heisenberg_metric",
+        "commuting_pair_metric-n64", "heisenberg_metric-n64"])
+def test_overlapped_construction_equals_the_serial_one(rng, monkeypatch, submitted, construction, n):
+    triple, pair = _weyl_and_pair(rng, n)
     call = {
         "commuting_pair_metric": lambda: commuting_pair_metric(*pair, None, CFG),
         "heisenberg_metric": lambda: heisenberg_metric(*triple, None, CFG),
@@ -168,5 +170,5 @@ def test_overlapped_construction_equals_the_serial_one(rng, monkeypatch, submitt
         results.append(_family_bytes(call()))
     assert results[1] == results[0]
     decisions = 2 if construction == "commuting_pair_metric" else 3
-    assert [isinstance(f, Future) for f in submitted] == [False] * decisions + [True] * decisions
+    assert [isinstance(f, _Task) for f in submitted] == [False] * decisions + [True] * decisions
     assert all(f.done() for f in submitted[decisions:])

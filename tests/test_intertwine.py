@@ -1,5 +1,3 @@
-from concurrent.futures import Future
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,7 +16,7 @@ from unitarize import (
 )
 from unitarize import core
 from unitarize.boundedness import bounded
-from unitarize.core import OVERLAP_MIN_DIM, resolve_fiducial
+from unitarize.core import _Task, resolve_fiducial
 from unitarize.fixtures import (
     conjugated_unitary,
     jittered_unimodular_phases,
@@ -162,11 +160,12 @@ def test_are_intertwined_detects_violations(rng):
         assert are_intertwined(clock, shift, np.zeros((3, 3)))
 
 
-def test_overlapped_intertwiner_equals_the_serial_one(rng, monkeypatch, submitted):
-    """At n = OVERLAP_MIN_DIM the second decision's eig and the connecting
-    map run while the worker finishes the power norms; the result is the
-    serial one bit for bit.  The operators share half their eigenvalues."""
-    n = OVERLAP_MIN_DIM
+# the decision's overlap cut (test_boundedness.N_CUT) and connect_n64's size
+@pytest.mark.parametrize("n", [17, 64])
+def test_overlapped_intertwiner_equals_the_serial_one(rng, monkeypatch, submitted, n):
+    """The second decision's eig and the connecting map run while the worker
+    finishes the power norms; the result is the serial one bit for bit.  The
+    operators share half their eigenvalues."""
     phases = jittered_unimodular_phases(rng, n, np.pi / n)
     other = phases.copy()
     other[::2] += np.pi / n
@@ -181,5 +180,5 @@ def test_overlapped_intertwiner_equals_the_serial_one(rng, monkeypatch, submitte
                         r.relation_residuals))
     assert results[0][4] == n // 2
     assert results[1] == results[0]
-    assert [isinstance(f, Future) for f in submitted] == [False, False, True, True]
+    assert [isinstance(f, _Task) for f in submitted] == [False, False, True, True]
     assert all(f.done() for f in submitted[2:])

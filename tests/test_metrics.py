@@ -4,7 +4,6 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +45,7 @@ from unitarize.fixtures import (
 )
 from unitarize import core, metrics
 from unitarize.boundedness import bounded
-from unitarize.core import BLAS_THREAD_VARS, OVERLAP_MIN_DIM
+from unitarize.core import BLAS_THREAD_VARS, OVERLAP_MIN_DIM, _Task
 from unitarize.metrics import DIVERGENCE_FACTOR
 
 CFG = ToleranceConfig()
@@ -490,7 +489,7 @@ def mode(request, monkeypatch, submitted):
     overlap = request.param == "overlap"
     monkeypatch.setattr(core, "_overlaps", lambda n: overlap)
     yield request.param
-    assert all(isinstance(f, Future) == overlap for f in submitted)
+    assert all(isinstance(f, _Task) == overlap for f in submitted)
     assert not overlap or all(f.done() for f in submitted)
 
 
@@ -524,19 +523,19 @@ def test_overlapped_divergence_releases_the_work_arrays(monkeypatch, submitted):
     monkeypatch.setattr(core, "_overlaps", lambda n: True)
     test_divergence_traceback_pins_no_work_arrays()
     test_divergence_in_the_oracle_releases_the_half_horizon_sum()
-    assert submitted and all(isinstance(f, Future) and f.done() for f in submitted)
-    # nor does the raising frame keep a future, whose result pins the powers
+    assert submitted and all(isinstance(f, _Task) and f.done() for f in submitted)
+    # nor does the raising frame keep a task, whose result pins the powers
     T = 1.05 * np.eye(3, dtype=complex)
     with pytest.raises(DivergenceDetected) as info:
         mixed_pullback_mean(T, np.eye(3, dtype=complex), T, 512)
     inner = _traceback_frames(info.value)[-1]
-    assert not [v for v in inner.f_locals.values() if isinstance(v, Future)]
+    assert not [v for v in inner.f_locals.values() if isinstance(v, _Task)]
 
 
 @pytest.fixture
 def pinned_host(monkeypatch):
     """Two usable CPUs, BLAS pinned to one thread, and no worker yet: the
-    policy overlaps from OVERLAP_MIN_DIM unless a test undoes one of them."""
+    host suits the overlap unless a test undoes one of them."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for var in BLAS_THREAD_VARS:
@@ -567,10 +566,26 @@ def test_policy_starts_a_thread_only_when_all_three_hold(pinned_host, host):
     got = mixed_pullback_mean(T, K, T, 1000)
     started = set(threading.enumerate()) - before
     overlaps = host == "pinned"
-    assert core._overlaps(n) == overlaps
+    assert core._overlaps(n >= OVERLAP_MIN_DIM) == overlaps
     assert (core._worker is not None) == overlaps
     assert len(started) == int(overlaps)
     assert np.array_equal(got, _reference_mixed_mean(T, K, T, 1000))
+
+
+@pytest.mark.parametrize("work, cut", [("decision", 17), ("double_and_add", OVERLAP_MIN_DIM)])
+def test_each_kind_of_work_overlaps_from_its_own_cut(pinned_host, submitted, work, cut):
+    """On a suited host the decision overlaps once one stack of its power
+    SVDs releases the GIL (n = 17), the double-and-add from OVERLAP_MIN_DIM."""
+    modes = []
+    for n in (cut - 1, cut):
+        T = _bounded(n)
+        if work == "decision":
+            check_uniformly_bounded(T, CFG)
+        else:
+            mixed_pullback_mean(T, np.eye(n, dtype=complex), T, 1000)
+        modes.append({type(f) for f in submitted})
+        submitted.clear()
+    assert modes == [{core._Deferred}, {_Task}]
 
 
 def _decided(T):
@@ -641,7 +656,7 @@ def test_host_policy_matches_the_reference_at_the_cutoff(submitted):
     form, got = cesaro_oracle(T, K, count, CFG)
     assert np.array_equal(form.gram, gram) and got == drift
     assert submitted
-    assert all(isinstance(f, Future) == core._overlaps(n) for f in submitted)
+    assert all(isinstance(f, _Task) == core._overlaps(True) for f in submitted)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
