@@ -18,15 +18,23 @@ operator norm eig reads), then eig and the verdict; the power norms from
 k = 2 on run on the worker thread meanwhile when one stack of their SVDs
 releases the GIL (n >= 17) and the host suits (core._overlaps: two usable
 CPUs, BLAS pinned to one thread), and on the calling thread after the
-verdict otherwise.  Either way each half runs the same LAPACK calls on
-the same operands, so the report is bitwise the same.  The constructions
-decide through bounded(), whose with-block runs on the calling thread
-before the norms are read, so the answer is built while they finish.
+verdict otherwise.  The stacks are shared: once the calling thread is done
+with its half, and before it reads the norms, it decomposes the stacks the
+worker has not reached, so neither thread waits while the other still has
+stacks to take.  Whichever thread takes a stack, its powers are the same
+product chain and its SVD the same call, so the report is bitwise the
+same.  The constructions decide through bounded(), whose with-block runs
+on the calling thread before the norms are read, so the answer is built
+while the worker runs the stacks, and the caller joins it when the block
+ends.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +81,10 @@ RECIPROCAL_RTOL = 1e-4
 # The cut also sets when a decision overlaps: exactly when one stack's SVD
 # runs without the GIL, n * _power_stack_size(n, POWER_SAMPLE_RANGE) > 500,
 # which holds from n = 17 on (at n = 16 a stack of 31 powers has 496 values).
-# Measured on the same host as serial over overlapped time, medians of 7
-# alternating rounds:
+# The two threads can then each run a stack at once, so the calling thread,
+# done with eig and the answer, decomposes the stacks the worker has not
+# reached.  Measured on the same host as serial over overlapped time (the
+# worker taking every stack), medians of 7 alternating rounds:
 #
 #   n    check_uniformly_bounded   invariant_metric   intertwiner
 #   8    0.86x
@@ -84,6 +94,12 @@ RECIPROCAL_RTOL = 1e-4
 #   24   1.40x                     1.53x              1.46x
 #   32   1.35x                     1.36x              1.38x
 #   64   1.37x                     1.55x              1.48x
+#
+# With the caller taking its share of the stacks, the worker taking every
+# stack over the shared stacks, medians of 15 calls on the same host:
+# check_uniformly_bounded 1.27x at n = 64 (16.6 -> 13.1 ms) and 1.26x at
+# n = 128 (81.8 -> 64.7 ms), invariant_metric 1.18x (16.8 -> 14.2 ms) and
+# 1.13x (83.0 -> 73.7 ms).
 GIL_HELD_MAX_OUTPUT = 500
 
 VERDICT_BOUNDED = "uniformly_bounded"
@@ -144,31 +160,78 @@ def _power_stack_size(n: int, k_range: int) -> int:
     return max(1, min(k_range - 1, GIL_HELD_MAX_OUTPUT // n + 1))
 
 
-def _power_singular_values(T: np.ndarray, k_range: int, sv: np.ndarray):
-    """(k, singular values of T^k) for k = 1 .. k_range, where sv are those of
-    T.  Each T^k is the same left-to-right product as T^(k-1) @ T, written
-    into a stack of _power_stack_size powers that one SVD call decomposes."""
-    if k_range < 1:
-        return
-    yield 1, sv
-    n = T.shape[0]
-    b = _power_stack_size(n, k_range)
-    # T^k goes to slot (k - 2) % len(slots) rather than a fresh array per
-    # power: on the worker thread, whose allocator keeps what it frees, that
-    # holds peak RSS lower.  A second slot keeps a stack of one from reading
-    # and writing the same buffer.
-    slots = np.empty((max(b, 2), n, n), dtype=T.dtype)
-    fwd = T
-    for start in range(2, k_range + 1, b):
-        first = (start - 2) % len(slots)
-        stack = slots[first:first + min(b, k_range + 1 - start)]
-        for power in stack:
-            fwd = np.matmul(fwd, T, out=power)
-        yield from enumerate(np.linalg.svd(stack, compute_uv=False), start)
+class _PowerStacks:
+    """The powers T^2 .. T^k_range in stacks of _power_stack_size, shared by
+    every thread that calls run().  Each claim takes the next stack and
+    forms its powers from the running product while holding the lock, so
+    every T^k is the same left-to-right product as T^(k-1) @ T whichever
+    thread forms it; the stack's values-only SVD then runs with the lock
+    released.  results() yields the singular values in order of k once
+    every claimed stack is finished."""
+
+    def __init__(self, T: np.ndarray, k_range: int):
+        self._T = self._fwd = T
+        self._k_range = k_range
+        self._b = _power_stack_size(T.shape[0], k_range)
+        self._values = [None] * len(range(2, k_range + 1, self._b))
+        self._claimed = self._finished = 0
+        self._error = None
+        self._cond = threading.Condition()
+
+    def run(self) -> None:
+        """Claim and decompose stacks until none is left or one has failed;
+        a failure of this thread's stack is raised here."""
+        T, b = self._T, self._b
+        # T^k goes to slot (k - 2) % len(slots) of this thread's ring rather
+        # than a fresh array per power: on the worker thread, whose allocator
+        # keeps what it frees, that holds peak RSS lower.  A second slot keeps
+        # a stack of one from reading and writing the same buffer; the power
+        # a claim reads sits in a slot of the other parity, or in another
+        # thread's ring, which is only written under the lock.
+        slots = np.empty((max(b, 2),) + T.shape, dtype=T.dtype)
+        while True:
+            i = None
+            try:
+                with self._cond:
+                    if self._error is not None or self._claimed == len(self._values):
+                        return
+                    i = self._claimed
+                    self._claimed += 1
+                    start = 2 + i * b
+                    first = (start - 2) % len(slots)
+                    stack = slots[first:first + min(b, self._k_range + 1 - start)]
+                    for power in stack:
+                        self._fwd = np.matmul(self._fwd, T, out=power)
+                values = np.linalg.svd(stack, compute_uv=False)
+            except BaseException as exc:
+                if i is not None:
+                    self._finish(i, exc)
+                raise
+            self._finish(i, values)
+
+    def _finish(self, i: int, outcome) -> None:
+        with self._cond:
+            if isinstance(outcome, BaseException):
+                self._error = self._error or outcome
+            else:
+                self._values[i] = outcome
+            self._finished += 1
+            self._cond.notify_all()
+
+    def results(self):
+        """(k, singular values of T^k) for k = 2 .. k_range, once every
+        claimed stack is finished; call after run(), so that none is left
+        unclaimed.  A stack that failed on another thread raises here."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._finished == self._claimed)
+            if self._error is not None:
+                raise RuntimeError("a power stack failed on another thread") from self._error
+        for i, values in enumerate(self._values):
+            yield from enumerate(values, 2 + i * self._b)
 
 
 def sampled_power_norms(
-    T, k_range: int = POWER_SAMPLE_RANGE, singular_values=None
+    T, k_range: int = POWER_SAMPLE_RANGE, singular_values=None, _stacks=None
 ) -> dict[int, float]:
     """Spectral norms of T^k for k in [-k_range, k_range].
 
@@ -184,7 +247,10 @@ def sampled_power_norms(
     k_range matrices, and no inverse.  A caller that has validated T
     (as_operator) and run that test passes the singular values it returned
     as singular_values; T is then read as given, neither copied nor
-    decomposed again.
+    decomposed again.  check_uniformly_bounded also passes _stacks, the
+    stacks of T it shares with the calling thread, which takes the ones
+    this call has not reached (see the module docstring); the powers that
+    fail the guard are formed once every stack is decomposed.
 
     Positive-k norms, and negative-k norms that fail the guard, equal the
     spectral norms of the repeated products exactly.  Against a 100-digit
@@ -199,10 +265,14 @@ def sampled_power_norms(
     if sv is None:
         T = as_operator(T)
         sv = require_nonsingular(T, NotAutomorphism, "operator is numerically singular")
+    if k_range < 1:
+        return {0: 1.0}
+    stacks = _PowerStacks(T, k_range) if _stacks is None else _stacks
+    stacks.run()
     norms = {0: 1.0}
     bwd = None  # T^-built, from the first k that fails the guard on
     built = 0
-    for k, sv in _power_singular_values(T, k_range, sv):
+    for k, sv in itertools.chain([(1, sv)], stacks.results()):
         norms[k] = float(sv[0])
         if sv[-1] >= RECIPROCAL_RTOL * sv[0]:
             norms[-k] = float(1.0 / sv[-1])
@@ -223,11 +293,12 @@ def check_uniformly_bounded(
     """Decide sup_k ||T^k|| < infinity over all integer powers k.
 
     The power norms run on the worker thread while this thread runs eig
-    from n = 17 on when core._overlaps holds, and after the verdict
-    otherwise (see the module docstring); the report is bitwise the same
-    either way.  bounded passes _pending, a list: the report then comes back
-    with no power norms, and the object that yields them goes on the list
-    for bounded to read when its block ends.
+    from n = 17 on when core._overlaps holds, and this thread then
+    decomposes the stacks of powers the worker has not reached; otherwise
+    they run after the verdict (see the module docstring).  The report is
+    bitwise the same either way.  bounded passes _pending, a list: the
+    report then comes back with no power norms, and a call that reads them
+    goes on the list for bounded to make when its block ends.
 
     Raises NotAutomorphism for numerically singular input.
     """
@@ -240,7 +311,8 @@ def check_uniformly_bounded(
     n = T.shape[0]
     releases_gil = n * _power_stack_size(n, POWER_SAMPLE_RANGE) > GIL_HELD_MAX_OUTPUT
     submit = core._overlap_submit(releases_gil)
-    powers = submit(sampled_power_norms, T, POWER_SAMPLE_RANGE, sv)
+    stacks = _PowerStacks(T, POWER_SAMPLE_RANGE)
+    powers = submit(sampled_power_norms, T, POWER_SAMPLE_RANGE, sv, stacks)
     try:
         dec = eig(T, cfg, float(sv[0]))
         band = spectral_band(dec.operator_norm, cfg)
@@ -259,12 +331,12 @@ def check_uniformly_bounded(
             bound = float(p_sv[0] / p_sv[-1])
     except BaseException:
         # No decision leaves work queued on the worker.
-        powers.result()
+        _read_norms(powers, stacks)
         raise
     if _pending is None:
-        norms = powers.result()
+        norms = _read_norms(powers, stacks)
     else:
-        _pending.append(powers)
+        _pending.append(functools.partial(_read_norms, powers, stacks))
         norms = {}
     return BoundednessReport(
         verdict=VERDICT_BOUNDED if ok else VERDICT_NOT_BOUNDED,
@@ -276,27 +348,42 @@ def check_uniformly_bounded(
     )
 
 
+def _read_norms(powers, stacks: _PowerStacks) -> dict[int, float]:
+    """The norms of a decision's powers.  When the worker runs them, this
+    thread first decomposes the stacks the worker has not reached; a stack
+    that fails on either thread is raised here once the worker is done."""
+    if isinstance(powers, core._Task):
+        try:
+            stacks.run()
+        except BaseException:
+            powers.wait()
+            raise
+    return powers.result()
+
+
 @contextlib.contextmanager
 def bounded(operator, cfg: ToleranceConfig | None = None, label: str = ""):
     """``with bounded(T, cfg, "t1: ") as dec:`` decides T and binds dec, the
     decomposition its verdict was read from.
 
     The block runs on the calling thread before the decision's power norms
-    are read, so on the overlapped path it runs while the worker finishes
-    them; they are read when the block ends, also when it raises, so no
-    block leaves work on the worker.  When the power orbit is unbounded the
-    norms are read first and then NotUniformlyBounded is raised with the
-    reasons, prefixed by label, and the block does not run.
+    are read, so on the overlapped path it runs while the worker runs their
+    stacks; when the block ends, also when it raises, this thread
+    decomposes the stacks the worker has not reached and then reads the
+    norms, so no block leaves work on the worker.  When the power orbit is
+    unbounded the norms are read the same way first and then
+    NotUniformlyBounded is raised with the reasons, prefixed by label, and
+    the block does not run.
     """
     pending = []
     report = check_uniformly_bounded(operator, cfg, _pending=pending)
     if not report.bounded:
-        pending[0].result()
+        pending[0]()
         raise NotUniformlyBounded(label + "; ".join(report.reasons))
     try:
         yield report.decomposition
     finally:
-        pending[0].result()
+        pending[0]()
 
 
 @dataclass(eq=False)

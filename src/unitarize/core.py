@@ -222,14 +222,15 @@ def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     """
     out = vectors.copy()
     mags = np.abs(out)
-    for j in range(out.shape[1]):
-        top = mags[:, j].max()
-        if top == 0.0:
-            continue
-        anchor = int(np.argmax(mags[:, j] >= (1.0 - 1e-8) * top))
-        pivot = out[anchor, j]
-        if pivot != 0:
-            out[:, j] *= np.conj(pivot) / abs(pivot)
+    top = mags.max(axis=0)
+    anchor = np.argmax(mags >= (1.0 - 1e-8) * top, axis=0)
+    pivot = out[anchor, np.arange(out.shape[1])]
+    # A zero column is left as it is: its anchor entry is zero.  The modulus
+    # is hypot's, as the scalar abs() takes it; np.abs on an array can differ
+    # in the last bit.
+    keep = pivot != 0
+    pivot = pivot[keep]
+    out[:, keep] *= np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
     return out
 
 
@@ -259,7 +260,15 @@ class EigenDecomposition:
         return self.eigenvalues.size
 
     def cluster_means(self) -> np.ndarray:
-        return np.array([self.eigenvalues[list(idx)].mean() for idx in self.clusters])
+        # A singleton's mean is its eigenvalue plus zero: .mean() sums from
+        # zero, which turns a -0.0 part into 0.0.  A larger cluster keeps
+        # .mean(), whose pairwise summation no vectorised sum repeats.
+        w = self.eigenvalues
+        means = w[[idx[0] for idx in self.clusters]] + 0.0
+        for c, idx in enumerate(self.clusters):
+            if len(idx) > 1:
+                means[c] = w[list(idx)].mean()
+        return means
 
     def cluster_phases(self) -> np.ndarray:
         """Phase of each cluster mean in [0, 2pi).  A mean within the cluster
@@ -341,11 +350,12 @@ def eig(
     dist = np.abs(w[:, None] - w[None, :])
     labels = _cluster_labels(dist, tol)
 
-    clusters = []
-    for root in sorted(set(labels.tolist())):
-        clusters.append(tuple(int(i) for i in np.nonzero(labels == root)[0]))
-    clusters.sort(key=lambda idx: idx[0])
-    clusters = tuple(clusters)
+    # Each label is the smallest index of its cluster, so a stable sort by
+    # label lists the clusters by first index, each in ascending order.
+    order = np.argsort(labels, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
+    order = order.tolist()
+    clusters = tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
 
     cross = labels[:, None] != labels[None, :]
     near = int(np.sum(cross & (dist <= 2.0 * tol)) // 2)
@@ -510,8 +520,9 @@ class _Deferred:
 
 
 class _Task:
-    """fn(*args) as handed to the worker thread: result() waits for the
-    worker to run it, then returns its value or raises its exception."""
+    """fn(*args) as handed to the worker thread: wait() waits for the worker
+    to run it, and result() then returns its value or raises its
+    exception."""
 
     __slots__ = ("_call", "_done", "_value", "_error")
 
@@ -532,8 +543,11 @@ class _Task:
     def done(self) -> bool:
         return self._done.is_set()
 
-    def result(self):
+    def wait(self) -> None:
         self._done.wait()
+
+    def result(self):
+        self.wait()
         if self._error is not None:
             raise self._error
         return self._value

@@ -1,4 +1,5 @@
 import functools
+import sys
 import threading
 import time
 import warnings
@@ -525,3 +526,154 @@ def test_unbounded_verdict_raises_after_the_norms_are_read(rng, monkeypatch, sub
     assert read == [1]
     assert [isinstance(f, _Task) for f in submitted] == [overlap]
     assert all(f.done() for f in submitted if isinstance(f, _Task))
+
+
+# -- shared stacks: the caller decomposes the stacks the worker has not reached --
+
+
+def _stack_threads(monkeypatch, caller, hook=None):
+    """Record the thread of every stack SVD (a 3-d operand) in a list, and
+    call hook(on_caller) before each one."""
+    threads = []
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            on_caller = threading.current_thread() is caller
+            threads.append("caller" if on_caller else "worker")
+            if hook is not None:
+                hook(on_caller)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return threads
+
+
+def _split_stacks(monkeypatch, caller, split):
+    """Steer which thread decomposes the stacks: "caller" holds the worker
+    back until the caller has claimed every stack, "worker" holds the caller
+    back until the worker has, and "both" starts the caller once the worker
+    is in its first stack SVD, which waits in turn until the caller is in
+    one.  Returns the list of shared-stack objects that run() saw."""
+    seen = []
+    real_run = boundedness._PowerStacks.run
+    caller_ran, worker_ran = threading.Event(), threading.Event()
+    caller_in, worker_in = threading.Event(), threading.Event()
+
+    def run(self):
+        seen.append(self)
+        on_caller = threading.current_thread() is caller
+        if on_caller and split in ("worker", "both"):
+            assert (worker_ran if split == "worker" else worker_in).wait(10)
+        if not on_caller and split == "caller":
+            assert caller_ran.wait(10)
+        real_run(self)
+        (caller_ran if on_caller else worker_ran).set()
+
+    def hook(on_caller):
+        if split != "both":
+            return
+        if on_caller:
+            caller_in.set()
+        elif not worker_in.is_set():
+            worker_in.set()
+            assert caller_in.wait(10)
+
+    monkeypatch.setattr(boundedness._PowerStacks, "run", run)
+    return seen, _stack_threads(monkeypatch, caller, hook)
+
+
+SHARED_DIM = 64  # four stacks of at most 8 powers
+
+
+@pytest.mark.parametrize("split", ["caller", "worker", "both"])
+@pytest.mark.parametrize("kind", ["bounded", "jordan", "spread_diagonal"])
+def test_shared_stacks_equal_the_serial_decision(rng, monkeypatch, submitted, kind, split):
+    T = _cutoff_input(rng, kind, SHARED_DIM)
+    monkeypatch.setattr(core, "_overlaps", lambda n: False)
+    serial = check_uniformly_bounded(T, CFG)
+    monkeypatch.setattr(core, "_overlaps", lambda n: True)
+    seen, threads = _split_stacks(monkeypatch, threading.current_thread(), split)
+    shared = check_uniformly_bounded(T, CFG)
+    assert _report_fields(shared) == _report_fields(serial)
+    assert submitted[-1].done()
+    # one shared object, run by the caller and the worker, whose four stacks
+    # were each claimed and decomposed once
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert seen[0]._claimed == seen[0]._finished == len(threads) == 4
+    want = {"caller": {"caller"}, "worker": {"worker"}, "both": {"caller", "worker"}}[split]
+    assert set(threads) == want
+
+
+@pytest.mark.parametrize("split", ["caller", "worker", "both"])
+def test_shared_stacks_of_one_power_use_the_two_slot_ring(rng, monkeypatch, submitted, split):
+    # a cut of zero makes every stack hold one power, so each thread's ring
+    # has two slots and a claim may read the power the other thread wrote
+    monkeypatch.setattr(boundedness, "GIL_HELD_MAX_OUTPUT", 0)
+    assert boundedness._power_stack_size(N_CUT, POWER_SAMPLE_RANGE) == 1
+    T = _cutoff_input(rng, "spread_diagonal")
+    monkeypatch.setattr(core, "_overlaps", lambda n: False)
+    serial = check_uniformly_bounded(T, CFG)
+    monkeypatch.setattr(core, "_overlaps", lambda n: True)
+    seen, threads = _split_stacks(monkeypatch, threading.current_thread(), split)
+    shared = check_uniformly_bounded(T, CFG)
+    assert _report_fields(shared) == _report_fields(serial)
+    assert submitted[-1].done()
+    assert seen[0]._claimed == seen[0]._finished == len(threads) == POWER_SAMPLE_RANGE - 1
+    assert set(threads) == ({"caller", "worker"} if split == "both" else {split})
+
+
+@pytest.mark.parametrize("via", ["check", "bounded"])
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_a_failed_stack_reaches_the_caller(rng, monkeypatch, submitted, failing, via):
+    monkeypatch.setattr(core, "_overlaps", lambda n: True)
+    caller = threading.current_thread()
+    seen, threads = _split_stacks(monkeypatch, caller, "both")
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        out = real(a, *args, **kwargs)
+        if np.ndim(a) == 3 and (threading.current_thread() is caller) == (failing == "caller"):
+            raise RuntimeError(f"stack failed on the {failing}")
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    T = _cutoff_input(rng, "bounded", SHARED_DIM)
+    with pytest.raises(RuntimeError, match=f"^stack failed on the {failing}$"):
+        if via == "check":
+            check_uniformly_bounded(T, CFG)
+        else:
+            with boundedness.bounded(T, CFG):
+                pass
+    # both threads took a stack, the worker's task is done, and every
+    # claimed stack finished, the failed one included
+    assert set(threads) == {"caller", "worker"}
+    assert len(submitted) == 1 and submitted[0].done()
+    stacks = seen[0]
+    assert stacks._error is not None and stacks._claimed == stacks._finished >= 2
+
+
+@pytest.mark.parametrize("cut", [boundedness.GIL_HELD_MAX_OUTPUT, 0])
+def test_shared_stacks_under_more_threads_than_cores(rng, monkeypatch, cut):
+    # four threads on one set of stacks, switching as often as the
+    # interpreter allows: a stack claimed twice, a power formed from the
+    # wrong running product or a slot written while another thread still
+    # reads it changes the norms
+    monkeypatch.setattr(boundedness, "GIL_HELD_MAX_OUTPUT", cut)
+    T = _cutoff_input(rng, "spread_diagonal", SHARED_DIM)
+    sv = np.linalg.svd(T, compute_uv=False)
+    want = sampled_power_norms(T)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            stacks = boundedness._PowerStacks(T, POWER_SAMPLE_RANGE)
+            threads = [threading.Thread(target=stacks.run) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert not any(t.is_alive() for t in threads)
+            assert sampled_power_norms(T, POWER_SAMPLE_RANGE, sv, stacks) == want
+    finally:
+        sys.setswitchinterval(interval)

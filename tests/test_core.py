@@ -145,6 +145,87 @@ def test_cluster_labels_match_the_double_loop(rng):
     assert merged == 9
 
 
+def _loop_phases(vectors):
+    """The reference column phases: one max, argmax and scale per column."""
+    out = vectors.copy()
+    mags = np.abs(out)
+    for j in range(out.shape[1]):
+        top = mags[:, j].max()
+        if top == 0.0:
+            continue
+        anchor = int(np.argmax(mags[:, j] >= (1.0 - 1e-8) * top))
+        pivot = out[anchor, j]
+        if pivot != 0:
+            out[:, j] *= np.conj(pivot) / abs(pivot)
+    return out
+
+
+def _loop_clusters(labels):
+    """The reference cluster tuple: one np.nonzero per root label."""
+    clusters = []
+    for root in sorted(set(labels.tolist())):
+        clusters.append(tuple(int(i) for i in np.nonzero(labels == root)[0]))
+    clusters.sort(key=lambda idx: idx[0])
+    return tuple(clusters)
+
+
+def _loop_means(values, clusters):
+    """The reference cluster means: one .mean() per cluster."""
+    return np.array([values[list(idx)].mean() for idx in clusters])
+
+
+def _scalar_conjugate(rng, n):
+    """S^-1 (w I) S: one n-fold cluster whose computed eigenvalues spread."""
+    s = core.as_operator(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return np.linalg.solve(s, np.exp(0.7j) * s)
+
+
+def _eig_loop_operators(rng):
+    """Simple spectra at n = 16, 64 and 128, a defective one, one 64-fold
+    cluster, a repeated diagonal with signed-zero parts, and a DFT matrix
+    and a cyclic shift, whose eigenvectors tie in modulus (the shift's
+    anchors are where np.abs and the scalar abs() part)."""
+    for n in (16, 64, 128):
+        yield rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        yield np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    yield defective_unimodular(rng, 8, 10.0)
+    yield _scalar_conjugate(rng, 64)
+    yield np.diag([complex(-0.0, 1.0), 1.0, 1.0, complex(-1.0, -0.0), -1.0])
+    n = 12
+    yield np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+
+
+def test_column_phases_match_the_loop(rng):
+    for T in _eig_loop_operators(rng):
+        v = np.linalg.eig(T)[1]
+        assert core._fix_column_phases(v).tobytes() == _loop_phases(v).tobytes()
+    # tied moduli in every column, and zero columns, signed zeros included
+    n = 16
+    v = np.exp(2j * np.pi * np.outer(np.arange(n), rng.integers(1, n, n)) / n)
+    v[:, 3] = 0.0
+    v[:, 5] = complex(-0.0, -0.0)
+    v[0, 7] = 0.0
+    assert core._fix_column_phases(v).tobytes() == _loop_phases(v).tobytes()
+
+
+def test_clusters_and_means_match_the_loops(rng):
+    sizes = set()
+    for T in _eig_loop_operators(rng):
+        dec = eig(T)
+        w = dec.eigenvalues
+        labels = core._cluster_labels(np.abs(w[:, None] - w[None, :]), dec.cluster_tol)
+        assert dec.clusters == _loop_clusters(labels)
+        assert dec.cluster_means().tobytes() == _loop_means(w, dec.clusters).tobytes()
+        sizes.update(len(idx) for idx in dec.clusters)
+    assert {1, 2, 64} <= sizes
+    # a singleton's mean keeps .mean()'s bits, signed zeros included
+    zeros = [0.0, -0.0, 1.0, -2.5]
+    w = np.array([complex(a, b) for a in zeros for b in zeros])
+    dec = core.EigenDecomposition(w, np.eye(w.size), tuple((i,) for i in range(w.size)),
+                                  True, (), 1e-8, 1.0)
+    assert dec.cluster_means().tobytes() == _loop_means(w, dec.clusters).tobytes()
+
+
 def test_same_cluster_mask():
     dec = eig(np.diag([1.0, 1.0, 1j]).astype(complex))
     mask = dec.same_cluster_mask()
