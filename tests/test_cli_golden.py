@@ -14,17 +14,34 @@ are compared as sets of distinct messages: how many copies of one message a
 report carries follows how many eigendecompositions ran, which is not part
 of the report's contract.
 
-Rebuild the corpus, only for an intended and documented report change, with
+golden/cli_digests.json holds, per host fingerprint (numpy version, BLAS
+name and version, machine, BLAS thread variables and usable CPU count), the
+sha256 of exit code, stdout and stderr of every corpus run and of a few
+n = 128 nagy and intertwine runs built from fixtures.  On a host whose
+fingerprint is recorded a run must reproduce its report byte for byte; on any
+other host that test skips and names the mismatch.  Pinned and unpinned BLAS
+give different bytes at n = 128, so one host records both.
+
+Rebuild the corpus and record this host's digests, only for an intended and
+documented report change, with
 
     PYTHONPATH=src python3 tests/test_cli_golden.py --write
+
+once per recorded fingerprint (for instance with and without
+OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1).  Print one digest over all runs,
+to compare two versions of the code on one host, with
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py --digest
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -35,12 +52,13 @@ import pytest
 
 from unitarize import HermitianForm, eig, fixtures
 from unitarize.cli import main
-from unitarize.core import CLUSTER_FLOOR
+from unitarize.core import BLAS_THREAD_VARS, CLUSTER_FLOOR
 from unitarize.families import make_clock_shift
 from unitarize.hamiltonian import planar_oscillator_pair
 from unitarize.serialization import form_payload, matrix_payload
 
 CORPUS = Path(__file__).parent / "golden" / "cli_corpus.json"
+DIGESTS = Path(__file__).parent / "golden" / "cli_digests.json"
 NUMBER_RTOL = 1e-12
 NUMBER_ATOL = 1e-14
 
@@ -115,6 +133,85 @@ def test_golden_corpus_covers_every_subcommand():
         "check", "nagy", "oracle", "cayley", "log", "altmetric", "depend",
         "pair", "heisenberg", "intertwine", "hamiltonian", "example",
     }
+
+
+# -- report bytes -------------------------------------------------------------
+
+
+def host_fingerprint() -> dict:
+    """What a report's bytes depend on besides the code and its inputs."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "machine": platform.machine(),
+        "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+        "cpus": cpus,
+    }
+
+
+def run_digest(case: dict, workdir: str) -> str:
+    """sha256 of the run's (exit code, stdout, stderr)."""
+    return hashlib.sha256(json.dumps(run_case(case, workdir)).encode()).hexdigest()
+
+
+def _large_cases() -> list[dict]:
+    """n = 128 runs for the byte check alone, their inputs rebuilt from
+    fixtures rather than stored.  With BLAS pinned their decisions run on
+    both threads."""
+    rng = np.random.default_rng(20261019)
+    n = 128
+    ph = fixtures.jittered_unimodular_phases(rng, n, margin=1.5 * np.pi / n)
+    t, _, _ = fixtures.conjugated_unitary(rng, n, 10.0, ph)
+    u, _, _ = fixtures.conjugated_unitary(rng, n, 10.0, ph)
+    g = fixtures.positive_definite_fixture(rng, n, 10.0)
+    files = {"t": matrix_payload(t), "u": matrix_payload(u),
+             "g": form_payload(HermitianForm(g))}
+    cases = [
+        ("nagy_n128", ["nagy", "--in", "@t"]),
+        ("nagy_h0_n128", ["nagy", "--in", "@t", "--h0", "@g"]),
+        ("intertwine_n128", ["intertwine", "--t1", "@t", "--t2", "@u"]),
+        ("intertwine_h0_n128", ["intertwine", "--t1", "@t", "--t2", "@u", "--h0", "@g"]),
+    ]
+    return [{"name": name, "argv": argv, "files": files} for name, argv in cases]
+
+
+def _digest_cases() -> list[dict]:
+    return _load_corpus() + _large_cases()
+
+
+def _recorded_digests() -> list[dict]:
+    return json.loads(DIGESTS.read_text()) if DIGESTS.exists() else []
+
+
+def _host_digests() -> dict[str, str]:
+    """This host's recorded digests by run name.  Skips when its fingerprint
+    has none, naming where it differs from the closest recorded one."""
+    here = host_fingerprint()
+    entries = _recorded_digests()
+    for entry in entries:
+        if entry["fingerprint"] == here:
+            return entry["digests"]
+
+    def differences(recorded):
+        return [f"{key} {here[key]!r} (recorded {recorded.get(key)!r})"
+                for key in here if recorded.get(key) != here[key]]
+
+    closest = min((differences(e["fingerprint"]) for e in entries), key=len,
+                  default=["no fingerprint is recorded"])
+    pytest.skip("no report digests for this host: " + "; ".join(closest))
+
+
+@pytest.mark.parametrize("case", _digest_cases(), ids=lambda c: c["name"])
+def test_cli_report_bytes(case, tmp_path):
+    recorded = _host_digests().get(case["name"])
+    assert run_digest(case, str(tmp_path)) == recorded, (
+        f"{case['name']}: report bytes differ from the recorded ones"
+    )
 
 
 # -- building the corpus ------------------------------------------------------
@@ -270,7 +367,31 @@ def write_corpus() -> None:
     print(f"wrote {len(cases)} cases to {CORPUS}")
 
 
+def record_digests() -> None:
+    """Record this host's digests, keeping those of other fingerprints."""
+    here = host_fingerprint()
+    with tempfile.TemporaryDirectory() as workdir:
+        digests = {case["name"]: run_digest(case, workdir) for case in _digest_cases()}
+    entries = [e for e in _recorded_digests() if e["fingerprint"] != here]
+    entries.append({"fingerprint": here, "digests": digests})
+    DIGESTS.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"recorded {len(digests)} digests for {here} in {DIGESTS}")
+
+
+def corpus_digest() -> str:
+    """One sha256 over every run's digest, in order."""
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as workdir:
+        for case in _digest_cases():
+            total.update(f"{case['name']} {run_digest(case, workdir)}\n".encode())
+    return total.hexdigest()
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python3 tests/test_cli_golden.py --write")
-    write_corpus()
+    if sys.argv[1:] == ["--write"]:
+        write_corpus()
+        record_digests()
+    elif sys.argv[1:] == ["--digest"]:
+        print(corpus_digest())
+    else:
+        sys.exit("usage: PYTHONPATH=src python3 tests/test_cli_golden.py --write | --digest")
