@@ -17,7 +17,6 @@ import numpy as np
 
 from .boundedness import bounded
 from .core import (
-    PSD_RTOL,
     HermitianForm,
     ToleranceConfig,
     as_operator,
@@ -31,6 +30,7 @@ from .errors import (
     MissingClusterWeight,
     NonPositivePhi,
     NonPositiveWeight,
+    NotPositiveDefinite,
 )
 from .metrics import Unitarization, _averaged_form, _carried_decomposition, _double_and_add
 
@@ -64,29 +64,25 @@ class ScalingSpec:
     weights: Mapping[int, object]
 
     def block_for(self, cluster: int, size: int) -> np.ndarray:
+        """The cluster's block, validated by HermitianForm as a metric."""
         if cluster not in self.weights:
             raise MissingClusterWeight(f"no weight for eigenvalue cluster {cluster}")
         w = self.weights[cluster]
         if np.isscalar(w):
             message = f"cluster {cluster}: scalar weight must be real positive, got {w!r}"
             val = _positive_real(w, NonPositiveWeight, message)
-            return val * np.eye(size, dtype=np.complex128)
-        block = np.array(w, dtype=np.complex128)
-        if block.shape != (size, size):
-            raise InvalidInput(
-                f"cluster {cluster}: weight block has shape {block.shape}, "
-                f"expected {(size, size)}"
-            )
-        if np.linalg.norm(block - block.conj().T) > PSD_RTOL * max(
-            np.linalg.norm(block), 1e-300
-        ):
-            raise NonPositiveWeight(f"cluster {cluster}: weight block is not Hermitian")
-        vals = np.linalg.eigvalsh(hermitize(block))
-        if vals[0] <= PSD_RTOL * max(vals[-1], 0.0):
-            raise NonPositiveWeight(
-                f"cluster {cluster}: weight block is not positive definite"
-            )
-        return hermitize(block)
+            block = np.diag(np.full(size, val, dtype=np.complex128))
+        else:
+            block = np.array(w, dtype=np.complex128)
+            if block.shape != (size, size):
+                raise InvalidInput(
+                    f"cluster {cluster}: weight block has shape {block.shape}, "
+                    f"expected {(size, size)}"
+                )
+        try:
+            return HermitianForm(block).gram
+        except (InvalidInput, NotPositiveDefinite) as exc:
+            raise NonPositiveWeight(f"cluster {cluster}: weight block: {exc}") from exc
 
 
 def scaled_metric(

@@ -16,7 +16,7 @@ import functools
 import os
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,8 +76,9 @@ class ToleranceConfig:
     unitarity_tol    relative threshold for unit-modulus and unitarity checks
     cesaro_horizon   default number of terms in finite power averages
 
-    These are the three the command line sets; the positive definiteness
-    threshold is PSD_RTOL and the Cesaro drift threshold metrics.DRIFT_RTOL.
+    These are the three the command line sets; the scalar-product threshold
+    is PSD_RTOL, which HermitianForm alone applies, and the Cesaro drift
+    threshold metrics.DRIFT_RTOL.
     """
 
     eig_cluster_tol: float = 1e-8
@@ -129,10 +130,14 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HermitianForm:
-    """Positive definite Hermitian metric h(x, y) = x* gram y, Hermitian and
-    positive definite within PSD_RTOL."""
+    """Positive definite Hermitian metric h(x, y) = x* gram y.
+
+    The one scalar-product test, which psd_sqrt and ScalingSpec's weight
+    blocks share: gram is Hermitian within PSD_RTOL and its eigenvalues
+    (kept for root) exceed PSD_RTOL times the largest."""
 
     gram: np.ndarray
+    _eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = as_operator(self.gram)
@@ -150,6 +155,7 @@ class HermitianForm:
             )
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "_eigenvalues", w)
 
     @classmethod
     def identity(cls, dim: int) -> "HermitianForm":
@@ -172,6 +178,17 @@ class HermitianForm:
     def is_identity(self) -> bool:
         n = self.dim
         return bool(np.linalg.norm(self.gram - np.eye(n)) <= IDENTITY_RTOL * n)
+
+    @functools.cached_property
+    def root(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, Q^{-1}) for the positive root Q of gram, formed once and shared
+        read-only; the inverse's singularity test reads Q's singular values
+        off the validated eigenvalues, not an SVD."""
+        Q = psd_sqrt(self)
+        Qinv = invert(Q, "square root of the Gram matrix", np.sqrt(self._eigenvalues[::-1]))
+        Q.setflags(write=False)
+        Qinv.setflags(write=False)
+        return Q, Qinv
 
 
 def effective_cluster_tol(operator_norm: float, cfg: ToleranceConfig | None = None) -> float:
@@ -392,25 +409,14 @@ def eig(
 
 
 def psd_sqrt(gram) -> np.ndarray:
-    """Unique positive definite square root of a positive definite matrix.
+    """Unique positive definite square root of a metric's Gram matrix.
 
-    Accepts a HermitianForm or a raw Hermitian matrix.
+    Accepts a HermitianForm, or a raw matrix that is validated into one
+    first; HermitianForm.root keeps the root of a form with its inverse.
     """
-    if isinstance(gram, HermitianForm):
-        g = np.asarray(gram.gram)
-    else:
-        g = as_operator(gram)
-        if np.linalg.norm(g - g.conj().T) > PSD_RTOL * max(np.linalg.norm(g), 1e-300):
-            raise InvalidInput("matrix is not Hermitian")
-        g = hermitize(g)
-    w, u = np.linalg.eigh(g)
-    if w[0] <= 1e-14 * max(w[-1], 0.0) or w[-1] <= 0.0:
-        raise NotPositiveDefinite(
-            f"cannot take a positive square root: eigenvalue range "
-            f"[{w[0]:.3e}, {w[-1]:.3e}]"
-        )
-    root = (u * np.sqrt(w)) @ u.conj().T
-    return hermitize(root)
+    form = gram if isinstance(gram, HermitianForm) else HermitianForm(gram)
+    w, u = np.linalg.eigh(form.gram)
+    return hermitize((u * np.sqrt(w)) @ u.conj().T)
 
 
 def adjoint_wrt(operator, form: HermitianForm) -> np.ndarray:

@@ -60,7 +60,8 @@ def _averaged_metric(T: np.ndarray, dec: EigenDecomposition, h0) -> HermitianFor
 
     Read off the full unitarization, square root included: the traced
     connect_n64 benchmark requires a core.psd_sqrt call, and this is its
-    last caller there."""
+    last caller there.  The root stays cached on the form, so a next stage
+    that averages over this form as its fiducial does not root it again."""
     h0 = resolve_fiducial(h0, T.shape[0])
     return _spectral_unitarization(T, dec, h0).invariant_form
 

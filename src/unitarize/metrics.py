@@ -30,8 +30,6 @@ from .core import (
     cluster_pairing,
     hermitize,
     invariance_residual,
-    invert,
-    psd_sqrt,
     require_nonsingular,
     resolve_fiducial,
 )
@@ -60,7 +58,8 @@ class Unitarization:
 
     invariant_form       h_T, invariant under the operator
     positive_similarity  Q, positive for the fiducial form, with
-                         h0(Q^2 x, y) = h_T(x, y)
+                         h0(Q^2 x, y) = h_T(x, y); for the standard h0 it
+                         is invariant_form.root's Q, read-only
     unitarized           U = Q T Q^{-1}, unitary for the fiducial form
     method               which construction produced the metric
     cesaro_residual      drift of the finite average (None for closed form)
@@ -92,22 +91,6 @@ def projected_gram(dec: EigenDecomposition, kernel: np.ndarray) -> np.ndarray:
     return cluster_pairing(dec, dec, kernel, dec.same_cluster_mask())
 
 
-def _positive_similarity(
-    g_invariant: np.ndarray, h0: HermitianForm
-) -> tuple[np.ndarray, np.ndarray]:
-    """Q positive for h0 with G0 Q^2 = G_T; returns (Q, Q^{-1})."""
-    if h0.is_identity():
-        Q = psd_sqrt(g_invariant)
-        return Q, invert(Q, "positive similarity")
-    W = psd_sqrt(h0.gram)
-    Winv = invert(W, "fiducial square root")
-    hat = hermitize(Winv @ g_invariant @ Winv)
-    Qhat = psd_sqrt(hat)
-    Q = Winv @ Qhat @ W
-    Qinv = Winv @ invert(Qhat, "normalized similarity") @ W
-    return Q, Qinv
-
-
 def _averaged_form(dec: EigenDecomposition, h0: HermitianForm) -> HermitianForm:
     """The closed-form invariant metric: h0 averaged over the bounded operator
     decomposed as dec."""
@@ -117,9 +100,16 @@ def _averaged_form(dec: EigenDecomposition, h0: HermitianForm) -> HermitianForm:
 def _similarity_from_form(X: np.ndarray, form: HermitianForm, h0: HermitianForm):
     """Shared steps of both constructions: the invariant Gram matrix g, the
     positive similarity Q with G0 Q^2 = g, the conjugate Q X Q^{-1}, and the
-    relative gram_match residual."""
+    relative gram_match residual.  Q is form's root for the standard h0, else
+    W^{-1} Qhat W with W h0's root and Qhat the root of W^{-1} g W^{-1}."""
     g = np.asarray(form.gram)
-    Q, Qinv = _positive_similarity(g, h0)
+    if h0.is_identity():
+        Q, Qinv = form.root
+    else:
+        W, Winv = h0.root
+        Qhat, Qhat_inv = HermitianForm(hermitize(Winv @ g @ Winv)).root
+        Q = Winv @ Qhat @ W
+        Qinv = Winv @ Qhat_inv @ W
     gram_match = float(np.linalg.norm(h0.gram @ Q @ Q - g)) / np.linalg.norm(g)
     return g, Q, Q @ X @ Qinv, gram_match
 

@@ -243,6 +243,19 @@ def test_psd_sqrt_squares_back(rng):
         psd_sqrt(np.diag([1.0, -2.0]))
 
 
+@pytest.mark.parametrize("ratio", [1e-10, 1e-12, 2e-14])
+def test_psd_sqrt_takes_the_forms_positive_definite_test(ratio):
+    # Eigenvalue ratios in (1e-14, 1e-10] once passed psd_sqrt's own cut
+    # although HermitianForm rejects them; now both reject them.
+    g = np.diag([1.0, ratio])
+    for take in (HermitianForm, psd_sqrt):
+        with pytest.raises(NotPositiveDefinite):
+            take(g)
+    with pytest.raises(InvalidInput, match="not Hermitian"):
+        psd_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    assert_allclose(psd_sqrt(np.diag([4.0, 1e-9])), np.diag([2.0, np.sqrt(1e-9)]))
+
+
 def test_adjoint_wrt_pairing(rng):
     G = np.array([[2.0, 0.3], [0.3, 1.0]], dtype=complex)
     h = HermitianForm(G)

@@ -430,8 +430,7 @@ def test_form_readers_take_no_square_root(ops, monkeypatch, call):
     def no_sqrt(g):
         raise AssertionError("psd_sqrt called")
 
-    for module in (u.core, u.metrics):
-        monkeypatch.setattr(module, "psd_sqrt", no_sqrt)
+    monkeypatch.setattr(u.core, "psd_sqrt", no_sqrt)
     call(ops)
 
 
@@ -446,8 +445,7 @@ def test_metric_dependence_forms_no_square_root(ops, monkeypatch):
         calls.append(g.shape)
         return real_sqrt(g)
 
-    for module in (u.core, u.metrics):
-        monkeypatch.setattr(module, "psd_sqrt", counting_sqrt)
+    monkeypatch.setattr(u.core, "psd_sqrt", counting_sqrt)
     dep = u.metric_dependence(ops.t, ops.g, ops.g2)
     assert calls == []
     monkeypatch.undo()
@@ -455,3 +453,62 @@ def test_metric_dependence_forms_no_square_root(ops, monkeypatch):
     assert np.array_equal(dep.fiducial_change, C)
     assert np.array_equal(dep.invariant_change, R)
     assert np.array_equal(dep.averaging_defect, A)
+
+
+# entry point, expected positive square roots, call: one per form that is
+# rooted, and no form rooted twice
+SQRT_COUNTS = [
+    ("invariant_metric", 1, lambda o: u.invariant_metric(o.t)),
+    ("invariant_metric_h0", 2, lambda o: u.invariant_metric(o.t, o.g)),
+    ("flow_invariant_metric_h0", 2, lambda o: u.flow_invariant_metric(o.flow, o.g)),
+    ("cesaro_unitarization", 1, lambda o: u.cesaro_unitarization(o.t, None, 64)),
+    ("commuting_pair_metric", 2, lambda o: u.commuting_pair_metric(o.a, o.b)),
+    ("heisenberg_metric", 4, lambda o: u.heisenberg_metric(*o.weyl)),
+]
+
+
+def _record_roots(monkeypatch):
+    """Patch core.psd_sqrt and np.linalg.svd; return the forms rooted and
+    the SVD arguments equal to one of the roots."""
+    forms, roots, svd_of_roots = [], [], []
+    real_sqrt, real_svd = u.core.psd_sqrt, np.linalg.svd
+
+    def recording_sqrt(g):
+        forms.append(g)
+        roots.append(real_sqrt(g))
+        return roots[-1]
+
+    def checking_svd(a, *args, **kwargs):
+        if any(a.shape == r.shape and np.array_equal(a, r) for r in roots):
+            svd_of_roots.append(a)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(u.core, "psd_sqrt", recording_sqrt)
+    monkeypatch.setattr(np.linalg, "svd", checking_svd)
+    return forms, svd_of_roots
+
+
+@pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
+@pytest.mark.parametrize("expected, call", [c[1:] for c in SQRT_COUNTS],
+                         ids=[c[0] for c in SQRT_COUNTS])
+def test_each_form_is_rooted_once_and_no_root_meets_an_svd(ops, monkeypatch, expected, call):
+    forms, svd_of_roots = _record_roots(monkeypatch)
+    call(ops)
+    assert len(forms) == expected
+    assert all(isinstance(f, u.HermitianForm) for f in forms)
+    assert len({id(f) for f in forms}) == len(forms)
+    assert svd_of_roots == []
+
+
+def test_root_is_cached_read_only_and_the_explicit_inverse(rng):
+    form = u.HermitianForm(positive_definite_fixture(rng, N, 10.0))
+    Q, Qinv = form.root
+    assert form.root[0] is Q and form.root[1] is Qinv
+    assert not Q.flags.writeable and not Qinv.flags.writeable
+    assert np.array_equal(Q, u.psd_sqrt(form))
+    assert np.array_equal(Qinv, np.linalg.inv(Q))
+
+
+def test_identity_fiducial_similarity_is_the_forms_root(ops):
+    result = u.invariant_metric(ops.t)
+    assert result.positive_similarity is result.invariant_form.root[0]
