@@ -68,6 +68,11 @@ def test_weight_table_is_validated(rng):
     with pytest.raises(InvalidInput):
         block = np.eye(2)
         scaled_metric(T, ScalingSpec({0: block, 1: 1.0, 2: 1.0}), CFG)
+    # a block is a weight when HermitianForm takes it as a metric
+    with pytest.raises(NonPositiveWeight, match="cluster 0: .*not positive definite"):
+        ScalingSpec({0: np.diag([1.0, 1e-12])}).block_for(0, 2)
+    with pytest.raises(NonPositiveWeight, match="cluster 0: .*not Hermitian"):
+        ScalingSpec({0: np.array([[1.0, 0.5], [0.0, 1.0]])}).block_for(0, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -76,17 +81,6 @@ def test_non_finite_weight_is_rejected_at_its_block(bad):
     for spec in (ScalingSpec({0: 1.0, 1: block}), ScalingSpec({0: 1.0, 1: bad})):
         with pytest.raises(NonPositiveWeight, match="^cluster 1: "):
             spec.block_for(1, 2)
-
-
-def test_weight_block_takes_the_one_positive_definite_test():
-    # Eigenvalue ratio 1e-12: not a metric for HermitianForm, so not a weight.
-    with pytest.raises(NonPositiveWeight, match="cluster 0: .*not positive definite"):
-        ScalingSpec({0: np.diag([1.0, 1e-12])}).block_for(0, 2)
-    with pytest.raises(NonPositiveWeight, match="cluster 0: .*not Hermitian"):
-        ScalingSpec({0: np.array([[1.0, 0.5], [0.0, 1.0]])}).block_for(0, 2)
-    block = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
-    assert np.array_equal(ScalingSpec({0: block}).block_for(0, 2),
-                          HermitianForm(block).gram)
 
 
 def test_phi_metric_commutes_and_stays_invariant(rng):

@@ -1,8 +1,9 @@
 """Each operator is decided and decomposed once per call, its eigenbasis is
 inverted once per decomposition, a closed-form unitarization hands its
 decomposition on, each Cesaro answer takes one double-and-add pass over the
-powers of its operators, and every entry point that takes a fiducial form or
-a horizon validates it through one guard."""
+powers of its operators, each form is square-rooted at most once and no
+root meets an SVD, and every entry point that takes a fiducial form or a
+horizon validates it through one guard."""
 
 import json
 from types import SimpleNamespace
