@@ -44,10 +44,11 @@ DEPENDENCE_HORIZON = 1 << 26
 
 
 def _positive_real(value, error: type[Exception], message: str) -> float:
-    """value as a real number above zero, up to 1e-12 relative imaginary
-    rounding; error(message) otherwise."""
+    """value as a finite real number above zero, up to 1e-12 relative
+    imaginary rounding; error(message) otherwise, NaN and inf included."""
     val = complex(value)
-    if abs(val.imag) > 1e-12 * max(abs(val.real), 1.0) or val.real <= 0.0:
+    if not (np.isfinite(val) and val.real > 0.0
+            and abs(val.imag) <= 1e-12 * max(val.real, 1.0)):
         raise error(message)
     return val.real
 

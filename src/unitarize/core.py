@@ -13,10 +13,12 @@ size test passes.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import threading
 import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,6 +31,10 @@ from .errors import ClusterAmbiguity, InvalidInput, NotPositiveDefinite
 # Jordan blocks up to dimension 8 and conditioning 100, whose eigenvalue
 # splits stay below 3e-8 * (1 + ||T||).
 CLUSTER_FLOOR = 64.0 * float(np.sqrt(np.finfo(np.float64).eps))
+
+# Clusters of two spectra whose means sit between one and this many matching
+# radii apart are reported, since a small perturbation could flip the match.
+NEAR_MATCH_FACTOR = 10.0
 
 # Relative singular value cutoff for the geometric-multiplicity rank test.
 # Sits between exactly degenerate diagonalizable spectra (defect singular
@@ -262,6 +268,10 @@ class EigenDecomposition:
     defective_clusters positions (into clusters) that fail the rank test
     cluster_tol        effective clustering radius that was used
     operator_norm      spectral norm of the operator, which sets that radius
+
+    Which eigenvalues count as equal is decided here alone: eig clusters one
+    spectrum, match pairs two spectra's clusters, and both near-miss warnings
+    (eig's ClusterAmbiguity, match's near-match warning) belong to that policy.
     """
 
     eigenvalues: np.ndarray
@@ -276,37 +286,58 @@ class EigenDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    def cluster_means(self) -> np.ndarray:
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        """Cluster position of each eigenvalue index, read-only."""
+        sizes = np.fromiter(map(len, self.clusters), dtype=np.intp)
+        out = np.empty(self.dim, dtype=int)
+        out[np.fromiter(itertools.chain(*self.clusters), dtype=np.intp)] = np.repeat(
+            np.arange(sizes.size), sizes)
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def _means(self) -> np.ndarray:
         # A singleton's mean is its eigenvalue plus zero: .mean() sums from
         # zero, which turns a -0.0 part into 0.0.  A larger cluster keeps
         # .mean(), whose pairwise summation no vectorised sum repeats.
         w = self.eigenvalues
-        means = w[[idx[0] for idx in self.clusters]] + 0.0
-        for c, idx in enumerate(self.clusters):
-            if len(idx) > 1:
-                means[c] = w[list(idx)].mean()
+        means = w[np.fromiter(map(itemgetter(0), self.clusters), dtype=np.intp)] + 0.0
+        for c in np.flatnonzero(np.bincount(self.labels) > 1).tolist():
+            means[c] = w[list(self.clusters[c])].mean()
+        means.setflags(write=False)
         return means
+
+    def cluster_means(self) -> np.ndarray:
+        """Mean of each cluster's eigenvalues, read-only and formed once."""
+        return self._means
 
     def cluster_phases(self) -> np.ndarray:
         """Phase of each cluster mean in [0, 2pi).  A mean within the cluster
         radius of the wrap point gets 0, so an eigenvalue at 1 cannot leak a
         spurious 2pi."""
-        theta = np.mod(np.angle(self.cluster_means()), 2.0 * np.pi)
+        theta = np.mod(np.angle(self._means), 2.0 * np.pi)
         theta[2.0 * np.pi - theta <= self.cluster_tol] = 0.0
         return theta
 
-    def labels(self) -> np.ndarray:
-        """Cluster position for each eigenvalue index."""
-        out = np.empty(self.dim, dtype=int)
-        for c, idx in enumerate(self.clusters):
-            for i in idx:
-                out[i] = c
-        return out
-
     def same_cluster_mask(self) -> np.ndarray:
         """Boolean (dim, dim) mask, True where two indices share a cluster."""
-        lab = self.labels()
-        return lab[:, None] == lab[None, :]
+        return self.labels[:, None] == self.labels[None, :]
+
+    def match(self, other: "EigenDecomposition") -> np.ndarray:
+        """Boolean (clusters, other's clusters) matrix, True where two means
+        lie within the larger cluster_tol (hypot's modulus, as abs() takes
+        it); unmatched pairs within NEAR_MATCH_FACTOR radii draw one warning."""
+        tol = max(self.cluster_tol, other.cluster_tol)
+        d = self._means[:, None] - other._means[None, :]
+        dist = np.hypot(d.real, d.imag)
+        matched = dist <= tol
+        near = int(np.count_nonzero(dist <= NEAR_MATCH_FACTOR * tol)) - int(matched.sum())
+        if near:
+            warnings.warn(f"{near} eigenvalue pair(s) of the two spectra almost match (within "
+                          f"{NEAR_MATCH_FACTOR:g} matching radii); the averaged pairing "
+                          f"treats them as distinct", stacklevel=3)
+        return matched
 
     @functools.cached_property
     def eigenvector_singular_values(self) -> np.ndarray:
@@ -328,7 +359,7 @@ class EigenDecomposition:
     def spectral_function(self, values) -> np.ndarray:
         """P diag(v) P^{-1}, where v repeats one value per cluster over the
         cluster's eigenvalues."""
-        v = np.asarray(values)[self.labels()]
+        v = np.asarray(values)[self.labels]
         return self.eigenvectors @ (v[:, None] * self.inverse)
 
 

@@ -6,6 +6,8 @@ h0(T1^n x, T2^n y) is a sesquilinear form supported on shared eigenvalues.
 Its representing matrices, taken in the fiducial metric and in the two
 invariant metrics, exchange the operators, so a nonzero limit produces an
 explicit intertwiner and a zero limit certifies spectral disjointness.
+Which eigenvalues the two spectra share is decided in core, by
+EigenDecomposition.match with its radius rule and near-match warning.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ from .metrics import _averaged_form, mixed_pullback_mean
 # to absorb rounding in the nonzero case.
 ZERO_RTOL = 1e-10
 
-# Cluster pairs whose means sit between one and this many matching radii
-# apart are reported, since a small perturbation could flip the match.
-NEAR_MATCH_FACTOR = 10.0
-
 
 @dataclass(eq=False)
 class IntertwineResult:
@@ -65,34 +63,6 @@ class IntertwineResult:
     relation_residuals: dict[str, float]
 
 
-def _match_clusters(dec1, dec2) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """Pair clusters of two decompositions whose means agree within tolerance.
-
-    Returns the index pairs and the two arrays of cluster means they were
-    matched on.
-    """
-    tol = max(dec1.cluster_tol, dec2.cluster_tol)
-    means1 = dec1.cluster_means()
-    means2 = dec2.cluster_means()
-    pairs = []
-    near = 0
-    for i, m1 in enumerate(means1):
-        for j, m2 in enumerate(means2):
-            d = abs(m1 - m2)
-            if d <= tol:
-                pairs.append((i, j))
-            elif d <= NEAR_MATCH_FACTOR * tol:
-                near += 1
-    if near:
-        warnings.warn(
-            f"{near} eigenvalue pair(s) of the two spectra almost match "
-            f"(within {NEAR_MATCH_FACTOR:g} matching radii); the averaged "
-            f"pairing treats them as distinct",
-            stacklevel=3,
-        )
-    return pairs, means1, means2
-
-
 def intertwiner(
     t1, t2, h0=None, cfg: ToleranceConfig | None = None
 ) -> IntertwineResult:
@@ -112,14 +82,11 @@ def intertwiner(
 def _averaged_connection(T1, dec1, T2, dec2, h0: HermitianForm) -> IntertwineResult:
     """intertwiner's closed form and certificate, from the two decompositions
     and the resolved fiducial form."""
-    pairs, means1, means2 = _match_clusters(dec1, dec2)
-    matched = np.zeros((means1.size, means2.size), dtype=bool)
-    for i, j in pairs:
-        matched[i, j] = True
-    common = [complex((means1[i] + means2[j]) / 2.0) for i, j in pairs]
+    matched = dec1.match(dec2)
+    common = (dec1.cluster_means()[:, None] + dec2.cluster_means()[None, :])[matched] / 2.0
 
     G0 = np.asarray(h0.gram)
-    mask = matched[np.ix_(dec1.labels(), dec2.labels())]
+    mask = matched[np.ix_(dec1.labels, dec2.labels)]
     Z = cluster_pairing(dec1, dec2, G0, mask)  # matrix of the limit form: x* Z y
     A0 = np.linalg.solve(G0, Z)
 
@@ -155,7 +122,7 @@ def _averaged_connection(T1, dec1, T2, dec2, h0: HermitianForm) -> IntertwineRes
         in_fiducial_metric=A0,
         in_first_metric=A1,
         in_second_metric=A2,
-        common_eigenvalues=tuple(common),
+        common_eigenvalues=tuple(common.tolist()),
         nonzero=nonzero,
         rank=rank,
         relation_residuals=residuals,
@@ -218,21 +185,20 @@ def intertwiner_scaled(
         G1, G2 = (np.asarray(_averaged_form(dec, h0).gram) for dec in (dec1, dec2))
     left = _unit_eigenvectors(dec1, G1)
     right = G2 @ _unit_eigenvectors(dec2, G2)
-    pairs, _, _ = _match_clusters(dec1, dec2)
-    matched = {(dec1.clusters[i][0], dec2.clusters[j][0]) for i, j in pairs}
+    matched = dec1.match(dec2)  # simple spectra: cluster k is eigenvalue k
 
     if isinstance(weights, Mapping):
         table = {}
         for key, val in weights.items():
             pair = (int(key[0]), int(key[1]))
-            if pair not in matched:
+            if not (0 <= min(pair) and max(pair) < n and matched[pair]):
                 raise WeightOnUnmatchedPair(
                     f"eigenvalue positions {pair} are not a shared eigenvalue "
                     f"of the two operators"
                 )
             table[pair] = complex(val)
     else:
-        table = {pair: complex(weights) for pair in matched}
+        table = dict.fromkeys(zip(*np.nonzero(matched)), complex(weights))
 
     A = np.zeros((n, n), dtype=np.complex128)
     for (k, q), c in table.items():

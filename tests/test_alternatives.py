@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -81,6 +83,21 @@ def test_non_finite_weight_is_rejected_at_its_block(bad):
     for spec in (ScalingSpec({0: 1.0, 1: block}), ScalingSpec({0: 1.0, 1: bad})):
         with pytest.raises(NonPositiveWeight, match="^cluster 1: "):
             spec.block_for(1, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)],
+                         ids=["nan", "inf", "nan_imag"])
+def test_non_finite_values_are_rejected_by_name(rng, bad):
+    with pytest.raises(NonPositiveWeight, match="^cluster 1: scalar weight must be real"):
+        ScalingSpec({0: 1.0, 1: bad}).block_for(1, 2)
+    T, _, _ = conjugated_unitary(rng, 3, 5.0, unimodular_phases(rng, 3))
+    result = invariant_metric(T, None, CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositivePhi, match="on cluster 0 is not positive"):
+            phi_metric(result, lambda theta: bad)
+        with pytest.raises(NonPositivePhi, match="on cluster 2 is not positive"):
+            phi_metric(result, {0: 1.0, 1: 2.0, 2: bad})
 
 
 def test_phi_metric_commutes_and_stays_invariant(rng):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,9 +14,9 @@ from unitarize import (
     eig,
     psd_sqrt,
 )
-from unitarize import core
+from unitarize import core, intertwine
 from unitarize.core import ClusterAmbiguity, effective_cluster_tol, invert
-from unitarize.fixtures import defective_unimodular
+from unitarize.fixtures import conjugated_unitary, defective_unimodular, unimodular_phases
 
 
 def test_as_operator_rejects_nonsquare():
@@ -231,6 +233,117 @@ def test_same_cluster_mask():
     mask = dec.same_cluster_mask()
     assert mask.dtype == bool
     assert int(mask.sum()) == 5  # one 2x2 block plus one singleton
+
+
+def _loop_labels(clusters, dim):
+    """The reference labels: one store per eigenvalue index."""
+    out = np.empty(dim, dtype=int)
+    for c, idx in enumerate(clusters):
+        for i in idx:
+            out[i] = c
+    return out
+
+
+def test_labels_and_means_match_the_loops_and_are_formed_once(rng):
+    for T in _eig_loop_operators(rng):
+        dec = eig(T)
+        assert dec.labels.tobytes() == _loop_labels(dec.clusters, dec.dim).tobytes()
+        assert dec.labels is dec.labels and dec.cluster_means() is dec.cluster_means()
+        assert not dec.labels.flags.writeable and not dec.cluster_means().flags.writeable
+
+
+def _loop_match(dec1, dec2):
+    """The reference cross-spectrum match: every cluster pair in row-major
+    order, compared by the scalar abs() of the difference of the means.
+    Returns the matched pairs, their common eigenvalues and the near-match
+    count."""
+    tol = max(dec1.cluster_tol, dec2.cluster_tol)
+    means1, means2 = dec1.cluster_means(), dec2.cluster_means()
+    pairs, near = [], 0
+    for i, m1 in enumerate(means1):
+        for j, m2 in enumerate(means2):
+            d = abs(m1 - m2)
+            if d <= tol:
+                pairs.append((i, j))
+            elif d <= core.NEAR_MATCH_FACTOR * tol:
+                near += 1
+    common = tuple(complex((means1[i] + means2[j]) / 2.0) for i, j in pairs)
+    return pairs, common, near
+
+
+def _positional(values, tol):
+    """A decomposition of diag(values), simple spectrum, radius tol."""
+    w = np.asarray(values, dtype=complex)
+    return np.diag(w), core.EigenDecomposition(
+        w, np.eye(w.size, dtype=complex), tuple((i,) for i in range(w.size)),
+        True, (), tol, 1.0)
+
+
+def _match_cases(rng):
+    """Pairs of operators, or of (diagonal operator, decomposition): shared
+    spectra; disjoint spectra half a spacing apart; one 64-fold cluster
+    against a simple spectrum; and pairs exactly at one and at
+    NEAR_MATCH_FACTOR matching radii, one ulp past each, and at random
+    directions of modulus near each."""
+    n = 8
+    phases = unimodular_phases(rng, n)
+    T1, _, _ = conjugated_unitary(rng, n, 20.0, phases)
+    T2, _, _ = conjugated_unitary(rng, n, 20.0, phases)
+    yield T1, T2
+    grid = 2.0 * np.pi * np.arange(n) / n
+    T1, _, _ = conjugated_unitary(rng, n, 10.0, grid)
+    T2, _, _ = conjugated_unitary(rng, n, 10.0, grid + np.pi / n)
+    yield T1, T2
+    simple = np.exp(1j * np.r_[0.7, np.linspace(1.5, 6.0, 63)])
+    yield _scalar_conjugate(rng, 64), conjugated_unitary(rng, 64, 5.0, np.angle(simple))[0]
+    tol = 2.0 ** -20
+    base = 0.5 + 4.0 * np.arange(6)
+    for factor in (1.0, core.NEAR_MATCH_FACTOR):
+        at = base + factor * tol
+        past = np.nextafter(at, np.inf)
+        turn = np.exp(2j * np.pi * rng.random(6))
+        spun = base + factor * tol * turn
+        w1 = np.r_[base, base + 1.0, base + 2.0]
+        w2 = np.r_[at, past + 1.0, spun + 2.0]
+        yield _positional(w1, tol), _positional(w2, tol)
+    # one pair each, at a radius set to the scalar abs() of its difference
+    for factor in (1.0, core.NEAR_MATCH_FACTOR):
+        for _ in range(20):
+            m1, m2 = np.exp(2j * np.pi * rng.random()) * (1.0 + 1e-6 * rng.random(2))
+            tol = float(abs(m1 - m2)) / factor
+            yield _positional([m1], tol), _positional([m2], tol)
+
+
+def _near_count(caught):
+    counts = [int(str(w.message).split()[0]) for w in caught if "almost match" in str(w.message)]
+    assert len(counts) <= 1
+    return counts[0] if counts else 0
+
+
+def test_match_equals_the_double_loop(rng):
+    seen = []
+    for first, second in _match_cases(rng):
+        (T1, dec1), (T2, dec2) = (
+            x if isinstance(x, tuple) else (x, eig(x)) for x in (first, second))
+        pairs, common, near = _loop_match(dec1, dec2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            matched = dec1.match(dec2)
+        assert matched.shape == (len(dec1.clusters), len(dec2.clusters))
+        assert list(zip(*np.nonzero(matched))) == pairs
+        assert _near_count(caught) == near
+        h0 = core.resolve_fiducial(None, dec1.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = intertwine._averaged_connection(T1, dec1, T2, dec2, h0)
+        assert result.common_eigenvalues == common
+        seen.append((len(pairs), near))
+    # (matched, near) per case; in the radius cases six pairs sit at the
+    # radius, six one ulp past it and six in random directions about it
+    assert seen[:3] == [(8, 0), (0, 0), (1, 0)]
+    assert seen[3][0] >= 6 and sum(seen[3]) == 18
+    assert seen[4][0] == 0 and 6 <= seen[4][1] <= 12
+    assert seen[5:25] == [(1, 0)] * 20
 
 
 def test_psd_sqrt_squares_back(rng):

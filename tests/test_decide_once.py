@@ -193,7 +193,7 @@ def test_spectral_function_is_the_explicit_formula(degenerate):
     dec, _ = degenerate
     assert len(dec.clusters) == 3
     values = [0.5, 2.0, 7.0]
-    v = np.array([values[c] for c in dec.labels()])
+    v = np.array([values[c] for c in dec.labels])
     P = dec.eigenvectors
     want = P @ (v[:, None] * u.core.invert(P))
     assert np.array_equal(dec.spectral_function(values), want)
@@ -208,7 +208,7 @@ def test_cluster_pairing_is_the_explicit_formula(degenerate, rng, same):
         means1, means2 = dec1.cluster_means(), dec2.cluster_means()
         near = np.abs(means1[:, None] - means2[None, :]) < 1e-6
         assert near.sum() == 2
-        mask = near[np.ix_(dec1.labels(), dec2.labels())]
+        mask = near[np.ix_(dec1.labels, dec2.labels)]
     K = positive_definite_fixture(rng, N, 10.0)
     P1, P2 = dec1.eigenvectors, dec2.eigenvectors
     M = np.where(mask, P1.conj().T @ K @ P2, 0.0)
