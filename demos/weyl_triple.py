@@ -32,7 +32,7 @@ def main():
     print("commuting pair, two averaging passes:")
     for label, residual in sorted(pair.unitarity_residuals.items()):
         print(f"  {label} unitarity in the joint metric: {residual:.3e}")
-    shortcut = multiplicity_free_shortcut(t1, t2)
+    shortcut = multiplicity_free_shortcut(pair)
     print(f"  single pass suffices: {shortcut.valid}")
     print(f"  second pass movement: {shortcut.second_invariance_residual:.3e}")
 
@@ -48,7 +48,7 @@ def main():
     print("  after conjugating all three by one similarity:")
     for label, residual in sorted(family.unitarity_residuals.items()):
         print(f"    {label} unitarity in the final metric: {residual:.3e}")
-    print("  averaging passes recorded:", [label for label, _ in family.stages])
+    print("  averaging passes recorded:", [stage.label for stage in family.stages])
 
 
 if __name__ == "__main__":

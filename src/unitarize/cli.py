@@ -220,12 +220,12 @@ def _pair(report, a, cfg):
     result = families.commuting_pair_metric(a.t1, a.t2, a.h0, cfg)
     report.verdicts["outcome"] = "joint_metric"
     report.matrices["joint_gram"] = matrix_payload(result.form.gram)
-    for label, stage in result.stages:
-        report.matrices[f"stage_{label}_gram"] = matrix_payload(stage.gram)
+    for stage in result.stages:
+        report.matrices[f"stage_{stage.label}_gram"] = matrix_payload(stage.form.gram)
     for label, res in result.unitarity_residuals.items():
         report.residuals[f"invariance_{label}"] = res
     if a.shortcut:
-        cut = families.multiplicity_free_shortcut(a.t1, a.t2, a.h0, cfg)
+        cut = families.multiplicity_free_shortcut(result)
         report.verdicts["shortcut"] = (
             "single_pass_suffices" if cut.valid else "degenerate_cluster"
         )

@@ -297,13 +297,19 @@ class EigenDecomposition:
         return out
 
     @functools.cached_property
+    def degenerate_clusters(self) -> tuple[int, ...]:
+        """Positions of the clusters holding more than one eigenvalue, in
+        order; empty exactly when the spectrum is multiplicity-free."""
+        return tuple(np.flatnonzero(np.bincount(self.labels) > 1).tolist())
+
+    @functools.cached_property
     def _means(self) -> np.ndarray:
         # A singleton's mean is its eigenvalue plus zero: .mean() sums from
         # zero, which turns a -0.0 part into 0.0.  A larger cluster keeps
         # .mean(), whose pairwise summation no vectorised sum repeats.
         w = self.eigenvalues
         means = w[np.fromiter(map(itemgetter(0), self.clusters), dtype=np.intp)] + 0.0
-        for c in np.flatnonzero(np.bincount(self.labels) > 1).tolist():
+        for c in self.degenerate_clusters:
             means[c] = w[list(self.clusters[c])].mean()
         means.setflags(write=False)
         return means

@@ -7,11 +7,16 @@ therefore produces one metric invariant under a whole commuting family.
 The same staging handles discrete Weyl triples, where the two generators do
 not commute with each other but both commute with the central element, and
 the relations force the final metric to be invariant for all three.
+
+Both constructions share one staged routine that decides each operator once
+and keeps its decomposition beside its form; the shortcut reads a pair's.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,24 +40,29 @@ from .metrics import _spectral_unitarization
 COMMUTE_RTOL = 1e-8
 
 
+class Stage(NamedTuple):
+    """One averaging pass: the operator, the decomposition its verdict was
+    read from, and the form averaged over it."""
+
+    label: str
+    operator: np.ndarray
+    decomposition: EigenDecomposition
+    form: HermitianForm
+
+
 @dataclass(eq=False)
 class FamilyResult:
     """Joint invariant metric with the intermediate stages kept for audit.
 
-    stages lists (label, form) pairs, one per averaging pass, ending with
-    the joint metric; unitarity_residuals reports how far each generator is
-    from unitary in the final metric.
+    stages lists one Stage per averaging pass, in averaging order, ending
+    with the joint metric; each carries the decomposition its operator was
+    decided and averaged with.  unitarity_residuals reports how far each
+    generator is from unitary in the final metric.
     """
 
     form: HermitianForm
-    stages: list[tuple[str, HermitianForm]]
+    stages: list[Stage]
     unitarity_residuals: dict[str, float]
-
-
-def _require_commuting(A: np.ndarray, B: np.ndarray, labels: str) -> None:
-    res = relative_defect(A @ B - B @ A, A, B)
-    if res > COMMUTE_RTOL:
-        raise NotCommuting(f"{labels} do not commute: relative residual {res:.3e}")
 
 
 def _averaged_metric(T: np.ndarray, dec: EigenDecomposition, h0) -> HermitianForm:
@@ -66,10 +76,18 @@ def _averaged_metric(T: np.ndarray, dec: EigenDecomposition, h0) -> HermitianFor
     return _spectral_unitarization(T, dec, h0).invariant_form
 
 
-def _pair_stages(T1, dec1, T2, dec2, h0) -> tuple[HermitianForm, HermitianForm]:
-    """Average h0 over T1, then that metric over T2; both forms."""
-    first = _averaged_metric(T1, dec1, h0)
-    return first, _averaged_metric(T2, dec2, first)
+def _staged_metric(operators: dict[str, np.ndarray], order, h0, cfg) -> FamilyResult:
+    """Decide each operator once, in argument order, then average h0 over
+    them in the stage order and read each residual in the joint metric."""
+    with ExitStack() as decided:
+        decs = {label: decided.enter_context(bounded(T, cfg, f"{label}: "))
+                for label, T in operators.items()}
+        stages, form = [], h0
+        for label in order:
+            form = _averaged_metric(operators[label], decs[label], form)
+            stages.append(Stage(label, operators[label], decs[label], form))
+        residuals = {label: invariance_residual(T, form.gram) for label, T in operators.items()}
+    return FamilyResult(form=form, stages=stages, unitarity_residuals=residuals)
 
 
 def commuting_pair_metric(
@@ -84,18 +102,10 @@ def commuting_pair_metric(
     cluster-projected limit.
     """
     T1, T2 = as_operator_pair(t1, t2)
-    _require_commuting(T1, T2, "t1 and t2")
-    with bounded(T1, cfg, "t1: ") as dec1, bounded(T2, cfg, "t2: ") as dec2:
-        first, joint = _pair_stages(T1, dec1, T2, dec2, h0)
-        residuals = {
-            "t1": invariance_residual(T1, joint.gram),
-            "t2": invariance_residual(T2, joint.gram),
-        }
-    return FamilyResult(
-        form=joint,
-        stages=[("t1", first), ("t2", joint)],
-        unitarity_residuals=residuals,
-    )
+    res = relative_defect(T1 @ T2 - T2 @ T1, T1, T2)
+    if res > COMMUTE_RTOL:
+        raise NotCommuting(f"t1 and t2 do not commute: relative residual {res:.3e}")
+    return _staged_metric({"t1": T1, "t2": T2}, ("t1", "t2"), h0, cfg)
 
 
 @dataclass(eq=False)
@@ -105,8 +115,8 @@ class ShortcutReport:
     When t1 has simple spectrum (no degenerate cluster), anything commuting
     with it is a polynomial in it, and the t1-averaged metric is
     automatically invariant under t2.  A degenerate cluster breaks the
-    argument, and the report carries the actual invariance defect of the
-    single-pass metric.
+    argument; degenerate_cluster names t1's first such cluster, and the
+    report carries the actual t2-invariance defect of the single-pass metric.
     """
 
     valid: bool
@@ -114,19 +124,18 @@ class ShortcutReport:
     second_invariance_residual: float
 
 
-def multiplicity_free_shortcut(
-    t1, t2, h0=None, cfg: ToleranceConfig | None = None
-) -> ShortcutReport:
-    """Test whether averaging over t1 alone is already invariant under t2."""
-    T1, T2 = as_operator_pair(t1, t2)
-    _require_commuting(T1, T2, "t1 and t2")
-    with bounded(T1, cfg, "t1: ") as dec:
-        degenerate = next((c for c, idx in enumerate(dec.clusters) if len(idx) > 1), None)
-        first = _averaged_metric(T1, dec, h0)
+def multiplicity_free_shortcut(pair: FamilyResult) -> ShortcutReport:
+    """Whether the pair's first stage, h0 averaged over t1 alone, is already
+    invariant under t2: read off a commuting_pair_metric result, from t1's
+    decomposition and the first stage's form, with nothing decided again."""
+    if [stage.label for stage in pair.stages] != ["t1", "t2"]:
+        raise InvalidInput("the shortcut reads a commuting_pair_metric result")
+    first, second = pair.stages
+    degenerate = first.decomposition.degenerate_clusters
     return ShortcutReport(
-        valid=degenerate is None,
-        degenerate_cluster=degenerate,
-        second_invariance_residual=invariance_residual(T2, first.gram),
+        valid=not degenerate,
+        degenerate_cluster=degenerate[0] if degenerate else None,
+        second_invariance_residual=invariance_residual(second.operator, first.form.gram),
     )
 
 
@@ -165,21 +174,7 @@ def heisenberg_metric(
         broken.append(f"t2 t3 = t3 t2 (residual {rel_c2:.3e})")
     if broken:
         raise RelationViolated("; ".join(broken))
-
-    with (
-        bounded(T1, cfg, "t1: ") as dec1,
-        bounded(T2, cfg, "t2: ") as dec2,
-        bounded(T3, cfg, "t3: ") as dec3,
-    ):
-        first, middle = _pair_stages(T1, dec1, T3, dec3, h0)
-        joint = _averaged_metric(T2, dec2, middle)
-        residuals = {
-            "t1": invariance_residual(T1, joint.gram),
-            "t2": invariance_residual(T2, joint.gram),
-            "t3": invariance_residual(T3, joint.gram),
-        }
-    stages = [("t1", first), ("t3", middle), ("t2", joint)]
-    return FamilyResult(form=joint, stages=stages, unitarity_residuals=residuals)
+    return _staged_metric({"t1": T1, "t2": T2, "t3": T3}, ("t1", "t3", "t2"), h0, cfg)
 
 
 def make_clock_shift(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -150,11 +150,6 @@ def mixed_cesaro(
 def _unit_eigenvectors(dec: EigenDecomposition, G: np.ndarray) -> np.ndarray:
     """The eigenvectors of a multiplicity-free spectrum, each scaled to unit
     length in the metric with Gram matrix G."""
-    if any(len(idx) > 1 for idx in dec.clusters):
-        raise InvalidInput(
-            "weighted connecting maps need multiplicity-free spectra; "
-            "a degenerate eigenvalue cluster was found"
-        )
     P = dec.eigenvectors
     return P / np.sqrt(np.einsum("ij,ij->j", P.conj(), G @ P).real)
 
@@ -171,7 +166,7 @@ def intertwiner_scaled(
     weights is a scalar applied to every matched pair, or a mapping from
     index pairs (position in t1's sorted spectrum, position in t2's) to
     values; a weight on an unmatched pair raises WeightOnUnmatchedPair.
-    Both spectra must be multiplicity-free.
+    Both spectra must be multiplicity-free (checked before any averaging).
 
     With p_k and q_j the eigenvectors of T1 and T2 and G1, G2 their averaged
     metrics over h0, the map is A = sum of c p_k q_j* G2 / (|p_k|_G1 |q_j|_G2):
@@ -182,6 +177,9 @@ def intertwiner_scaled(
     n = T1.shape[0]
     h0 = resolve_fiducial(h0, n)
     with bounded(T1, cfg, "t1: ") as dec1, bounded(T2, cfg, "t2: ") as dec2:
+        if dec1.degenerate_clusters or dec2.degenerate_clusters:
+            raise InvalidInput("weighted connecting maps need multiplicity-free spectra; "
+                               "a degenerate eigenvalue cluster was found")
         G1, G2 = (np.asarray(_averaged_form(dec, h0).gram) for dec in (dec1, dec2))
     left = _unit_eigenvectors(dec1, G1)
     right = G2 @ _unit_eigenvectors(dec2, G2)

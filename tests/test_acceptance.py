@@ -274,7 +274,7 @@ def test_criterion_07_commuting_pairs_and_shortcut():
         g = result.form.gram
         for t in (t1, t2):
             worst_joint = max(worst_joint, _rel(t.conj().T @ g @ t - g, g))
-        shortcut = multiplicity_free_shortcut(t1, t2)
+        shortcut = multiplicity_free_shortcut(result)
         assert shortcut.valid
         worst_shortcut = max(worst_shortcut, shortcut.second_invariance_residual)
 
@@ -284,9 +284,10 @@ def test_criterion_07_commuting_pairs_and_shortcut():
     t2 = np.zeros((3, 3), dtype=complex)
     t2[:2, :2] = INVOLUTION
     t2[2, 2] = 1.0
-    degenerate = multiplicity_free_shortcut(t1, t2)
+    pair = commuting_pair_metric(t1, t2)
+    degenerate = multiplicity_free_shortcut(pair)
     counter_ok = not degenerate.valid and degenerate.second_invariance_residual > 0.1
-    g = commuting_pair_metric(t1, t2).form.gram
+    g = pair.form.gram
     for t in (t1, t2):
         worst_joint = max(worst_joint, _rel(t.conj().T @ g @ t - g, g))
 

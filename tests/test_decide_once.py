@@ -50,7 +50,6 @@ EIG_COUNTS = [
      lambda o: u.scaled_metric(o.t, u.ScalingSpec({c: 1.0 + c for c in range(N)}))),
     ("commutant_positive_basis", 1, lambda o: u.commutant_positive_basis(o.t, o.g)),
     ("metric_dependence", 1, lambda o: u.metric_dependence(o.t, o.g, o.g2)),
-    ("multiplicity_free_shortcut", 1, lambda o: u.multiplicity_free_shortcut(o.a, o.b)),
     ("intertwiner", 2, lambda o: u.intertwiner(o.t, o.t2, o.g)),
     ("intertwiner_scaled", 2, lambda o: u.intertwiner_scaled(o.t, o.t2, 1.0)),
     ("commuting_pair_metric", 2, lambda o: u.commuting_pair_metric(o.a, o.b)),
@@ -85,23 +84,48 @@ def test_lapack_eig_calls_per_entry_point(ops, monkeypatch, expected, call):
     assert len(calls) == expected
 
 
+PAIR = ["pair", "--t1", "a.json", "--t2", "b.json"]
+
 # subcommand arguments, expected np.linalg.eig calls: log's second is the
-# independent reconstruction check on the generator
+# independent reconstruction check on the generator; the shortcut reads the
+# pair's decision of t1
 CLI_EIG_COUNTS = [
     ("log", ["log", "--in", "t.json"], 2),
     ("altmetric_phi", ["altmetric", "--in", "t.json", "--phi", "phi.json"], 1),
+    ("pair", PAIR, 2),
+    ("pair_shortcut", PAIR + ["--shortcut"], 2),
 ]
+
+
+@pytest.fixture
+def cli_inputs(ops, tmp_path, monkeypatch):
+    """The working directory holds t.json, phi.json and the pair a.json, b.json."""
+    monkeypatch.chdir(tmp_path)
+    for name, m in (("t", ops.t), ("a", ops.a), ("b", ops.b)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(u.serialization.matrix_payload(m)))
+    (tmp_path / "phi.json").write_text("2.0")
 
 
 @pytest.mark.parametrize("argv, expected", [c[1:] for c in CLI_EIG_COUNTS],
                          ids=[c[0] for c in CLI_EIG_COUNTS])
-def test_lapack_eig_calls_per_subcommand(ops, tmp_path, monkeypatch, argv, expected):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "t.json").write_text(json.dumps(u.serialization.matrix_payload(ops.t)))
-    (tmp_path / "phi.json").write_text("2.0")
+def test_lapack_eig_calls_per_subcommand(cli_inputs, monkeypatch, argv, expected):
     calls = _count_eig(monkeypatch)
     assert main(argv) == 0
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("argv", [PAIR, PAIR + ["--shortcut"]], ids=["pair", "pair_shortcut"])
+def test_pair_svd_and_eigh_calls(cli_inputs, monkeypatch, argv):
+    """Per operator decided, three direct SVDs (the singularity test, one
+    stack of power norms, cond(P)), and one eigh per stage form rooted: the
+    shortcut adds none."""
+    calls = []
+    for name in ("svd", "eigh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _n=name, _f=real, **kw: calls.append(_n) or _f(*a, **kw))
+    assert main(argv) == 0
+    assert (calls.count("svd"), calls.count("eigh")) == (6, 2)
 
 
 # entry point, expected inversions of an eigenvector matrix, call; one per
@@ -112,7 +136,6 @@ INVERSION_COUNTS = [
      lambda o: u.scaled_metric(o.t, u.ScalingSpec({c: 1.0 + c for c in range(N)}))),
     ("commutant_positive_basis", 1, lambda o: u.commutant_positive_basis(o.t, o.g)),
     ("metric_dependence", 1, lambda o: u.metric_dependence(o.t, o.g, o.g2)),
-    ("multiplicity_free_shortcut", 1, lambda o: u.multiplicity_free_shortcut(o.a, o.b)),
     ("unitary_log", 1, lambda o: u.unitary_log(u.invariant_metric(o.t))),
     ("phi_metric", 1,
      lambda o: u.phi_metric(u.invariant_metric(o.t), lambda theta: 1.0 + theta)),
@@ -309,7 +332,6 @@ WRONG_H0 = [
     ("intertwiner_scaled", lambda o, h: u.intertwiner_scaled(o.t, o.t2, 1.0, h)),
     ("mixed_cesaro", lambda o, h: u.mixed_cesaro(o.t, o.t2, h, 64)),
     ("commuting_pair_metric", lambda o, h: u.commuting_pair_metric(o.a, o.b, h)),
-    ("multiplicity_free_shortcut", lambda o, h: u.multiplicity_free_shortcut(o.a, o.b, h)),
     ("heisenberg_metric", lambda o, h: u.heisenberg_metric(*o.weyl, h)),
     ("commutant_positive_basis", lambda o, h: u.commutant_positive_basis(o.t, h)),
     ("metric_dependence h0", lambda o, h: u.metric_dependence(o.t, h, o.g)),

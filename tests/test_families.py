@@ -3,7 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from unitarize import (
+    InvalidInput,
     NotCommuting,
+    NotUniformlyBounded,
     RelationViolated,
     ToleranceConfig,
     commuting_pair_metric,
@@ -11,8 +13,10 @@ from unitarize import (
     make_clock_shift,
     multiplicity_free_shortcut,
 )
-from unitarize import core
-from unitarize.core import _Task
+from unitarize import boundedness, core
+from unitarize.boundedness import bounded
+from unitarize.core import _Task, as_operator_pair, invariance_residual
+from unitarize.families import _averaged_metric
 from unitarize.fixtures import (
     commuting_conjugated_pair,
     invertible_with_condition,
@@ -42,10 +46,10 @@ def test_commuting_pair_metric(rng):
     G = result.form.gram
     assert unitarity_residual(t1, G) <= 1e-9
     assert unitarity_residual(t2, G) <= 1e-9
-    labels = [label for label, _ in result.stages]
+    labels = [stage.label for stage in result.stages]
     assert labels == ["t1", "t2"]
     # the first stage only handles t1
-    G1 = result.stages[0][1].gram
+    G1 = result.stages[0].form.gram
     assert unitarity_residual(t1, G1) <= 1e-9
 
 
@@ -57,24 +61,63 @@ def test_commuting_pair_rejects_noncommuting():
 
 def test_shortcut_valid_for_simple_spectrum(rng):
     t1, t2 = commuting_conjugated_pair(rng, 4, 15.0)
-    report = multiplicity_free_shortcut(t1, t2, None, CFG)
+    report = multiplicity_free_shortcut(commuting_pair_metric(t1, t2, None, CFG))
     assert report.valid
     assert report.degenerate_cluster is None
     assert report.second_invariance_residual <= 1e-10
 
 
-def test_shortcut_counterexample_with_degenerate_cluster():
-    # t1 has a double eigenvalue; t2 commutes with t1 but mixes the
-    # degenerate plane non-unitarily, so stage one alone is not enough
+def _degenerate_pair():
+    """t1 has a double eigenvalue; t2 commutes with t1 but mixes the
+    degenerate plane non-unitarily, so stage one alone is not enough."""
     t1 = np.diag([1.0, 1.0, -1.0]).astype(complex)
     t2 = np.zeros((3, 3), dtype=complex)
     t2[:2, :2] = np.array([[1.0, 2.0], [0.0, -1.0]])
     t2[2, 2] = 1.0
+    return t1, t2
+
+
+def test_shortcut_counterexample_with_degenerate_cluster():
+    t1, t2 = _degenerate_pair()
     assert np.linalg.norm(t1 @ t2 - t2 @ t1) == 0.0
-    report = multiplicity_free_shortcut(t1, t2, None, CFG)
+    report = multiplicity_free_shortcut(commuting_pair_metric(t1, t2, None, CFG))
     assert not report.valid
-    assert report.degenerate_cluster is not None
+    assert report.degenerate_cluster == 0
     assert report.second_invariance_residual > 0.1
+
+
+def _shortcut_decided_again(t1, t2):
+    """The shortcut's verdict, t1's first stage and the t2 residual, from t1
+    decided and averaged on its own."""
+    T1, T2 = as_operator_pair(t1, t2)
+    with bounded(T1, CFG, "t1: ") as dec:
+        degenerate = next((c for c, idx in enumerate(dec.clusters) if len(idx) > 1), None)
+        first = _averaged_metric(T1, dec, None)
+    residual = invariance_residual(T2, first.gram)
+    return degenerate is None, degenerate, first.gram.tobytes(), np.float64(residual).tobytes()
+
+
+@pytest.mark.parametrize("simple", [True, False], ids=["simple", "degenerate"])
+def test_shortcut_read_off_the_pair_equals_a_second_decision(rng, simple):
+    t1, t2 = commuting_conjugated_pair(rng, 4, 15.0) if simple else _degenerate_pair()
+    pair = commuting_pair_metric(t1, t2, None, CFG)
+    cut = multiplicity_free_shortcut(pair)
+    got = (cut.valid, cut.degenerate_cluster, pair.stages[0].form.gram.tobytes(),
+           np.float64(cut.second_invariance_residual).tobytes())
+    assert got == _shortcut_decided_again(t1, t2)
+    assert cut.valid is simple
+
+
+def test_shortcut_reads_only_a_pair():
+    with pytest.raises(InvalidInput, match="commuting_pair_metric result"):
+        multiplicity_free_shortcut(heisenberg_metric(*make_clock_shift(3), None, CFG))
+
+
+def test_degenerate_t1_with_unbounded_t2_is_not_bounded():
+    # the shortcut reads a pair, so t2 is decided before any reading of t1
+    t2 = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(NotUniformlyBounded, match="^t2: "):
+        commuting_pair_metric(np.eye(2, dtype=complex), t2, None, CFG)
 
 
 def test_heisenberg_metric_on_weyl_triple():
@@ -148,8 +191,12 @@ def _weyl_and_pair(rng, n):
 
 
 def _family_bytes(result):
-    return ([(label, form.gram.tobytes()) for label, form in result.stages],
-            result.form.gram.tobytes(), result.unitarity_residuals)
+    """Each stage's form and decomposition, the joint form, the residuals
+    and, for a pair, the shortcut report read off it."""
+    stages = [(s.label, s.form.gram.tobytes(), s.decomposition.eigenvalues.tobytes(),
+               s.decomposition.eigenvectors.tobytes()) for s in result.stages]
+    cut = [vars(multiplicity_free_shortcut(result))] if len(result.stages) == 2 else []
+    return stages, result.form.gram.tobytes(), result.unitarity_residuals, cut
 
 
 # at the decision's overlap cut (test_boundedness.N_CUT) and connect_n64's size
@@ -164,10 +211,26 @@ def test_overlapped_construction_equals_the_serial_one(rng, monkeypatch, submitt
         "commuting_pair_metric": lambda: commuting_pair_metric(*pair, None, CFG),
         "heisenberg_metric": lambda: heisenberg_metric(*triple, None, CFG),
     }[construction]
+    decided = []
+    real_check = boundedness.check_uniformly_bounded
+
+    def recording_check(T, *args, **kwargs):
+        decided.append((T, real_check(T, *args, **kwargs)))
+        return decided[-1][1]
+
+    monkeypatch.setattr(boundedness, "check_uniformly_bounded", recording_check)
     results = []
     for overlap in (False, True):
         monkeypatch.setattr(core, "_overlaps", lambda n, o=overlap: o)
-        results.append(_family_bytes(call()))
+        decided.clear()
+        result = call()
+        results.append(_family_bytes(result))
+        # decided in argument order, and each stage holds what its verdict was read from
+        by_label = dict(zip(["t1", "t2", "t3"], decided))
+        assert len(decided) == len(result.stages)
+        for stage in result.stages:
+            T, report = by_label[stage.label]
+            assert stage.operator is T and stage.decomposition is report.decomposition
     assert results[1] == results[0]
     decisions = 2 if construction == "commuting_pair_metric" else 3
     assert [isinstance(f, _Task) for f in submitted] == [False] * decisions + [True] * decisions

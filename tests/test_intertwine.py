@@ -14,7 +14,7 @@ from unitarize import (
     make_clock_shift,
     mixed_cesaro,
 )
-from unitarize import core
+from unitarize import core, intertwine
 from unitarize.boundedness import bounded
 from unitarize.core import _Task, resolve_fiducial
 from unitarize.fixtures import (
@@ -149,6 +149,18 @@ def test_scaled_connector_requires_simple_spectra():
     T1 = np.diag([1.0, 1.0, -1.0]).astype(complex)
     with pytest.raises(InvalidInput):
         intertwiner_scaled(T1, T1, 1.0, cfg=CFG)
+
+
+@pytest.mark.parametrize("degenerate", ["t1", "t2"])
+def test_scaled_connector_refuses_degenerate_spectra_before_averaging(monkeypatch, degenerate):
+    averaged = []
+    monkeypatch.setattr(intertwine, "_averaged_form", lambda *args: averaged.append(args))
+    double = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    simple = np.diag([1.0, -1.0, 1j])
+    T1, T2 = (double, simple) if degenerate == "t1" else (simple, double)
+    with pytest.raises(InvalidInput, match="multiplicity-free"):
+        intertwiner_scaled(T1, T2, 1.0, cfg=CFG)
+    assert averaged == []
 
 
 def test_are_intertwined_detects_violations(rng):
