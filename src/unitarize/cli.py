@@ -27,10 +27,17 @@ from collections.abc import Callable
 
 import numpy as np
 
-from . import alternatives, boundedness, families, hamiltonian, intertwine, line_models, metrics
-from . import errors
+# Only the modules every subcommand runs are imported here; a fill that needs
+# another one imports it where it runs, so a CLI process loads no more than
+# its subcommand uses.  core comes first and each module is imported by name,
+# so that `python -X importtime` lists every module a run loads.
 from .core import DEFAULT_TOLERANCES, PSD_RTOL, ToleranceConfig, invariance_residual
+from . import errors
+from .boundedness import check_generator, check_normal_dichotomy, check_uniformly_bounded
 from .errors import InvalidInput, UnitarizeError
+from .metrics import (
+    DRIFT_RTOL, cayley, cesaro_oracle, invariant_metric, inverse_cayley, unitary_log,
+)
 from .serialization import (
     AnalysisReport,
     form_payload,
@@ -86,12 +93,12 @@ def _load_fiducial(path: str | None, dim: int):
 
 def _check(report, a, cfg):
     if a.generator:
-        gen = boundedness.check_generator(a.infile, cfg)
+        gen = check_generator(a.infile, cfg)
         report.verdicts["outcome"] = gen.verdict
         for key in ("spectrum", "off_real", "defective"):
             report.scalars[key] = [complex(z) for z in getattr(gen, key)]
         return 0 if gen.similar_to_self_adjoint else 2
-    rep = boundedness.check_uniformly_bounded(a.infile, cfg)
+    rep = check_uniformly_bounded(a.infile, cfg)
     report.verdicts["outcome"] = rep.verdict
     report.verdicts["reasons"] = list(rep.reasons)
     report.scalars["off_circle"] = [complex(z) for z in rep.off_circle]
@@ -101,13 +108,13 @@ def _check(report, a, cfg):
     }
     if rep.bound_estimate is not None:
         report.scalars["bound_estimate"] = rep.bound_estimate
-    normality = boundedness.check_normal_dichotomy(a.infile, cfg)
+    normality = check_normal_dichotomy(a.infile, cfg)
     report.verdicts["normality"] = normality.verdict
     return 0 if rep.bounded else 2
 
 
 def _nagy(report, a, cfg):
-    result = metrics.invariant_metric(a.infile, a.h0, cfg)
+    result = invariant_metric(a.infile, a.h0, cfg)
     report.verdicts["outcome"] = "unitarizable"
     report.matrices["invariant_gram"] = matrix_payload(result.invariant_form.gram)
     report.matrices["positive_similarity"] = matrix_payload(result.positive_similarity)
@@ -116,7 +123,7 @@ def _nagy(report, a, cfg):
 
 
 def _oracle(report, a, cfg):
-    form, drift = metrics.cesaro_oracle(a.infile, a.h0, cfg.cesaro_horizon, cfg)
+    form, drift = cesaro_oracle(a.infile, a.h0, cfg.cesaro_horizon, cfg)
     report.verdicts["outcome"] = "averaged"
     report.matrices["cesaro_gram"] = matrix_payload(form.gram)
     report.scalars["horizon"] = cfg.cesaro_horizon
@@ -124,15 +131,15 @@ def _oracle(report, a, cfg):
 
 
 def _cayley(report, a, cfg):
-    image = metrics.inverse_cayley(a.infile) if a.inverse else metrics.cayley(a.infile)
+    image = inverse_cayley(a.infile) if a.inverse else cayley(a.infile)
     report.verdicts["outcome"] = "mapped"
     report.matrices["image"] = matrix_payload(image)
 
 
 def _log(report, a, cfg):
     T = a.infile
-    result = metrics.invariant_metric(T, a.h0, cfg)
-    gen = metrics.unitary_log(result)
+    result = invariant_metric(T, a.h0, cfg)
+    gen = unitary_log(result)
     w, v = np.linalg.eig(gen)
     rebuilt = v @ (np.exp(1j * w)[:, None] * np.linalg.inv(v))
     g = np.asarray(result.invariant_form.gram)
@@ -148,7 +155,7 @@ def _log(report, a, cfg):
     )
 
 
-def _parse_weights(payload) -> alternatives.ScalingSpec:
+def _parse_weights(payload) -> dict:
     if not isinstance(payload, dict):
         raise InvalidInput("the weights file must map cluster index to weight")
     weights = {}
@@ -165,7 +172,7 @@ def _parse_weights(payload) -> alternatives.ScalingSpec:
             raise InvalidInput(
                 f"weight for cluster {cluster} must be a number or a matrix payload"
             )
-    return alternatives.ScalingSpec(weights)
+    return weights
 
 
 def _parse_phi(payload):
@@ -184,17 +191,19 @@ def _parse_phi(payload):
 
 
 def _altmetric(report, a, cfg):
+    from .alternatives import ScalingSpec, phi_metric, scaled_metric
+
     T = a.infile
     if a.weights is not None:
         if a.h0 is not None:
             raise InvalidInput("--weights reads no fiducial form; --h0 goes with --phi only")
-        form = alternatives.scaled_metric(T, _parse_weights(a.weights), cfg)
+        form = scaled_metric(T, ScalingSpec(_parse_weights(a.weights)), cfg)
         report.verdicts["outcome"] = "scaled_metric"
         report.matrices["scaled_gram"] = matrix_payload(form.gram)
     else:
         phi = _parse_phi(a.phi)
-        result = metrics.invariant_metric(T, a.h0, cfg)
-        form, commuting = alternatives.phi_metric(result, phi)
+        result = invariant_metric(T, a.h0, cfg)
+        form, commuting = phi_metric(result, phi)
         report.verdicts["outcome"] = "phi_metric"
         report.matrices["phi_gram"] = matrix_payload(form.gram)
         report.matrices["commuting_factor"] = matrix_payload(commuting)
@@ -206,7 +215,9 @@ def _altmetric(report, a, cfg):
 
 
 def _depend(report, a, cfg):
-    dep = alternatives.metric_dependence(a.infile, a.h0, a.h0_prime, cfg, a.horizon)
+    from .alternatives import metric_dependence
+
+    dep = metric_dependence(a.infile, a.h0, a.h0_prime, cfg, a.horizon)
     report.verdicts["outcome"] = "analyzed"
     report.matrices["fiducial_change"] = matrix_payload(dep.fiducial_change)
     report.matrices["invariant_change"] = matrix_payload(dep.invariant_change)
@@ -217,7 +228,9 @@ def _depend(report, a, cfg):
 
 
 def _pair(report, a, cfg):
-    result = families.commuting_pair_metric(a.t1, a.t2, a.h0, cfg)
+    from .families import commuting_pair_metric, multiplicity_free_shortcut
+
+    result = commuting_pair_metric(a.t1, a.t2, a.h0, cfg)
     report.verdicts["outcome"] = "joint_metric"
     report.matrices["joint_gram"] = matrix_payload(result.form.gram)
     for stage in result.stages:
@@ -225,7 +238,7 @@ def _pair(report, a, cfg):
     for label, res in result.unitarity_residuals.items():
         report.residuals[f"invariance_{label}"] = res
     if a.shortcut:
-        cut = families.multiplicity_free_shortcut(result)
+        cut = multiplicity_free_shortcut(result)
         report.verdicts["shortcut"] = (
             "single_pass_suffices" if cut.valid else "degenerate_cluster"
         )
@@ -233,9 +246,9 @@ def _pair(report, a, cfg):
 
 
 def _heisenberg(report, a, cfg):
-    result = families.heisenberg_metric(
-        a.t1, a.t2, a.t3, a.h0, cfg, relation_tol=a.relation_tol
-    )
+    from .families import heisenberg_metric
+
+    result = heisenberg_metric(a.t1, a.t2, a.t3, a.h0, cfg, relation_tol=a.relation_tol)
     report.verdicts["outcome"] = "joint_metric"
     report.matrices["joint_gram"] = matrix_payload(result.form.gram)
     for label, res in result.unitarity_residuals.items():
@@ -243,7 +256,9 @@ def _heisenberg(report, a, cfg):
 
 
 def _intertwine(report, a, cfg):
-    result = intertwine.intertwiner(a.t1, a.t2, a.h0, cfg)
+    from .intertwine import intertwiner
+
+    result = intertwiner(a.t1, a.t2, a.h0, cfg)
     report.verdicts["outcome"] = (
         "nonzero_connection" if result.nonzero else "disjoint_spectra"
     )
@@ -256,11 +271,13 @@ def _intertwine(report, a, cfg):
 
 
 def _hamiltonian(report, a, cfg):
+    from .hamiltonian import ClassicalFactorization, factorization_check
+
     for name, mat in (("dynamics", a.dyn), ("poisson", a.poisson), ("energy", a.energy)):
         if np.max(np.abs(mat.imag)) > 1e-12 * max(np.max(np.abs(mat.real)), 1.0):
             raise InvalidInput(f"the {name} matrix must be real")
-    fact = hamiltonian.ClassicalFactorization(a.poisson.real, a.energy.real)
-    residual = hamiltonian.factorization_check(a.dyn.real, fact)
+    fact = ClassicalFactorization(a.poisson.real, a.energy.real)
+    residual = factorization_check(a.dyn.real, fact)
     scale = 1.0 + float(np.linalg.norm(a.dyn.real))
     ok = residual <= _FACTORIZATION_RTOL * scale
     plus, minus = fact.signature
@@ -271,7 +288,9 @@ def _hamiltonian(report, a, cfg):
     return 0 if ok else 2
 
 
-def _spec_from_payload(payload) -> line_models.GridOperatorSpec:
+def _spec_from_payload(payload):
+    from .line_models import GridOperatorSpec
+
     if not isinstance(payload, dict):
         raise InvalidInput("the model spec must be a JSON object")
     if payload.get("kind") is None or payload.get("size") is None:
@@ -285,7 +304,7 @@ def _spec_from_payload(payload) -> line_models.GridOperatorSpec:
             raise InvalidInput(f'"{name}" must be a list of numbers')
         return np.asarray(val, dtype=float)
 
-    return line_models.GridOperatorSpec(
+    return GridOperatorSpec(
         kind=payload["kind"],
         size=payload["size"],
         step=payload.get("step", 1),
@@ -295,26 +314,21 @@ def _spec_from_payload(payload) -> line_models.GridOperatorSpec:
     )
 
 
-_KIND_ALIASES = {
-    "shift": line_models.KIND_SHIFT,
-    "parity": line_models.KIND_PARITY,
-    "translation": line_models.KIND_TRANSLATION,
-}
-
-
 def _random_spec(kind: str, seed: int) -> dict:
     """The payload of a random spec of the given kind."""
-    kind = _KIND_ALIASES.get(kind, kind)
+    from .line_models import KIND_ALIASES, KIND_PARITY, KIND_SHIFT, KIND_TRANSLATION
+
+    kind = KIND_ALIASES.get(kind, kind)
     rng = np.random.default_rng(seed)
     size = int(rng.integers(3, 9)) * 2
-    if kind == line_models.KIND_SHIFT:
+    if kind == KIND_SHIFT:
         profiles = {"density": rng.uniform(0.5, 2.0, size)}
-    elif kind == line_models.KIND_PARITY:
+    elif kind == KIND_PARITY:
         profiles = {
             "magnitude": rng.uniform(0.5, 2.0, size),
             "phase": rng.uniform(0.0, 2.0 * np.pi, size),
         }
-    elif kind == line_models.KIND_TRANSLATION:
+    elif kind == KIND_TRANSLATION:
         # one free parameter: the multiplier must alternate v, 1/v along
         # the whole step orbit for g(x + step) g(x) = 1 to close cyclically
         value = float(rng.uniform(0.5, 2.0))
@@ -322,7 +336,7 @@ def _random_spec(kind: str, seed: int) -> dict:
             "magnitude": np.resize([value, 1.0 / value], size),
             "phase": rng.uniform(0.0, 2.0 * np.pi, size)}
     else:
-        known = sorted(set(_KIND_ALIASES) | set(_KIND_ALIASES.values()))
+        known = sorted({*KIND_ALIASES, *KIND_ALIASES.values()})
         raise InvalidInput(
             f"unknown grid model kind {kind!r}; expected one of " + ", ".join(known)
         )
@@ -342,29 +356,23 @@ class _DrawSpec(argparse.Action):
         setattr(namespace, self.dest, _random_spec(kind, namespace.seed))
 
 
-# closed-form diagonal of the invariant metric of each grid model
-_CLOSED_FORMS = {
-    line_models.KIND_SHIFT: line_models.shift_orbit_means,
-    line_models.KIND_PARITY: line_models.parity_metric_diagonal,
-    line_models.KIND_TRANSLATION: line_models.translation_metric_diagonal,
-}
-
-
 def _example(report, a, cfg):
+    from .line_models import CLOSED_FORMS, build, spectrum_match_report
+
     spec = _spec_from_payload(a.spec)
-    T, h0 = line_models.build(spec)
+    T, h0 = build(spec)
     report.matrices["operator"] = matrix_payload(T)
     report.matrices["fiducial_gram"] = form_payload(h0)
     seed = getattr(a, "seed", None)
     if seed is not None:
         report.scalars["seed"] = seed
-    result = metrics.invariant_metric(T, h0, cfg)
+    result = invariant_metric(T, h0, cfg)
     g = np.asarray(result.invariant_form.gram)
     report.matrices["invariant_gram"] = matrix_payload(g)
-    predicted = np.diag(_CLOSED_FORMS[spec.kind](spec) + 0j)
+    predicted = np.diag(CLOSED_FORMS[spec.kind](spec) + 0j)
     worst = float(np.linalg.norm(g - predicted) / np.linalg.norm(predicted))
     report.residuals["metric_vs_closed_form"] = worst
-    spectrum = line_models.spectrum_match_report(spec, cfg)
+    spectrum = spectrum_match_report(spec, cfg)
     report.residuals["spectrum_vs_closed_form"] = spectrum["worst_eigenvalue_distance"]
     if "covering_radius" in spectrum:
         report.scalars["covering_radius"] = spectrum["covering_radius"]
@@ -519,7 +527,7 @@ def _analyze(args) -> tuple[AnalysisReport, int]:
 
     # the block records every threshold the answer was computed under
     tolerances = dataclasses.asdict(cfg)
-    tolerances.update(psd_tol=PSD_RTOL, cesaro_rel_tol=metrics.DRIFT_RTOL)
+    tolerances.update(psd_tol=PSD_RTOL, cesaro_rel_tol=DRIFT_RTOL)
     report = AnalysisReport(
         command=args.command, inputs_digest=inputs_digest(payloads), tolerances=tolerances
     )

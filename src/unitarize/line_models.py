@@ -25,7 +25,8 @@ KIND_SHIFT = "weighted_cyclic_shift"
 KIND_PARITY = "parity_times_function"
 KIND_TRANSLATION = "weighted_translation"
 
-_KINDS = (KIND_SHIFT, KIND_PARITY, KIND_TRANSLATION)
+# the short names the command line accepts for the three kinds
+KIND_ALIASES = {"shift": KIND_SHIFT, "parity": KIND_PARITY, "translation": KIND_TRANSLATION}
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +56,7 @@ class GridOperatorSpec:
     phase: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KIND_ALIASES.values():
             raise InvalidInput(f"unknown grid model kind {self.kind!r}")
         if not isinstance(self.size, (int, np.integer)) or self.size < 2:
             raise InvalidInput("grid size must be an integer of at least 2")
@@ -222,6 +223,14 @@ def translation_metric_diagonal(spec: GridOperatorSpec) -> np.ndarray:
     if spec.kind != KIND_TRANSLATION:
         raise InvalidInput("this closed form belongs to the translation model")
     return 0.5 * (1.0 + spec.magnitude**2)
+
+
+# closed-form diagonal of the invariant metric of each kind
+CLOSED_FORMS = {
+    KIND_SHIFT: shift_orbit_means,
+    KIND_PARITY: parity_metric_diagonal,
+    KIND_TRANSLATION: translation_metric_diagonal,
+}
 
 
 def expected_spectrum(spec: GridOperatorSpec) -> np.ndarray:

@@ -42,6 +42,7 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -57,6 +58,7 @@ from unitarize.families import make_clock_shift
 from unitarize.hamiltonian import planar_oscillator_pair
 from unitarize.serialization import form_payload, matrix_payload
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 CORPUS = Path(__file__).parent / "golden" / "cli_corpus.json"
 DIGESTS = Path(__file__).parent / "golden" / "cli_digests.json"
 NUMBER_RTOL = 1e-12
@@ -133,6 +135,48 @@ def test_golden_corpus_covers_every_subcommand():
         "check", "nagy", "oracle", "cayley", "log", "altmetric", "depend",
         "pair", "heisenberg", "intertwine", "hamiltonian", "example",
     }
+
+
+# -- one fresh process per subcommand -----------------------------------------
+
+# the modules every CLI run loads; under -m the cli module itself runs as
+# __main__, so the import log does not name it
+BASE_MODULES = {"unitarize"} | {
+    f"unitarize.{m}" for m in ("boundedness", "core", "errors", "metrics", "serialization")
+}
+# the module a subcommand loads beyond those, if any
+OWN_MODULE = {
+    "pair": "families", "heisenberg": "families", "intertwine": "intertwine",
+    "altmetric": "alternatives", "depend": "alternatives", "hamiltonian": "hamiltonian",
+    "example": "line_models",
+}
+
+
+def _first_case_per_subcommand() -> list[dict]:
+    first = {}
+    for case in _load_corpus():
+        if case["stderr"] == "":
+            first.setdefault(case["argv"][0], case)
+    return list(first.values())
+
+
+@pytest.mark.parametrize("case", _first_case_per_subcommand(), ids=lambda c: c["argv"][0])
+def test_fresh_process_loads_only_its_subcommand_modules(case, tmp_path):
+    code, out, _ = run_case(case, str(tmp_path))
+    argv = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in case["argv"]]
+    env = {**os.environ, **case.get("env", {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "unitarize.cli", *argv],
+                          env=env, cwd=tmp_path, capture_output=True, timeout=120)
+    assert proc.returncode == code
+    assert proc.stdout == out.encode()
+    log = proc.stderr.decode().splitlines()
+    assert all(line.startswith("import time:") for line in log), log
+    logged = {line.rsplit("|", 1)[1].strip() for line in log}
+    expected = set(BASE_MODULES)
+    if case["argv"][0] in OWN_MODULE:
+        expected.add(f"unitarize.{OWN_MODULE[case['argv'][0]]}")
+    assert {m for m in logged if m.split(".")[0] == "unitarize"} == expected
 
 
 # -- report bytes -------------------------------------------------------------

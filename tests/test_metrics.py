@@ -689,13 +689,24 @@ def test_forked_child_finishes_an_overlapped_oracle(monkeypatch):
 
 
 def test_importing_the_cli_starts_no_thread():
+    # and loads only the modules every subcommand runs; a bare package import
+    # loads none of its submodules
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     code = (
-        "import threading, unitarize.cli, unitarize.core as c; "
-        "assert threading.active_count() == 1 and c._worker is None"
+        "import sys, threading\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'unitarize')\n"
+        "import unitarize\n"
+        "print(' '.join(loaded()))\n"
+        "import unitarize.cli, unitarize.core as c\n"
+        "assert threading.active_count() == 1 and c._worker is None\n"
+        "print(' '.join(loaded()))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    bare, cli = (line.split() for line in proc.stdout.splitlines())
+    assert bare == ["unitarize"]
+    base = ("boundedness", "cli", "core", "errors", "metrics", "serialization")
+    assert cli == ["unitarize"] + [f"unitarize.{m}" for m in base]
