@@ -288,76 +288,22 @@ def _hamiltonian(report, a, cfg):
     return 0 if ok else 2
 
 
-def _spec_from_payload(payload):
-    from .line_models import GridOperatorSpec
-
-    if not isinstance(payload, dict):
-        raise InvalidInput("the model spec must be a JSON object")
-    if payload.get("kind") is None or payload.get("size") is None:
-        raise InvalidInput('the model spec needs the keys "kind" and "size"')
-
-    def profile(name):
-        if name not in payload:
-            return None
-        val = payload[name]
-        if not isinstance(val, list):
-            raise InvalidInput(f'"{name}" must be a list of numbers')
-        return np.asarray(val, dtype=float)
-
-    return GridOperatorSpec(
-        kind=payload["kind"],
-        size=payload["size"],
-        step=payload.get("step", 1),
-        density=profile("density"),
-        magnitude=profile("magnitude"),
-        phase=profile("phase"),
-    )
-
-
-def _random_spec(kind: str, seed: int) -> dict:
-    """The payload of a random spec of the given kind."""
-    from .line_models import KIND_ALIASES, KIND_PARITY, KIND_SHIFT, KIND_TRANSLATION
-
-    kind = KIND_ALIASES.get(kind, kind)
-    rng = np.random.default_rng(seed)
-    size = int(rng.integers(3, 9)) * 2
-    if kind == KIND_SHIFT:
-        profiles = {"density": rng.uniform(0.5, 2.0, size)}
-    elif kind == KIND_PARITY:
-        profiles = {
-            "magnitude": rng.uniform(0.5, 2.0, size),
-            "phase": rng.uniform(0.0, 2.0 * np.pi, size),
-        }
-    elif kind == KIND_TRANSLATION:
-        # one free parameter: the multiplier must alternate v, 1/v along
-        # the whole step orbit for g(x + step) g(x) = 1 to close cyclically
-        value = float(rng.uniform(0.5, 2.0))
-        profiles = {
-            "magnitude": np.resize([value, 1.0 / value], size),
-            "phase": rng.uniform(0.0, 2.0 * np.pi, size)}
-    else:
-        known = sorted({*KIND_ALIASES, *KIND_ALIASES.values()})
-        raise InvalidInput(
-            f"unknown grid model kind {kind!r}; expected one of " + ", ".join(known)
-        )
-    profiles = {name: arr.tolist() for name, arr in profiles.items()}
-    return {"kind": kind, "size": size, "step": 1, **profiles}
-
-
 class _DrawSpec(argparse.Action):
     """example --random KIND: the spec input is drawn, not read, and the
     seed it was drawn with is kept for the report."""
 
     def __call__(self, parser, namespace, kind, option_string=None):
+        from .line_models import _random_payload
+
         seed = os.environ.get("UNITARIZE_SEED", "0")
         if not seed.strip().isdecimal():
             raise InvalidInput(f"UNITARIZE_SEED must be a non-negative integer, got {seed!r}")
         namespace.seed = int(seed)
-        setattr(namespace, self.dest, _random_spec(kind, namespace.seed))
+        setattr(namespace, self.dest, _random_payload(kind, namespace.seed))
 
 
 def _example(report, a, cfg):
-    from .line_models import CLOSED_FORMS, build, spectrum_match_report
+    from .line_models import CLOSED_FORMS, _spec_from_payload, _spectrum_match, build
 
     spec = _spec_from_payload(a.spec)
     T, h0 = build(spec)
@@ -372,7 +318,7 @@ def _example(report, a, cfg):
     predicted = np.diag(CLOSED_FORMS[spec.kind](spec) + 0j)
     worst = float(np.linalg.norm(g - predicted) / np.linalg.norm(predicted))
     report.residuals["metric_vs_closed_form"] = worst
-    spectrum = spectrum_match_report(spec, cfg)
+    spectrum = _spectrum_match(spec, result.decomposition.eigenvalues)
     report.residuals["spectrum_vs_closed_form"] = spectrum["worst_eigenvalue_distance"]
     if "covering_radius" in spectrum:
         report.scalars["covering_radius"] = spectrum["covering_radius"]

@@ -256,6 +256,36 @@ def test_example_from_spec_file(tmp_path, capsys):
     assert report["residuals"]["metric_vs_closed_form"] <= 1e-9
 
 
+def test_example_spec_takes_the_short_kind_names(tmp_path, capsys):
+    # the report is the same but for the digest of the spec file
+    reports = {}
+    for kind in ("shift", "weighted_cyclic_shift"):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"kind": kind, "size": 6, "step": 2,
+                                    "density": [0.5, 1.0, 1.5, 2.0, 0.8, 1.2]}))
+        code, reports[kind] = run_json(capsys, ["example", "--spec", str(path)])
+        assert code == 0
+    short, full = reports.values()
+    assert full["verdicts"] == short["verdicts"] == {"outcome": "model_consistent"}
+    assert full["matrices"] == short["matrices"]
+    assert full["residuals"] == short["residuals"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("step", None), ("step", "x"), ("step", 1.7), ("step", True),
+    ("density", ["a", 1, 1, 1]), ("density", [True, 1, 1, 1]), ("density", [[1, 2], [3, 4]]),
+    ("density", [1e308, 10**400, 1, 1]),
+])
+def test_example_rejects_a_malformed_spec_field_by_name(tmp_path, capsys, field, value):
+    spec = {"kind": "weighted_cyclic_shift", "size": 4, "step": 1, "density": [1, 2, 1, 2]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, field: value}))
+    assert main(["example", "--spec", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and field in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_example_random_is_seeded(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("UNITARIZE_SEED", "42")
     code, first = run_json(capsys, ["example", "--random", "parity_times_function"])

@@ -88,12 +88,14 @@ PAIR = ["pair", "--t1", "a.json", "--t2", "b.json"]
 
 # subcommand arguments, expected np.linalg.eig calls: log's second is the
 # independent reconstruction check on the generator; the shortcut reads the
-# pair's decision of t1
+# pair's decision of t1; example reads its spectrum off the decomposition its
+# invariant metric carries
 CLI_EIG_COUNTS = [
     ("log", ["log", "--in", "t.json"], 2),
     ("altmetric_phi", ["altmetric", "--in", "t.json", "--phi", "phi.json"], 1),
     ("pair", PAIR, 2),
     ("pair_shortcut", PAIR + ["--shortcut"], 2),
+    ("example", ["example", "--random", "shift"], 1),
 ]
 
 
