@@ -13,12 +13,17 @@ Each subcommand takes the tolerance options its analysis reads: depend takes
 hamiltonian none, and the others --tol-cluster and --tol-unitary.  The
 UNITARIZE_SEED environment variable, a non-negative integer, seeds the
 randomized example generator.
+
+Run as a program (python -m unitarize.cli, or the unitarize console script),
+the process goes through run(): its one command runs with the cyclic garbage
+collector off.  main(argv) leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import re
 import sys
@@ -27,17 +32,17 @@ from collections.abc import Callable
 
 import numpy as np
 
-# Only the modules every subcommand runs are imported here; a fill that needs
-# another one imports it where it runs, so a CLI process loads no more than
-# its subcommand uses.  core comes first and each module is imported by name,
-# so that `python -X importtime` lists every module a run loads.
-from .core import DEFAULT_TOLERANCES, PSD_RTOL, ToleranceConfig, invariance_residual
+# Only the modules check runs are imported here, and check is the subcommand
+# that runs fewest; a fill that needs another one imports it where it runs, so
+# a CLI process loads no more than its subcommand uses.  core comes first and
+# each module is imported by name, so that `python -X importtime` lists every
+# module a run loads.
+from .core import (
+    DEFAULT_TOLERANCES, DRIFT_RTOL, PSD_RTOL, ToleranceConfig, invariance_residual,
+)
 from . import errors
 from .boundedness import check_generator, check_normal_dichotomy, check_uniformly_bounded
 from .errors import InvalidInput, UnitarizeError
-from .metrics import (
-    DRIFT_RTOL, cayley, cesaro_oracle, invariant_metric, inverse_cayley, unitary_log,
-)
 from .serialization import (
     AnalysisReport,
     form_payload,
@@ -114,6 +119,8 @@ def _check(report, a, cfg):
 
 
 def _nagy(report, a, cfg):
+    from .metrics import invariant_metric
+
     result = invariant_metric(a.infile, a.h0, cfg)
     report.verdicts["outcome"] = "unitarizable"
     report.matrices["invariant_gram"] = matrix_payload(result.invariant_form.gram)
@@ -123,6 +130,8 @@ def _nagy(report, a, cfg):
 
 
 def _oracle(report, a, cfg):
+    from .metrics import cesaro_oracle
+
     form, drift = cesaro_oracle(a.infile, a.h0, cfg.cesaro_horizon, cfg)
     report.verdicts["outcome"] = "averaged"
     report.matrices["cesaro_gram"] = matrix_payload(form.gram)
@@ -131,12 +140,16 @@ def _oracle(report, a, cfg):
 
 
 def _cayley(report, a, cfg):
+    from .metrics import cayley, inverse_cayley
+
     image = inverse_cayley(a.infile) if a.inverse else cayley(a.infile)
     report.verdicts["outcome"] = "mapped"
     report.matrices["image"] = matrix_payload(image)
 
 
 def _log(report, a, cfg):
+    from .metrics import invariant_metric, unitary_log
+
     T = a.infile
     result = invariant_metric(T, a.h0, cfg)
     gen = unitary_log(result)
@@ -192,6 +205,7 @@ def _parse_phi(payload):
 
 def _altmetric(report, a, cfg):
     from .alternatives import ScalingSpec, phi_metric, scaled_metric
+    from .metrics import invariant_metric
 
     T = a.infile
     if a.weights is not None:
@@ -304,6 +318,7 @@ class _DrawSpec(argparse.Action):
 
 def _example(report, a, cfg):
     from .line_models import CLOSED_FORMS, _spec_from_payload, _spectrum_match, build
+    from .metrics import invariant_metric
 
     spec = _spec_from_payload(a.spec)
     T, h0 = build(spec)
@@ -420,7 +435,13 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(named) -> argparse.ArgumentParser:
+    """The parser, with options for the subcommands in named alone.  Every
+    subcommand keeps its help line, so the top-level help and the
+    invalid-choice error list all twelve; argparse parses with the one whose
+    name it reads in argv, so passing the tokens of argv as named parses
+    them as a parser filled for all twelve would."""
+    named = set(named)
     parser = _Parser(
         prog="unitarize",
         description="Similarity to unitary operators, invariant metrics, and "
@@ -428,6 +449,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, sub in SUBCOMMANDS.items():
+        if name not in named:
+            # argparse never parses with it, so it needs no options, -h included
+            subs.add_parser(name, help=sub.help, add_help=False)
+            continue
         p = subs.add_parser(name, help=sub.help)
         for dest in sub.operators:
             p.add_argument(_option(dest), dest=dest, required=True, metavar="FILE")
@@ -492,8 +517,9 @@ def _analyze(args) -> tuple[AnalysisReport, int]:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         report, code = _analyze(args)
     except UnitarizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -502,5 +528,18 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """The process entry: main() on the process's arguments with the cyclic
+    garbage collector off.  One command allocates little garbage in cycles,
+    so a collection during the run is pure cost, and freezing every object
+    once the command is done spares the collection at interpreter exit from
+    walking the imported modules."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -49,6 +49,10 @@ SINGULAR_RTOL = 1e-13
 # its largest.
 PSD_RTOL = 1e-10
 
+# Relative drift between the full-horizon and half-horizon Cesaro means above
+# which metrics.cesaro_oracle warns SlowConvergence.
+DRIFT_RTOL = 1e-6
+
 # Relative Frobenius distance (per dimension) within which a form counts as
 # the standard one.
 IDENTITY_RTOL = 1e-14
@@ -84,7 +88,7 @@ class ToleranceConfig:
 
     These are the three the command line sets; the scalar-product threshold
     is PSD_RTOL, which HermitianForm alone applies, and the Cesaro drift
-    threshold metrics.DRIFT_RTOL.
+    threshold DRIFT_RTOL.
     """
 
     eig_cluster_tol: float = 1e-8

@@ -27,6 +27,13 @@ KIND_TRANSLATION = "weighted_translation"
 # the short names a spec may give for the three kinds
 KIND_ALIASES = {"shift": KIND_SHIFT, "parity": KIND_PARITY, "translation": KIND_TRANSLATION}
 
+# the profiles each kind reads
+_PROFILES = {
+    KIND_SHIFT: ("density",),
+    KIND_PARITY: ("magnitude", "phase"),
+    KIND_TRANSLATION: ("magnitude", "phase"),
+}
+
 
 def _full_kind(name) -> str:
     """The kind a full or short name stands for."""
@@ -275,14 +282,24 @@ def _spectrum_match(spec: GridOperatorSpec, computed: np.ndarray) -> dict[str, f
 
 def _spec_from_payload(payload) -> GridOperatorSpec:
     """The spec a JSON payload describes: "kind" (full or short) and "size",
-    an integer "step" (1 if left out), and each profile given as a flat list
-    of numbers."""
+    an integer "step" (1 if left out), and each profile the kind reads given
+    as a flat list of numbers.  Any other key, a profile of another kind's
+    included, is refused by name, so that a misspelt one cannot leave its
+    default in force."""
     if not isinstance(payload, dict):
         raise InvalidInput("the model spec must be a JSON object")
     if payload.get("kind") is None or payload.get("size") is None:
         raise InvalidInput('the model spec needs the keys "kind" and "size"')
+    kind = _full_kind(payload["kind"])
+    keys = ("kind", "size", "step", *_PROFILES[kind])
+    unread = [key for key in payload if key not in keys]
+    if unread:
+        raise InvalidInput(
+            f"a {kind} spec reads no key " + ", ".join(f'"{key}"' for key in unread)
+            + "; it reads " + ", ".join(keys)
+        )
     profiles = {}
-    for name in ("density", "magnitude", "phase"):
+    for name in _PROFILES[kind]:
         if name not in payload:
             continue
         val = payload[name]
@@ -293,7 +310,7 @@ def _spec_from_payload(payload) -> GridOperatorSpec:
             profiles[name] = np.array(val, dtype=float)
         except OverflowError:
             raise InvalidInput(f'"{name}" holds a number too large for a float') from None
-    return GridOperatorSpec(payload["kind"], payload["size"], payload.get("step", 1), **profiles)
+    return GridOperatorSpec(kind, payload["size"], payload.get("step", 1), **profiles)
 
 
 def _random_payload(kind: str, seed: int) -> dict:

@@ -23,6 +23,7 @@ from . import core
 from .boundedness import bounded, require_self_adjoint_like
 from .core import (
     DEFAULT_TOLERANCES,
+    DRIFT_RTOL,
     EigenDecomposition,
     HermitianForm,
     ToleranceConfig,
@@ -43,10 +44,6 @@ from .errors import (
 # Partial averages whose norm exceeds this multiple of the kernel norm abort
 # the Cesaro evaluation; a bounded orbit can never reach it.
 DIVERGENCE_FACTOR = 1e6
-
-# Relative drift between the full-horizon and half-horizon Cesaro means above
-# which cesaro_oracle warns SlowConvergence.
-DRIFT_RTOL = 1e-6
 
 METHOD_SPECTRAL = "spectral_projection"
 METHOD_CESARO = "cesaro"

@@ -1,20 +1,31 @@
 import dataclasses
+import gc
+import importlib
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unitarize import HermitianForm, ToleranceConfig
-from unitarize.cli import _TOLERANCE_OPTIONS, SUBCOMMANDS, main
-from unitarize.core import PSD_RTOL
+from unitarize import HermitianForm, InvalidInput, ToleranceConfig, cli, core
+from unitarize.cli import _TOLERANCE_OPTIONS, SUBCOMMANDS, _build_parser, main
+from unitarize.core import DRIFT_RTOL, PSD_RTOL
 from unitarize.families import make_clock_shift
 from unitarize.fixtures import (
     commuting_conjugated_pair,
     conjugated_unitary,
+    jittered_unimodular_phases,
     unimodular_phases,
 )
-from unitarize.metrics import DRIFT_RTOL
 from unitarize.serialization import form_payload, matrix_payload
+
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "tests" / "golden" / "cli_corpus.json"
 
 INVOLUTION = np.array([[1.0, 2.0], [0.0, -1.0]], dtype=complex)
 JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
@@ -271,6 +282,35 @@ def test_example_spec_takes_the_short_kind_names(tmp_path, capsys):
     assert full["residuals"] == short["residuals"]
 
 
+@pytest.mark.parametrize("spec, key, value", [
+    ("shift", "stepp", 2),
+    ("shift", "Density", [1, 2, 1, 2]),
+    ("shift", "magnitude", [1, 1, 1, 1]),
+    ("shift", "phase", [0, 0, 0, 0]),
+    ("parity", "density", [1, 1, 1, 1]),
+    ("translation", "density", [1, 1, 1, 1]),
+    ("translation", "steps", 3),
+])
+def test_example_rejects_a_key_the_spec_does_not_read_by_name(tmp_path, capsys, spec, key,
+                                                                 value):
+    # a misspelt key, or a profile the kind does not read, would otherwise
+    # leave a default in force and give a consistent model all the same
+    specs = {
+        "shift": {"kind": "shift", "size": 4, "step": 1, "density": [1, 2, 1, 2]},
+        "parity": {"kind": "parity", "size": 4, "magnitude": [1, 2, 1, 2]},
+        "translation": {"kind": "translation", "size": 4, "magnitude": [2, 0.5, 2, 0.5]},
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(specs[spec]))
+    assert main(["example", "--spec", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps({**specs[spec], key: value}))
+    assert main(["example", "--spec", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and f'"{key}"' in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 @pytest.mark.parametrize("field, value", [
     ("step", None), ("step", "x"), ("step", 1.7), ("step", True),
     ("density", ["a", 1, 1, 1]), ("density", [True, 1, 1, 1]), ("density", [[1, 2], [3, 4]]),
@@ -345,26 +385,33 @@ def test_text_format_mentions_outcome(tmp_path, capsys):
     assert "outcome: uniformly_bounded" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["check"],
-    ["bogus"],
-    ["check", "--in", "@t", "--no-such-option"],
-    ["check", "--in", "@t", "--h0", "identity"],
-    ["cayley", "--in", "@t", "--h0", "identity"],
-    ["altmetric", "--in", "@t", "--weights", "@w", "--phi", "@w"],
-    ["altmetric", "--in", "@t", "--weights", "@w", "--h0", "@g"],
-    ["cayley", "--in", "@t", "--tol-cluster", "1e-6"],
-    ["hamiltonian", "--dyn", "@t", "--poisson", "@t", "--energy", "@t", "--horizon", "64"],
-    ["oracle", "--in", "@t", "--tol-unitary", "1e-6"],
-    ["check", "--in", "@t", "--horizon", "64"],
-], ids=["missing_in", "unknown_subcommand", "unknown_option", "check_h0", "cayley_h0",
-        "weights_and_phi", "weights_h0", "cayley_tol_cluster", "hamiltonian_horizon",
-        "oracle_tol_unitary", "check_horizon"])
-def test_argparse_usage_errors_exit_one(tmp_path, capsys, argv):
-    paths = {"t": write_matrix(tmp_path, "t.json", INVOLUTION), "w": str(tmp_path / "w.json"),
-             "g": str(tmp_path / "g.json")}
+USAGE_ERRORS = {
+    "missing_in": ["check"],
+    "unknown_subcommand": ["bogus"],
+    "unknown_option": ["check", "--in", "@t", "--no-such-option"],
+    "check_h0": ["check", "--in", "@t", "--h0", "identity"],
+    "cayley_h0": ["cayley", "--in", "@t", "--h0", "identity"],
+    "weights_and_phi": ["altmetric", "--in", "@t", "--weights", "@w", "--phi", "@w"],
+    "weights_h0": ["altmetric", "--in", "@t", "--weights", "@w", "--h0", "@g"],
+    "cayley_tol_cluster": ["cayley", "--in", "@t", "--tol-cluster", "1e-6"],
+    "hamiltonian_horizon": ["hamiltonian", "--dyn", "@t", "--poisson", "@t", "--energy", "@t",
+                            "--horizon", "64"],
+    "oracle_tol_unitary": ["oracle", "--in", "@t", "--tol-unitary", "1e-6"],
+    "check_horizon": ["check", "--in", "@t", "--horizon", "64"],
+}
+
+
+def usage_error_files(tmp_path) -> dict:
+    """The paths the "@name" arguments of USAGE_ERRORS stand for."""
     (tmp_path / "w.json").write_text(json.dumps({"0": 1.5, "1": 0.5}))
     (tmp_path / "g.json").write_text(json.dumps(form_payload(HermitianForm(np.diag([2.0, 1.0])))))
+    return {"t": write_matrix(tmp_path, "t.json", INVOLUTION), "w": str(tmp_path / "w.json"),
+            "g": str(tmp_path / "g.json")}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_argparse_usage_errors_exit_one(tmp_path, capsys, argv):
+    paths = usage_error_files(tmp_path)
     assert main([paths[a[1:]] if a.startswith("@") else a for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
@@ -430,3 +477,115 @@ def test_report_records_the_config_and_the_fixed_thresholds(tmp_path, capsys):
     cfg = ToleranceConfig(eig_cluster_tol=1e-7, unitarity_tol=1e-8, cesaro_horizon=64)
     want = {**dataclasses.asdict(cfg), "psd_tol": PSD_RTOL, "cesaro_rel_tol": DRIFT_RTOL}
     assert report["tolerances"] == want
+
+
+# -- the parser ----------------------------------------------------------------
+
+
+def _parsed(parser, argv, capsys):
+    """What a parser makes of argv: the namespace, the usage error, or the
+    exit code and output of a help request."""
+    try:
+        return vars(parser.parse_args(argv))
+    except InvalidInput as exc:
+        return f"error: {exc}"
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().out
+
+
+def _parser_cases():
+    cases = [(f"usage_{name}", argv, None, {}) for name, argv in USAGE_ERRORS.items()]
+    cases += [(case["name"], case["argv"], case["files"], case.get("env", {}))
+              for case in json.loads(CORPUS.read_text())]
+    cases += [("help", ["-h"], {}, {})]
+    cases += [(f"help_{name}", [name, "-h"], {}, {}) for name in SUBCOMMANDS]
+    return cases
+
+
+@pytest.mark.parametrize("argv, files, env", [c[1:] for c in _parser_cases()],
+                         ids=[c[0] for c in _parser_cases()])
+def test_a_run_parses_as_with_every_subcommand_filled(tmp_path, capsys, monkeypatch, argv,
+                                                      files, env):
+    # main fills only the subcommands its argv names; the others keep their
+    # help line, so -h and the invalid-choice error list all twelve
+    if files is None:
+        paths = usage_error_files(tmp_path)
+    else:
+        paths = {name: str(tmp_path / f"{name}.json") for name in files}
+        for name, payload in files.items():
+            Path(paths[name]).write_text(json.dumps(payload))
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
+    full = _parsed(_build_parser(SUBCOMMANDS), argv, capsys)
+    assert _parsed(_build_parser(argv), argv, capsys) == full
+
+
+# -- the process entry ---------------------------------------------------------
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    path = write_matrix(tmp_path, "t.json", INVOLUTION)
+    was_enabled = gc.isenabled()
+    try:
+        for switch in (gc.enable, gc.disable):
+            switch()
+            state = gc.isenabled(), gc.get_freeze_count()
+            assert main(["nagy", "--in", path]) == 0
+            assert main(["nagy"]) == 1
+            assert (gc.isenabled(), gc.get_freeze_count()) == state
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+def _child_env(**extra) -> dict:
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_both_ways_of_starting_the_cli_go_through_the_entry(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    script = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = script["unitarize"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    # python -m runs the module as __main__; the child reports the collector
+    # as the command left it, after the exit the entry asked for
+    path = write_matrix(tmp_path, "t.json", INVOLUTION)
+    code = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['unitarize', 'check', '--in', sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_module('unitarize.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, path], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stderr.split() == ["0", "False", "True"], proc.stderr
+    assert json.loads(proc.stdout)["verdicts"]["outcome"] == "uniformly_bounded"
+
+
+def test_a_fresh_process_gives_the_in_process_bytes(tmp_path, monkeypatch, submitted):
+    # n = 24 with BLAS pinned: on two or more CPUs each decision hands its
+    # power norms to the worker thread, here and in the child, so the child
+    # runs the worker with the collector off
+    rng = np.random.default_rng(25)
+    phases = jittered_unimodular_phases(rng, 24, margin=1.5 * np.pi / 24)
+    t1, _, _ = conjugated_unitary(rng, 24, 10.0, phases)
+    t2, _, _ = conjugated_unitary(rng, 24, 10.0, phases)
+    argv = ["intertwine", "--t1", write_matrix(tmp_path, "a.json", t1),
+            "--t2", write_matrix(tmp_path, "b.json", t2)]
+    pinned = dict.fromkeys(core.BLAS_THREAD_VARS, "1")
+    for var, value in pinned.items():
+        monkeypatch.setenv(var, value)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    assert json.loads(out.getvalue())["verdicts"]["outcome"] == "nonzero_connection"
+    assert any(isinstance(task, core._Task) for task in submitted) == core._overlaps(True)
+    proc = subprocess.run([sys.executable, "-m", "unitarize.cli", *argv],
+                          env=_child_env(**pinned), capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == out.getvalue().encode()

@@ -17,6 +17,7 @@ from unitarize import (
     translation_metric_diagonal,
     translation_model,
 )
+from unitarize.line_models import _random_payload, _spec_from_payload
 
 CFG = ToleranceConfig()
 
@@ -114,6 +115,14 @@ def test_short_kind_names_resolve_in_the_spec():
         GridOperatorSpec(kind="bogus", size=4)
     with pytest.raises(InvalidInput, match="unknown grid model kind"):
         GridOperatorSpec(kind=["shift"], size=4)
+
+
+@pytest.mark.parametrize("kind", ["shift", "parity", "translation"])
+def test_every_drawn_payload_is_a_spec_the_parser_takes(kind):
+    # a drawn payload gives only the keys its kind reads
+    for seed in range(64):
+        payload = _random_payload(kind, seed)
+        assert _spec_from_payload(payload).kind == payload["kind"]
 
 
 @pytest.mark.parametrize("step", [1.7, True, None, "1"])

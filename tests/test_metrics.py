@@ -708,5 +708,5 @@ def test_importing_the_cli_starts_no_thread():
     assert proc.returncode == 0, proc.stderr
     bare, cli = (line.split() for line in proc.stdout.splitlines())
     assert bare == ["unitarize"]
-    base = ("boundedness", "cli", "core", "errors", "metrics", "serialization")
+    base = ("boundedness", "cli", "core", "errors", "serialization")
     assert cli == ["unitarize"] + [f"unitarize.{m}" for m in base]
