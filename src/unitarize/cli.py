@@ -521,10 +521,11 @@ def main(argv=None) -> int:
     try:
         args = _build_parser(argv).parse_args(argv)
         report, code = _analyze(args)
+        text = report.to_json() if args.format == "json" else report.to_text()
     except UnitarizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())
+    sys.stdout.write(text)
     return code
 
 

@@ -77,6 +77,13 @@ OVERLAP_MIN_DIM = 72
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _require_tolerance(name: str, value) -> None:
+    """Refuse a tolerance that is not a finite, non-negative number.  A NaN
+    compares false with every residual, so each check it sets would pass."""
+    if not (isinstance(value, (int, float, np.integer, np.floating)) and 0 <= value < np.inf):
+        raise InvalidInput(f"{name} must be a finite non-negative number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical policy shared by the decision routines.
@@ -94,6 +101,10 @@ class ToleranceConfig:
     eig_cluster_tol: float = 1e-8
     unitarity_tol: float = 1e-9
     cesaro_horizon: int = 4096
+
+    def __post_init__(self):
+        _require_tolerance("eig_cluster_tol", self.eig_cluster_tol)
+        _require_tolerance("unitarity_tol", self.unitarity_tol)
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()

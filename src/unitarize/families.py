@@ -25,6 +25,7 @@ from .core import (
     EigenDecomposition,
     HermitianForm,
     ToleranceConfig,
+    _require_tolerance,
     as_operator,
     as_operator_pair,
     invariance_residual,
@@ -32,7 +33,7 @@ from .core import (
     resolve_fiducial,
 )
 from .errors import InvalidInput, NotCommuting, RelationViolated
-from .metrics import _spectral_unitarization
+from .metrics import METHOD_SPECTRAL, _averaged_form, _unitarization
 
 # Relative commutator size above which two operators do not count as
 # commuting.  Conjugated commuting pairs built in floating point land around
@@ -73,7 +74,8 @@ def _averaged_metric(T: np.ndarray, dec: EigenDecomposition, h0) -> HermitianFor
     last caller there.  The root stays cached on the form, so a next stage
     that averages over this form as its fiducial does not root it again."""
     h0 = resolve_fiducial(h0, T.shape[0])
-    return _spectral_unitarization(T, dec, h0).invariant_form
+    form = _averaged_form(dec, h0)
+    return _unitarization(T, form, h0, METHOD_SPECTRAL, decomposition=dec).invariant_form
 
 
 def _staged_metric(operators: dict[str, np.ndarray], order, h0, cfg) -> FamilyResult:
@@ -151,27 +153,24 @@ def heisenberg_metric(
 
     The triple must satisfy t1 t2 = t3 t2 t1 with t3 central (commuting with
     both generators); each of the three relations is checked once, and a
-    relative defect above relation_tol raises RelationViolated.  Averaging
-    runs over the commuting pair (t1, t3) first and over t2 second.  The
-    exchange relation turns t2-pullback into a t3-twisted t1-pullback, which
-    is why the final metric stays invariant under t1 and t3 as well.
+    relative defect above relation_tol raises RelationViolated (a
+    relation_tol that is not finite and non-negative, InvalidInput).
+    Averaging runs over the commuting pair (t1, t3) first and over t2
+    second.  The exchange relation turns t2-pullback into a t3-twisted
+    t1-pullback, which is why the final metric stays invariant under t1 and
+    t3 as well.
     """
-    T1 = as_operator(t1)
-    T2 = as_operator(t2)
-    T3 = as_operator(t3)
+    _require_tolerance("relation_tol", relation_tol)
+    T1, T2, T3 = (as_operator(t) for t in (t1, t2, t3))
     if not (T1.shape == T2.shape == T3.shape):
         raise InvalidInput("the three operators have different dimensions")
 
-    rel_braid = relative_defect(T1 @ T2 - T3 @ T2 @ T1, T1, T2)
-    rel_c1 = relative_defect(T1 @ T3 - T3 @ T1, T1, T3)
-    rel_c2 = relative_defect(T2 @ T3 - T3 @ T2, T2, T3)
-    broken = []
-    if rel_braid > relation_tol:
-        broken.append(f"t1 t2 = t3 t2 t1 (residual {rel_braid:.3e})")
-    if rel_c1 > relation_tol:
-        broken.append(f"t1 t3 = t3 t1 (residual {rel_c1:.3e})")
-    if rel_c2 > relation_tol:
-        broken.append(f"t2 t3 = t3 t2 (residual {rel_c2:.3e})")
+    defects = {
+        "t1 t2 = t3 t2 t1": relative_defect(T1 @ T2 - T3 @ T2 @ T1, T1, T2),
+        "t1 t3 = t3 t1": relative_defect(T1 @ T3 - T3 @ T1, T1, T3),
+        "t2 t3 = t3 t2": relative_defect(T2 @ T3 - T3 @ T2, T2, T3),
+    }
+    broken = [f"{rel} (residual {res:.3e})" for rel, res in defects.items() if res > relation_tol]
     if broken:
         raise RelationViolated("; ".join(broken))
     return _staged_metric({"t1": T1, "t2": T2, "t3": T3}, ("t1", "t3", "t2"), h0, cfg)

@@ -157,6 +157,18 @@ def n_product(a, b, middle) -> np.ndarray:
     return A @ R @ B
 
 
+def _real_factor(name: str, value) -> np.ndarray:
+    """A factor as a real array; a cast to float would drop its imaginary part."""
+    arr = np.array(value, dtype=np.complex128)
+    if arr.size == 0:
+        raise InvalidInput(f"the {name} is empty")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInput(f"the {name} must have finite entries")
+    if np.any(arr.imag != 0.0):
+        raise InvalidInput(f"the {name} must be real")
+    return arr.real.copy()
+
+
 @dataclass(frozen=True, eq=False)
 class ClassicalFactorization:
     """Splitting of linear dynamics into a Poisson tensor and an energy.
@@ -172,8 +184,8 @@ class ClassicalFactorization:
     quadratic_energy: np.ndarray
 
     def __post_init__(self):
-        lam = np.array(self.poisson_tensor, dtype=float)
-        ham = np.array(self.quadratic_energy, dtype=float)
+        lam, ham = (_real_factor(name, value) for name, value in (
+            ("Poisson tensor", self.poisson_tensor), ("energy matrix", self.quadratic_energy)))
         if lam.ndim != 2 or lam.shape[0] != lam.shape[1] or lam.shape != ham.shape:
             raise InvalidInput("factors must be square real matrices of equal size")
         scale_l = max(np.linalg.norm(lam), 1e-300)

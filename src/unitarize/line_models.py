@@ -60,6 +60,8 @@ class GridOperatorSpec:
     phase      real phase profile of the multiplier (parity and
                translation models)
 
+    A profile the kind does not read is refused by name.
+
     For the parity model the grid is a symmetric set {x_1 .. x_m,
     -x_1 .. -x_m} with no origin, stored as m positive sites followed by
     their mirrors, so size must be even and site i mirrors site i + m.
@@ -74,6 +76,12 @@ class GridOperatorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _full_kind(self.kind))
+        reads = _PROFILES[self.kind]
+        unread = [name for name in sorted(set().union(*_PROFILES.values()))
+                  if name not in reads and getattr(self, name) is not None]
+        if unread:
+            raise InvalidInput(f"a {self.kind} spec reads no {', '.join(unread)} profile; "
+                               f"it reads {', '.join(reads)}")
         if not isinstance(self.size, (int, np.integer)) or self.size < 2:
             raise InvalidInput("grid size must be an integer of at least 2")
         if isinstance(self.step, bool) or not isinstance(self.step, (int, np.integer)):

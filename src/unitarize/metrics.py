@@ -9,7 +9,9 @@ and never touches the eigendecomposition.
 
 Both routes produce a positive similarity Q with Q^2 pulling h0 back to h_T,
 so U = Q T Q^{-1} is unitary for h0.  A continuous analogue handles
-generators X of bounded flows e^{tX}.
+generators X of bounded flows e^{tX}.  Every route, the family stages
+included, builds its frozen Unitarization through one private builder,
+_unitarization, which forms Q, the conjugate and the residuals.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ METHOD_SPECTRAL = "spectral_projection"
 METHOD_CESARO = "cesaro"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Unitarization:
     """Invariant metric plus the positive similarity that makes T unitary.
 
@@ -94,12 +96,19 @@ def _averaged_form(dec: EigenDecomposition, h0: HermitianForm) -> HermitianForm:
     return HermitianForm(hermitize(projected_gram(dec, np.asarray(h0.gram))))
 
 
-def _similarity_from_form(X: np.ndarray, form: HermitianForm, h0: HermitianForm):
-    """Shared steps of both constructions: the invariant Gram matrix g, the
-    positive similarity Q with G0 Q^2 = g, the conjugate Q X Q^{-1}, and the
-    relative gram_match residual.  Q is form's root for the standard h0, else
-    W^{-1} Qhat W with W h0's root and Qhat the root of W^{-1} g W^{-1}."""
-    g = np.asarray(form.gram)
+def _unitarization(
+    X: np.ndarray, form: HermitianForm, h0: HermitianForm, method: str,
+    cesaro_residual: float | None = None, decomposition: EigenDecomposition | None = None,
+    flow_scale: float | None = None,
+) -> Unitarization:
+    """The one builder of a Unitarization: the positive similarity Q with
+    G0 Q^2 = g for form's Gram matrix g, the conjugate Q X Q^{-1}, and the
+    relative residuals.  Q is form's root for the standard h0, else
+    W^{-1} Qhat W with W h0's root and Qhat the root of W^{-1} g W^{-1}.
+    X is an evolution, checked for invariance and unitarity, unless the flow
+    route passes flow_scale: then X is a generator, checked for flow
+    invariance and skewness relative to that scale."""
+    g, G0 = np.asarray(form.gram), h0.gram
     if h0.is_identity():
         Q, Qinv = form.root
     else:
@@ -107,31 +116,17 @@ def _similarity_from_form(X: np.ndarray, form: HermitianForm, h0: HermitianForm)
         Qhat, Qhat_inv = HermitianForm(hermitize(Winv @ g @ Winv)).root
         Q = Winv @ Qhat @ W
         Qinv = Winv @ Qhat_inv @ W
-    gram_match = float(np.linalg.norm(h0.gram @ Q @ Q - g)) / np.linalg.norm(g)
-    return g, Q, Q @ X @ Qinv, gram_match
-
-
-def _unitarization_from_form(
-    T: np.ndarray,
-    form: HermitianForm,
-    h0: HermitianForm,
-    method: str,
-    cesaro_residual: float | None,
-) -> Unitarization:
-    g, Q, U, gram_match = _similarity_from_form(T, form, h0)
-    residuals = {
-        "invariance": invariance_residual(T, g),
-        "unitarity": invariance_residual(U, h0.gram),
-        "gram_match": gram_match,
-    }
-    return Unitarization(
-        invariant_form=form,
-        positive_similarity=Q,
-        unitarized=U,
-        method=method,
-        cesaro_residual=cesaro_residual,
-        residuals=residuals,
-    )
+    U = Q @ X @ Qinv
+    if flow_scale is None:
+        residuals = {"invariance": invariance_residual(X, g),
+                     "unitarity": invariance_residual(U, G0)}
+    else:
+        def skew_defect(A, G):
+            norm = np.linalg.norm
+            return float(norm(A.conj().T @ G + G @ A)) / (norm(G) * flow_scale)
+        residuals = {"flow_invariance": skew_defect(X, g), "skewness": skew_defect(U, G0)}
+    residuals["gram_match"] = float(np.linalg.norm(G0 @ Q @ Q - g)) / np.linalg.norm(g)
+    return Unitarization(form, Q, U, method, cesaro_residual, residuals, decomposition)
 
 
 def _carried_decomposition(unitarization: Unitarization) -> EigenDecomposition:
@@ -142,16 +137,6 @@ def _carried_decomposition(unitarization: Unitarization) -> EigenDecomposition:
             "its operator; take the closed form from invariant_metric"
         )
     return unitarization.decomposition
-
-
-def _spectral_unitarization(
-    T: np.ndarray, dec: EigenDecomposition, h0: HermitianForm
-) -> Unitarization:
-    """Closed-form unitarization of a bounded T from its decomposition and a
-    resolved fiducial form."""
-    result = _unitarization_from_form(T, _averaged_form(dec, h0), h0, METHOD_SPECTRAL, None)
-    result.decomposition = dec
-    return result
 
 
 def invariant_metric(
@@ -166,7 +151,7 @@ def invariant_metric(
     T = as_operator(operator)
     h0 = resolve_fiducial(h0, T.shape[0])
     with bounded(T, cfg) as dec:
-        return _spectral_unitarization(T, dec, h0)
+        return _unitarization(T, _averaged_form(dec, h0), h0, METHOD_SPECTRAL, decomposition=dec)
 
 
 def _next_powers(Lp, A, Rp, B, shared: bool):
@@ -307,7 +292,7 @@ def cesaro_unitarization(
     T = as_operator(operator)
     h0 = resolve_fiducial(h0, T.shape[0])
     form, drift = cesaro_oracle(T, h0, horizon, cfg)
-    return _unitarization_from_form(T, form, h0, METHOD_CESARO, drift)
+    return _unitarization(T, form, h0, METHOD_CESARO, drift)
 
 
 def cayley(operator) -> np.ndarray:
@@ -367,26 +352,8 @@ def flow_invariant_metric(
     X = as_operator(generator)
     h0 = resolve_fiducial(h0, X.shape[0])
     dec = require_self_adjoint_like(-1j * X, cfg, "flow generator X, as -iX: ")
-    form = _averaged_form(dec, h0)
-    g, Q, skew, gram_match = _similarity_from_form(X, form, h0)
-    scale = max(1.0, dec.operator_norm)
-    residuals = {
-        "flow_invariance": float(np.linalg.norm(X.conj().T @ g + g @ X))
-        / (np.linalg.norm(g) * scale),
-        "skewness": float(
-            np.linalg.norm(skew.conj().T @ h0.gram + h0.gram @ skew)
-        )
-        / (np.linalg.norm(h0.gram) * scale),
-        "gram_match": gram_match,
-    }
-    return Unitarization(
-        invariant_form=form,
-        positive_similarity=Q,
-        unitarized=skew,
-        method=METHOD_SPECTRAL,
-        cesaro_residual=None,
-        residuals=residuals,
-    )
+    return _unitarization(X, _averaged_form(dec, h0), h0, METHOD_SPECTRAL,
+                          flow_scale=max(1.0, dec.operator_norm))
 
 
 def generator_metric(

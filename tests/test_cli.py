@@ -417,6 +417,33 @@ def test_argparse_usage_errors_exit_one(tmp_path, capsys, argv):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["check", "--tol-unitary", "nan"], "unitarity_tol"),
+    (["check", "--tol-cluster", "nan"], "eig_cluster_tol"),
+    (["check", "--tol-cluster", "inf"], "eig_cluster_tol"),
+    (["check", "--tol-unitary=-1e-9"], "unitarity_tol"),
+    (["nagy", "--tol-unitary", "nan"], "unitarity_tol"),
+    (["nagy", "--tol-unitary", "nan", "--format", "text"], "unitarity_tol"),
+])
+def test_a_tolerance_that_is_not_finite_exits_one_naming_the_field(tmp_path, capsys, argv, field):
+    # the analysis used to run with the NaN and die rendering the report
+    code = main([*argv, "--in", write_matrix(tmp_path, "j.json", JORDAN)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert field in captured.err and "Traceback" not in captured.err
+
+
+def test_a_report_that_cannot_be_rendered_exits_one(tmp_path, capsys, monkeypatch):
+    def fill(report, args, cfg):
+        report.residuals["broken"] = float("nan")
+
+    monkeypatch.setitem(SUBCOMMANDS, "check", dataclasses.replace(SUBCOMMANDS["check"], fill=fill))
+    assert main(["check", "--in", write_matrix(tmp_path, "t.json", INVOLUTION)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot serialize a non-finite number\n" and captured.out == ""
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--help"])

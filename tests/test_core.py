@@ -93,6 +93,15 @@ def test_eig_warns_on_ambiguous_clustering():
         eig(T, cfg)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-9, "1e-9", None])
+@pytest.mark.parametrize("field", ["eig_cluster_tol", "unitarity_tol"])
+def test_tolerance_config_refuses_a_tolerance_that_is_not_finite_and_non_negative(field, value):
+    # NaN compares false with every residual: a Jordan block or an operator
+    # off the circle would pass each check the tolerance sets
+    with pytest.raises(InvalidInput, match=f"^{field} must be a finite non-negative number"):
+        ToleranceConfig(**{field: value})
+
+
 def _double_loop_labels(values, tol):
     """The reference clustering: every pair i < j in order, merged when
     |v_i - v_j| <= tol, by union-find that keeps the smaller root."""

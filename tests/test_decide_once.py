@@ -431,8 +431,9 @@ def _metric_dependence_via_unitarizations(T, g0, g0_prime):
     T = u.core.as_operator(T)
     h0, h0p = (u.core.resolve_fiducial(g, T.shape[0]) for g in (g0, g0_prime))
     dec = u.check_uniformly_bounded(T).decomposition
-    G, Gp = (np.asarray(u.metrics._spectral_unitarization(T, dec, h).invariant_form.gram)
-             for h in (h0, h0p))
+    m = u.metrics
+    G, Gp = (np.asarray(m._unitarization(T, m._averaged_form(dec, h), h, m.METHOD_SPECTRAL)
+                        .invariant_form.gram) for h in (h0, h0p))
     G0, G0p = np.asarray(h0.gram), np.asarray(h0p.gram)
     C = np.linalg.solve(G0p, G0)
     N = u.alternatives.DEPENDENCE_HORIZON

@@ -235,3 +235,12 @@ def test_overlapped_construction_equals_the_serial_one(rng, monkeypatch, submitt
     decisions = 2 if construction == "commuting_pair_metric" else 3
     assert [isinstance(f, _Task) for f in submitted] == [False] * decisions + [True] * decisions
     assert all(f.done() for f in submitted[decisions:])
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-6])
+def test_heisenberg_refuses_a_relation_tol_that_is_not_finite_and_non_negative(tol):
+    # with a NaN bound every relation check passed, so (shift, clock^2,
+    # center), whose braid residual is 1, came back as a joint metric
+    shift, clock, center = make_clock_shift(3)
+    with pytest.raises(InvalidInput, match="^relation_tol must be a finite non-negative number"):
+        heisenberg_metric(shift, clock @ clock, center, None, CFG, relation_tol=tol)

@@ -130,6 +130,27 @@ def test_factorization_validation():
         ClassicalFactorization(lam, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
+UNREADABLE_FACTORS = {
+    "nan_tensor": (np.array([[0.0, np.nan], [-1.0, 0.0]]), np.eye(2),
+                   "Poisson tensor must have finite entries"),
+    "inf_energy": (ROTATION, np.diag([1.0, np.inf]), "energy matrix must have finite entries"),
+    "nan_energy": (ROTATION, np.diag([np.nan, 1.0]), "energy matrix must have finite entries"),
+    "complex_energy": (ROTATION, (1.0 + 1e-3j) * np.eye(2), "energy matrix must be real"),
+    "complex_tensor": ((1.0 + 1e-3j) * ROTATION, np.eye(2), "Poisson tensor must be real"),
+    "empty": (np.zeros((0, 0)), np.zeros((0, 0)), "Poisson tensor is empty"),
+}
+
+
+# a cast to float would drop the imaginary part with only a ComplexWarning
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam, ham, match", UNREADABLE_FACTORS.values(),
+                         ids=UNREADABLE_FACTORS.keys())
+def test_factorization_refuses_factors_it_cannot_read(lam, ham, match):
+    with pytest.raises(InvalidInput, match=match):
+        ClassicalFactorization(lam, ham)
+
+
 def test_oscillator_admits_both_signatures():
     dynamics, standard, split = planar_oscillator_pair()
     assert factorization_check(dynamics, standard) == 0.0

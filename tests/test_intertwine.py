@@ -23,7 +23,7 @@ from unitarize.fixtures import (
     positive_definite_fixture,
     unimodular_phases,
 )
-from unitarize.metrics import _spectral_unitarization
+from unitarize.metrics import METHOD_SPECTRAL, _averaged_form, _unitarization
 
 CFG = ToleranceConfig()
 
@@ -95,7 +95,8 @@ def _scaled_connector_via_frames(t1, t2, weights, h0):
     Qs, frames = [], []
     for t in (t1, t2):
         with bounded(t, DEFAULT_TOLERANCES) as dec:
-            Q = _spectral_unitarization(np.asarray(t), dec, h0).positive_similarity
+            form = _averaged_form(dec, h0)
+            Q = _unitarization(np.asarray(t), form, h0, METHOD_SPECTRAL).positive_similarity
         frame = Q @ dec.eigenvectors
         frame /= np.sqrt(np.einsum("ij,ij->j", frame.conj(), G0 @ frame).real)
         Qs.append(Q)

@@ -107,14 +107,27 @@ def test_model_validation():
 
 
 def test_short_kind_names_resolve_in_the_spec():
-    for short, full in (("shift", "weighted_cyclic_shift"), ("parity", "parity_times_function"),
-                        ("translation", "weighted_translation")):
-        spec = GridOperatorSpec(kind=short, size=4, density=np.ones(4), magnitude=np.ones(4))
+    for short, full, profile in (("shift", "weighted_cyclic_shift", "density"),
+                                 ("parity", "parity_times_function", "magnitude"),
+                                 ("translation", "weighted_translation", "magnitude")):
+        spec = GridOperatorSpec(kind=short, size=4, **{profile: np.ones(4)})
         assert spec.kind == full
     with pytest.raises(InvalidInput, match="'bogus'; expected one of parity, "):
         GridOperatorSpec(kind="bogus", size=4)
     with pytest.raises(InvalidInput, match="unknown grid model kind"):
         GridOperatorSpec(kind=["shift"], size=4)
+
+
+@pytest.mark.parametrize("kind, profiles, unread", [
+    ("shift", {"density": np.ones(4), "magnitude": np.ones(4)}, "magnitude"),
+    ("shift", {"density": np.ones(4), "phase": np.zeros(4)}, "phase"),
+    ("parity", {"magnitude": np.ones(4), "density": np.ones(4)}, "density"),
+    ("translation", {"magnitude": np.ones(4), "density": np.ones(4)}, "density"),
+])
+def test_spec_refuses_a_profile_its_kind_does_not_read(kind, profiles, unread):
+    # the kind would build its model and drop the profile silently
+    with pytest.raises(InvalidInput, match=f"spec reads no {unread} profile; it reads "):
+        GridOperatorSpec(kind=kind, size=4, **profiles)
 
 
 @pytest.mark.parametrize("kind", ["shift", "parity", "translation"])

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import signal
 import subprocess
@@ -12,6 +13,9 @@ from numpy.testing import assert_allclose
 
 from unitarize import (
     DivergenceDetected,
+    commuting_pair_metric,
+    heisenberg_metric,
+    make_clock_shift,
     check_uniformly_bounded,
     SlowConvergence,
     HermitianForm,
@@ -33,6 +37,7 @@ from unitarize import (
 )
 from unitarize.core import hermitize
 from unitarize.fixtures import (
+    commuting_conjugated_pair,
     conjugated_unitary,
     defective_unimodular,
     hermitian_fixture,
@@ -43,10 +48,10 @@ from unitarize.fixtures import (
     real_spectrum_fixture,
     unimodular_phases,
 )
-from unitarize import core, metrics
-from unitarize.boundedness import bounded
+from unitarize import core, families, metrics
+from unitarize.boundedness import bounded, require_self_adjoint_like
 from unitarize.core import BLAS_THREAD_VARS, OVERLAP_MIN_DIM, _Task
-from unitarize.metrics import DIVERGENCE_FACTOR
+from unitarize.metrics import DIVERGENCE_FACTOR, METHOD_CESARO, METHOD_SPECTRAL, _unitarization
 
 CFG = ToleranceConfig()
 
@@ -255,6 +260,115 @@ def test_flow_invariant_metric():
 def test_flow_invariant_metric_rejects_unbounded_flows(X):
     with pytest.raises(NotBoundedFlow, match=r"^flow generator X"):
         flow_invariant_metric(X, None, CFG)
+
+
+# -- the one builder -----------------------------------------------------------
+
+
+def _reference_similarity(X, form, h0):
+    """g, Q, Q X Q^-1 and gram_match as each route formed them before the
+    routes shared one builder."""
+    g = np.asarray(form.gram)
+    if h0.is_identity():
+        Q, Qinv = form.root
+    else:
+        W, Winv = h0.root
+        Qhat, Qhat_inv = HermitianForm(hermitize(Winv @ g @ Winv)).root
+        Q = Winv @ Qhat @ W
+        Qinv = Winv @ Qhat_inv @ W
+    gram_match = float(np.linalg.norm(h0.gram @ Q @ Q - g)) / np.linalg.norm(g)
+    return g, Q, Q @ X @ Qinv, gram_match
+
+
+def _reference_flow(X, h0):
+    """flow_invariant_metric's form, Q, skew conjugate and residuals, with the
+    residuals in their own order and formulas."""
+    dec = require_self_adjoint_like(-1j * X, CFG)
+    form = metrics._averaged_form(dec, h0)
+    g, Q, skew, gram_match = _reference_similarity(X, form, h0)
+    scale = max(1.0, dec.operator_norm)
+    residuals = {
+        "flow_invariance": float(np.linalg.norm(X.conj().T @ g + g @ X))
+        / (np.linalg.norm(g) * scale),
+        "skewness": float(np.linalg.norm(skew.conj().T @ h0.gram + h0.gram @ skew))
+        / (np.linalg.norm(h0.gram) * scale),
+        "gram_match": gram_match,
+    }
+    return form, Q, skew, residuals, (METHOD_SPECTRAL, None), {"flow_scale": scale}
+
+
+def _reference_cesaro(T, h0):
+    form, drift = cesaro_oracle(T, h0, 256, CFG)
+    g, Q, U, gram_match = _reference_similarity(T, form, h0)
+    residuals = {
+        "invariance": core.invariance_residual(T, g),
+        "unitarity": core.invariance_residual(U, h0.gram),
+        "gram_match": gram_match,
+    }
+    return form, Q, U, residuals, (METHOD_CESARO, drift), {}
+
+
+def _same_bits(result, form, Q, U, residuals, method_and_drift):
+    assert np.array_equal(result.invariant_form.gram, form.gram)
+    assert np.array_equal(result.positive_similarity, Q)
+    assert np.array_equal(result.unitarized, U)
+    # the same keys in the same order, each value to the bit
+    assert list(result.residuals.items()) == list(residuals.items())
+    assert (result.method, result.cesaro_residual) == method_and_drift
+    assert result.decomposition is None
+
+
+@pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
+@pytest.mark.parametrize("fiducial", ["standard", "weighted"])
+@pytest.mark.parametrize("route", ["flow", "cesaro"])
+def test_flow_and_cesaro_routes_keep_their_formulas_to_the_bit(rng, route, fiducial):
+    n = 6
+    h0 = core.resolve_fiducial(
+        None if fiducial == "standard" else positive_definite_fixture(rng, n, 20.0), n)
+    if route == "flow":
+        X = 1j * real_spectrum_fixture(rng, n, 10.0)
+        result = flow_invariant_metric(X, h0, CFG)
+        form, Q, U, residuals, method, options = _reference_flow(X, h0)
+    else:
+        X, _, _ = conjugated_unitary(rng, n, 10.0, unimodular_phases(rng, n, min_gap=0.2))
+        result = cesaro_unitarization(X, h0, 256, CFG)
+        form, Q, U, residuals, method, options = _reference_cesaro(X, h0)
+    _same_bits(result, form, Q, U, residuals, method)
+    # the builder called on the reference form gives the same bits again
+    built = _unitarization(X, HermitianForm(form.gram), h0, *method, **options)
+    _same_bits(built, form, Q, U, residuals, method)
+
+
+@pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
+def test_every_route_builds_through_the_one_builder(monkeypatch, rng):
+    built = []
+    real = metrics._unitarization
+
+    def counting(*args, **kwargs):
+        built.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_unitarization", counting)
+    monkeypatch.setattr(families, "_unitarization", counting)
+    t1, t2 = commuting_conjugated_pair(rng, 4, 10.0)
+    routes = {
+        "invariant_metric": (lambda: invariant_metric(t1, None, CFG), 1),
+        "cesaro_unitarization": (lambda: cesaro_unitarization(t1, None, 64, CFG), 1),
+        "flow_invariant_metric": (lambda: flow_invariant_metric(np.diag([1j, -2j]), None, CFG), 1),
+        "commuting_pair_metric": (lambda: commuting_pair_metric(t1, t2, None, CFG), 2),
+        "heisenberg_metric": (lambda: heisenberg_metric(*make_clock_shift(3), None, CFG), 3),
+    }
+    for name, (call, stages) in routes.items():
+        built.clear()
+        call()
+        assert len(built) == stages, name
+
+
+def test_a_returned_unitarization_is_frozen():
+    result = invariant_metric(INVOLUTION, None, CFG)
+    for field in dataclasses.fields(result):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, field.name, None)
 
 
 def test_generator_metric_makes_self_adjoint(rng):
