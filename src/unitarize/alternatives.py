@@ -19,6 +19,7 @@ from .boundedness import bounded
 from .core import (
     HermitianForm,
     ToleranceConfig,
+    _is_count,
     as_operator,
     hermitize,
     invert,
@@ -226,9 +227,9 @@ def metric_dependence(
     T = as_operator(operator)
     h0 = resolve_fiducial(h0, T.shape[0])
     h0_prime = resolve_fiducial(h0_prime, T.shape[0])
-    N = int(horizon if horizon is not None else DEPENDENCE_HORIZON)
-    if N < 2:
-        raise InvalidInput("the averaging horizon must be at least 2")
+    N = DEPENDENCE_HORIZON if horizon is None else horizon
+    if not (_is_count(N) and N >= 2):
+        raise InvalidInput("the averaging horizon must be an integer of at least 2")
 
     with bounded(T, cfg) as dec:
         G = _averaged_form(dec, h0).gram

@@ -47,7 +47,6 @@ from .core import (
     as_operator,
     eig,
     require_nonsingular,
-    spectral_band,
     spectral_norm,
 )
 from .errors import NotAutomorphism, NotBoundedFlow, NotUniformlyBounded
@@ -143,14 +142,10 @@ class BoundednessReport:
 
     @property
     def reasons(self) -> tuple[str, ...]:
-        out = []
-        for lam in self.off_circle:
-            out.append(f"eigenvalue {lam:.12g} has modulus {abs(lam):.12g}, off the unit circle")
-        for lam in self.defective:
-            out.append(f"unimodular eigenvalue {lam:.12g} is defective")
-        if not out:
-            out.append("diagonalizable with unimodular spectrum")
-        return tuple(out)
+        out = [f"eigenvalue {lam:.12g} has modulus {abs(lam):.12g}, off the unit circle"
+               for lam in self.off_circle]
+        out += [f"unimodular eigenvalue {lam:.12g} is defective" for lam in self.defective]
+        return tuple(out or ["diagonalizable with unimodular spectrum"])
 
 
 def _power_stack_size(n: int, k_range: int) -> int:
@@ -287,6 +282,15 @@ def sampled_power_norms(
     return norms
 
 
+def _screen(dec: EigenDecomposition, distance: np.ndarray):
+    """Both decisions' screen: the eigenvalues whose distance to their set (the
+    unit circle, or the real axis) exceeds dec.band, and the means of the
+    clusters that fail the rank test, as two tuples of complex numbers."""
+    means = dec.cluster_means()
+    return (tuple(map(complex, dec.eigenvalues[distance > dec.band])),
+            tuple(complex(means[c]) for c in dec.defective_clusters))
+
+
 def check_uniformly_bounded(
     operator, cfg: ToleranceConfig | None = None, *, _pending: list | None = None
 ) -> BoundednessReport:
@@ -315,13 +319,9 @@ def check_uniformly_bounded(
     powers = submit(sampled_power_norms, T, POWER_SAMPLE_RANGE, sv, stacks)
     try:
         dec = eig(T, cfg, float(sv[0]))
-        band = spectral_band(dec.operator_norm, cfg)
-        moduli = np.abs(dec.eigenvalues)
-        off = tuple(
-            complex(lam) for lam, m in zip(dec.eigenvalues, moduli) if abs(m - 1.0) > band
-        )
-        means = [complex(z) for z in dec.cluster_means()]
-        defective = [means[c] for c in dec.defective_clusters if abs(abs(means[c]) - 1.0) <= band]
+        off, defective = _screen(dec, np.abs(np.abs(dec.eigenvalues) - 1.0))
+        # the report names the unimodular defective clusters alone
+        defective = tuple(z for z in defective if abs(abs(z) - 1.0) <= dec.band)
         ok = not off and not defective
         bound = None
         if ok:
@@ -341,7 +341,7 @@ def check_uniformly_bounded(
     return BoundednessReport(
         verdict=VERDICT_BOUNDED if ok else VERDICT_NOT_BOUNDED,
         off_circle=off,
-        defective=tuple(defective),
+        defective=defective,
         sampled_power_norms=norms,
         bound_estimate=bound,
         decomposition=dec,
@@ -412,14 +412,8 @@ def check_generator(operator, cfg: ToleranceConfig | None = None) -> GeneratorRe
     Equivalent to H being diagonalizable with real spectrum, and to the
     boundedness of e^{itH} over all real t.
     """
-    H = as_operator(operator)
-    dec = eig(H, cfg)
-    band = spectral_band(dec.operator_norm, cfg)
-    off_real = tuple(
-        complex(lam) for lam in dec.eigenvalues if abs(lam.imag) > band
-    )
-    means = dec.cluster_means()
-    defective = tuple(complex(means[c]) for c in dec.defective_clusters)
+    dec = eig(operator, cfg)
+    off_real, defective = _screen(dec, np.abs(dec.eigenvalues.imag))
     ok = not off_real and not defective
     return GeneratorReport(
         verdict=VERDICT_SELF_ADJOINT_LIKE if ok else VERDICT_NOT_SELF_ADJOINT_LIKE,

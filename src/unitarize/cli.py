@@ -38,7 +38,8 @@ import numpy as np
 # each module is imported by name, so that `python -X importtime` lists every
 # module a run loads.
 from .core import (
-    DEFAULT_TOLERANCES, DRIFT_RTOL, PSD_RTOL, ToleranceConfig, invariance_residual,
+    DEFAULT_TOLERANCES, DRIFT_RTOL, PSD_RTOL, ToleranceConfig, _require_tolerance,
+    invariance_residual, self_adjointness_residual,
 )
 from . import errors
 from .boundedness import check_generator, check_normal_dichotomy, check_uniformly_bounded
@@ -156,16 +157,13 @@ def _log(report, a, cfg):
     w, v = np.linalg.eig(gen)
     rebuilt = v @ (np.exp(1j * w)[:, None] * np.linalg.inv(v))
     g = np.asarray(result.invariant_form.gram)
-    sym = g @ gen
     report.verdicts["outcome"] = "generated"
     report.matrices["generator"] = matrix_payload(gen)
     report.matrices["invariant_gram"] = matrix_payload(g)
     report.residuals["exp_reconstruction"] = float(
         np.linalg.norm(rebuilt - T) / max(np.linalg.norm(T), 1e-300)
     )
-    report.residuals["self_adjointness"] = float(
-        np.linalg.norm(sym - sym.conj().T) / max(np.linalg.norm(sym), 1e-300)
-    )
+    report.residuals["self_adjointness"] = self_adjointness_residual(gen, g)
 
 
 def _parse_weights(payload) -> dict:
@@ -257,6 +255,21 @@ def _pair(report, a, cfg):
             "single_pass_suffices" if cut.valid else "degenerate_cluster"
         )
         report.residuals["shortcut_second_invariance"] = cut.second_invariance_residual
+
+
+def _relation_tol(text: str) -> float:
+    """--relation-tol's type: a value heisenberg_metric would refuse is
+    refused as argparse reads it, before the flags are digested (the digest
+    cannot serialize a NaN or an infinity)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = text
+    try:
+        _require_tolerance("relation_tol", value)
+    except InvalidInput as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _heisenberg(report, a, cfg):
@@ -398,7 +411,7 @@ SUBCOMMANDS = {
                                 help="also test the single-pass shortcut")}),
     "heisenberg": Subcommand(
         "joint metric of a discrete Weyl triple", _heisenberg, ("t1", "t2", "t3"), ("h0",),
-        flags={"relation_tol": dict(type=float, default=1e-6)}),
+        flags={"relation_tol": dict(type=_relation_tol, default=1e-6)}),
     "intertwine": Subcommand("averaged connecting map between two operators", _intertwine,
                              ("t1", "t2"), ("h0",)),
     "hamiltonian": Subcommand("check a Poisson-energy factorization of linear dynamics",

@@ -13,7 +13,6 @@ size test passes.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import threading
 import warnings
@@ -26,10 +25,10 @@ from .errors import ClusterAmbiguity, InvalidInput, NotPositiveDefinite
 
 # Computed eigenvalues of a defective matrix split at roughly the square root
 # of the backward error, so a fixed clustering radius near 1e-8 cannot group
-# them back together.  The effective radius is therefore floored at this
-# multiple of sqrt(machine eps) times (1 + ||T||).  Calibrated on conjugated
-# Jordan blocks up to dimension 8 and conditioning 100, whose eigenvalue
-# splits stay below 3e-8 * (1 + ||T||).
+# them back together.  So eig floors both radii it sets, the clustering radius
+# and the band, at this multiple of sqrt(eps) times (1 + ||T||).  Calibrated
+# on conjugated Jordan blocks up to dimension 8 and conditioning 100, whose
+# eigenvalue splits stay below 3e-8 * (1 + ||T||).
 CLUSTER_FLOOR = 64.0 * float(np.sqrt(np.finfo(np.float64).eps))
 
 # Clusters of two spectra whose means sit between one and this many matching
@@ -77,6 +76,11 @@ OVERLAP_MIN_DIM = 72
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _is_count(value) -> bool:
+    """Whether value is a positive int or numpy integer (a bool or a float is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
 def _require_tolerance(name: str, value) -> None:
     """Refuse a tolerance that is not a finite, non-negative number.  A NaN
     compares false with every residual, so each check it sets would pass."""
@@ -105,6 +109,9 @@ class ToleranceConfig:
     def __post_init__(self):
         _require_tolerance("eig_cluster_tol", self.eig_cluster_tol)
         _require_tolerance("unitarity_tol", self.unitarity_tol)
+        if not _is_count(self.cesaro_horizon):
+            raise InvalidInput(
+                f"cesaro_horizon must be a positive integer, got {self.cesaro_horizon!r}")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -212,23 +219,6 @@ class HermitianForm:
         return Q, Qinv
 
 
-def effective_cluster_tol(operator_norm: float, cfg: ToleranceConfig | None = None) -> float:
-    """Clustering radius actually used for an operator of the given norm."""
-    cfg = cfg or DEFAULT_TOLERANCES
-    return max(cfg.eig_cluster_tol, CLUSTER_FLOOR * (1.0 + operator_norm))
-
-
-def spectral_band(operator_norm: float, cfg: ToleranceConfig | None = None) -> float:
-    """Distance from the unit circle (or from an axis) within which an
-    eigenvalue of an operator of the given norm counts as on it.
-
-    Floored at the clustering floor, so that a defective spectrum on the
-    circle is reported as defective rather than as off the circle.
-    """
-    cfg = cfg or DEFAULT_TOLERANCES
-    return max(cfg.unitarity_tol, CLUSTER_FLOOR * (1.0 + operator_norm))
-
-
 def _cluster_labels(dist: np.ndarray, tol: float) -> np.ndarray:
     """Transitive closure of the relation dist[i, j] <= tol, as the smallest
     index of each index's class.  The close pairs come from one vectorised
@@ -279,10 +269,16 @@ class EigenDecomposition:
     eigenvalues        sorted by (phase in [0, 2pi), then modulus)
     eigenvectors       unit columns aligned with the eigenvalues, phase-fixed
     clusters           index groups of eigenvalues within the cluster radius
+    labels             cluster position of each eigenvalue index, read-only
     diagonalizable     True when every cluster has full geometric multiplicity
     defective_clusters positions (into clusters) that fail the rank test
-    cluster_tol        effective clustering radius that was used
-    operator_norm      spectral norm of the operator, which sets that radius
+    cluster_tol        clustering radius, max(eig_cluster_tol, floor)
+    band               distance from the unit circle (or the real axis) within
+                       which an eigenvalue counts as on it, max(unitarity_tol,
+                       floor): the floor reports a defective spectrum on the
+                       circle as defective rather than as off the circle
+    operator_norm      spectral norm of the operator; the floor of both radii
+                       is CLUSTER_FLOOR (1 + operator_norm)
 
     Which eigenvalues count as equal is decided here alone: eig clusters one
     spectrum, match pairs two spectra's clusters, and both near-miss warnings
@@ -292,24 +288,16 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     clusters: tuple[tuple[int, ...], ...]
+    labels: np.ndarray
     diagonalizable: bool
     defective_clusters: tuple[int, ...]
     cluster_tol: float
+    band: float
     operator_norm: float
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-    @functools.cached_property
-    def labels(self) -> np.ndarray:
-        """Cluster position of each eigenvalue index, read-only."""
-        sizes = np.fromiter(map(len, self.clusters), dtype=np.intp)
-        out = np.empty(self.dim, dtype=int)
-        out[np.fromiter(itertools.chain(*self.clusters), dtype=np.intp)] = np.repeat(
-            np.arange(sizes.size), sizes)
-        out.setflags(write=False)
-        return out
 
     @functools.cached_property
     def degenerate_clusters(self) -> tuple[int, ...]:
@@ -413,49 +401,44 @@ def eig(
     w = w[order]
     v = _fix_column_phases(v[:, order])
 
+    cfg = cfg or DEFAULT_TOLERANCES
     op_norm = spectral_norm(T) if operator_norm is None else operator_norm
     scale = 1.0 + op_norm
-    tol = effective_cluster_tol(op_norm, cfg)
+    floor = CLUSTER_FLOOR * scale
+    tol = max(cfg.eig_cluster_tol, floor)
     dist = np.abs(w[:, None] - w[None, :])
-    labels = _cluster_labels(dist, tol)
-
-    # Each label is the smallest index of its cluster, so a stable sort by
-    # label lists the clusters by first index, each in ascending order.
-    order = np.argsort(labels, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
-    order = order.tolist()
+    # Each class is named by its smallest index, so np.unique numbers the
+    # clusters by first index, and a stable sort by that number lists each
+    # cluster's indices in ascending order.
+    _, labels, sizes = np.unique(_cluster_labels(dist, tol), return_inverse=True,
+                                 return_counts=True)
+    labels.setflags(write=False)
+    order = np.argsort(labels, kind="stable").tolist()
+    cuts = [0, *np.cumsum(sizes).tolist()]
     clusters = tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
 
-    cross = labels[:, None] != labels[None, :]
-    near = int(np.sum(cross & (dist <= 2.0 * tol)) // 2)
+    near = int(np.sum((labels[:, None] != labels[None, :]) & (dist <= 2.0 * tol)) // 2)
     if near:
-        warnings.warn(
-            f"{near} eigenvalue pair(s) lie between one and two cluster radii "
-            f"apart (radius {tol:.3e}); clustering may be unstable under "
-            f"perturbation",
-            ClusterAmbiguity,
-            stacklevel=2,
-        )
+        warnings.warn(f"{near} eigenvalue pair(s) lie between one and two cluster radii apart "
+                      f"(radius {tol:.3e}); clustering may be unstable under perturbation",
+                      ClusterAmbiguity, stacklevel=2)
 
     defective = []
-    rank_cut = RANK_RTOL * scale
     for c, idx in enumerate(clusters):
-        m = len(idx)
-        if m < 2:
-            continue
-        mu = w[list(idx)].mean()
-        sv = np.linalg.svd(T - mu * np.eye(T.shape[0]), compute_uv=False)
-        null_count = int(np.sum(sv <= rank_cut))
-        if null_count < m:
-            defective.append(c)
+        if len(idx) > 1:
+            sv = np.linalg.svd(T - w[list(idx)].mean() * np.eye(len(w)), compute_uv=False)
+            if np.count_nonzero(sv <= RANK_RTOL * scale) < len(idx):
+                defective.append(c)
 
     return EigenDecomposition(
         eigenvalues=w,
         eigenvectors=v,
         clusters=clusters,
+        labels=labels,
         diagonalizable=not defective,
         defective_clusters=tuple(defective),
         cluster_tol=tol,
+        band=max(cfg.unitarity_tol, floor),
         operator_norm=op_norm,
     )
 
@@ -541,6 +524,12 @@ def invariance_residual(operator: np.ndarray, gram) -> float:
     g = np.asarray(gram)
     defect = operator.conj().T @ g @ operator - g
     return float(np.linalg.norm(defect) / np.linalg.norm(g))
+
+
+def self_adjointness_residual(operator: np.ndarray, gram) -> float:
+    """Relative defect ||G A - (G A)*|| / max(||G A||, 1e-300) of A for G."""
+    lhs = np.asarray(gram) @ operator
+    return float(np.linalg.norm(lhs - lhs.conj().T) / max(np.linalg.norm(lhs), 1e-300))
 
 
 def _overlaps(large_enough: bool) -> bool:

@@ -23,6 +23,7 @@ from .core import (
     as_vector,
     eig,
     require_nonsingular,
+    self_adjointness_residual,
 )
 from .errors import FormMismatch, InvalidInput, NotSelfAdjoint
 from .metrics import Unitarization
@@ -32,9 +33,7 @@ SELF_ADJOINT_RTOL = 1e-8
 
 
 def _require_self_adjoint(A: np.ndarray, form: HermitianForm, label: str) -> None:
-    g = np.asarray(form.gram)
-    lhs = g @ A
-    res = float(np.linalg.norm(lhs - lhs.conj().T)) / max(np.linalg.norm(lhs), 1e-300)
+    res = self_adjointness_residual(A, form.gram)
     if res > SELF_ADJOINT_RTOL:
         raise NotSelfAdjoint(
             f"{label} is not self-adjoint for the given form "

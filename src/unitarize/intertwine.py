@@ -22,6 +22,7 @@ from .boundedness import bounded
 from .core import (
     DEFAULT_TOLERANCES,
     EigenDecomposition,
+    HermitianForm,
     ToleranceConfig,
     adjoint_wrt,
     as_operator,
@@ -143,7 +144,7 @@ def mixed_cesaro(
     T1 = as_operator(t1)
     T2 = T1 if t2 is t1 else as_operator(t2)
     G0 = np.asarray(resolve_fiducial(h0, T1.shape[0]).gram)
-    N = int(horizon if horizon is not None else cfg.cesaro_horizon)
+    N = cfg.cesaro_horizon if horizon is None else horizon
     return mixed_pullback_mean(T1, G0, T2, N)
 
 

@@ -188,7 +188,7 @@ def _double_and_add(left, kernels, right, count: int) -> tuple[list, list]:
     Ks = [as_operator(k) for k in kernels]
     if any(L.shape != K.shape or R.shape != K.shape for K in Ks):
         raise InvalidInput("operator and kernel dimensions differ")
-    if count < 1:
+    if not core._is_count(count):
         raise InvalidInput("the horizon must be a positive integer")
     submit = core._overlap_submit(L.shape[0] >= core.OVERLAP_MIN_DIM)
     k_norms = [max(np.linalg.norm(K), 1e-300) for K in Ks]
@@ -263,7 +263,7 @@ def cesaro_oracle(
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
     h0 = resolve_fiducial(h0, T.shape[0])
-    N = int(horizon if horizon is not None else cfg.cesaro_horizon)
+    N = cfg.cesaro_horizon if horizon is None else horizon
     (full,), (half,) = _double_and_add(T, (h0.gram,), T, N)
     mean_full = hermitize(full / N)
     drift = 0.0

@@ -195,3 +195,5 @@ def test_metric_dependence_horizon_override(rng):
     assert fine.residuals["sum_rule"] < coarse.residuals["sum_rule"]
     with pytest.raises(InvalidInput):
         metric_dependence(T, h0, h0p, CFG, horizon=1)
+    with pytest.raises(InvalidInput, match="^the averaging horizon must be an integer"):
+        metric_dependence(T, h0, h0p, CFG, horizon=256.5)

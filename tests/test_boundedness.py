@@ -38,6 +38,7 @@ from unitarize.fixtures import (
     jittered_unimodular_phases,
     normal_fixture,
     off_circle_fixture,
+    real_spectrum_fixture,
     unimodular_phases,
 )
 
@@ -677,3 +678,135 @@ def test_shared_stacks_under_more_threads_than_cores(rng, monkeypatch, cut):
             assert sampled_power_norms(T, POWER_SAMPLE_RANGE, sv, stacks) == want
     finally:
         sys.setswitchinterval(interval)
+
+
+# -- the one spectral screen --------------------------------------------------
+#
+# The two decisions used to run their own band loops, each reading the band
+# from the config; the loops are kept here as the reference the screen, which
+# reads dec.band, must match bit for bit.
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=complex).tobytes()
+
+
+def _floor(dec, tol):
+    """max(tol, CLUSTER_FLOOR (1 + ||T||)): the rule both radii follow."""
+    return max(tol, core.CLUSTER_FLOOR * (1.0 + dec.operator_norm))
+
+
+def _loop_circle_screen(dec, cfg):
+    """check_uniformly_bounded's band loop: verdict, off_circle, defective,
+    reasons and bound estimate."""
+    band = _floor(dec, cfg.unitarity_tol)
+    moduli = np.abs(dec.eigenvalues)
+    off = tuple(complex(lam) for lam, m in zip(dec.eigenvalues, moduli) if abs(m - 1.0) > band)
+    means = [complex(z) for z in dec.cluster_means()]
+    defective = tuple(means[c] for c in dec.defective_clusters
+                      if abs(abs(means[c]) - 1.0) <= band)
+    reasons = [f"eigenvalue {lam:.12g} has modulus {abs(lam):.12g}, off the unit circle"
+               for lam in off]
+    reasons += [f"unimodular eigenvalue {lam:.12g} is defective" for lam in defective]
+    bound = None
+    if not off and not defective:
+        p_sv = np.linalg.svd(dec.eigenvectors, compute_uv=False)
+        bound = float(p_sv[0] / p_sv[-1])
+    verdict = VERDICT_BOUNDED if bound is not None else VERDICT_NOT_BOUNDED
+    reasons = tuple(reasons or ["diagonalizable with unimodular spectrum"])
+    return verdict, off, defective, reasons, bound
+
+
+def _loop_axis_screen(dec, cfg):
+    """check_generator's band loop: verdict, off_real and defective."""
+    band = _floor(dec, cfg.unitarity_tol)
+    off_real = tuple(complex(lam) for lam in dec.eigenvalues if abs(lam.imag) > band)
+    means = dec.cluster_means()
+    defective = tuple(complex(means[c]) for c in dec.defective_clusters)
+    ok = not off_real and not defective
+    return (VERDICT_SELF_ADJOINT_LIKE if ok else boundedness.VERDICT_NOT_SELF_ADJOINT_LIKE,
+            off_real, defective)
+
+
+def _jordan_generator(rng, n, cond):
+    """A conjugated Jordan block at a real eigenvalue, the rest of the
+    spectrum real and distinct."""
+    vals = rng.uniform(-2.0, 2.0, n) + 0.1 * np.arange(n)
+    j = np.diag(vals).astype(complex)
+    j[1, 1], j[0, 1] = vals[0], 1.0
+    s = invertible_with_condition(rng, n, cond)
+    return np.linalg.solve(s, j @ s)
+
+
+def _screen_inputs(rng, cfg):
+    """Bounded, Jordan, off-circle, real-spectrum, Jordan-generator and
+    off-axis inputs, n 2-16, two draws each; and normal inputs with one
+    eigenvalue 0.8 and 1.25 band widths off the circle (outside and inside)
+    or off the real axis.  A normal input's norm is its largest modulus,
+    about 1, so its band is the one computed here."""
+    for n in (2, 3, 5, 8, 12, 16):
+        for cond in (3.0, 50.0):
+            yield conjugated_unitary(rng, n, cond, unimodular_phases(rng, n))[0]
+            yield defective_unimodular(rng, n, cond)
+            yield off_circle_fixture(rng, n, cond, bump=0.05)
+            yield real_spectrum_fixture(rng, n, cond)
+            yield _jordan_generator(rng, n, cond)
+            yield real_spectrum_fixture(rng, n, cond) + 1e-4j * np.eye(n)
+        band = max(cfg.unitarity_tol, core.CLUSTER_FLOOR * 2.0)
+        for offset in (0.8 * band, 1.25 * band):
+            u = haar_unitary(rng, n)
+            for d in (np.exp(1j * unimodular_phases(rng, n)) * np.r_[1.0 + offset, np.ones(n - 1)],
+                      np.exp(1j * unimodular_phases(rng, n)) * np.r_[1.0 - offset, np.ones(n - 1)],
+                      np.r_[-1.0 + 1j * offset, np.linspace(-0.9, 0.9, n - 1)]):
+                yield u @ (d[:, None] * u.conj().T)
+
+
+SCREEN_CFGS = [
+    CFG,
+    ToleranceConfig(eig_cluster_tol=1e-6, unitarity_tol=1e-6),
+    ToleranceConfig(unitarity_tol=1e-3),
+    ToleranceConfig(eig_cluster_tol=0.0, unitarity_tol=0.0),
+]
+
+
+@pytest.mark.parametrize("cfg", SCREEN_CFGS, ids=["default", "wide", "band_1e-3", "zero"])
+def test_the_screen_equals_the_band_loops(rng, cfg):
+    kinds = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClusterAmbiguity)
+        for T in _screen_inputs(rng, cfg):
+            gen = check_generator(T, cfg)
+            verdict, off_real, defective = _loop_axis_screen(gen.decomposition, cfg)
+            assert gen.verdict == verdict
+            assert _bits(gen.off_real) == _bits(off_real)
+            assert _bits(gen.defective) == _bits(defective)
+            kinds.add(("generator", gen.verdict, bool(gen.off_real), bool(gen.defective)))
+            try:
+                rep = check_uniformly_bounded(T, cfg)
+            except NotAutomorphism:
+                continue
+            verdict, off, defective, reasons, bound = _loop_circle_screen(rep.decomposition, cfg)
+            assert rep.verdict == verdict and rep.reasons == reasons
+            assert _bits(rep.off_circle) == _bits(off) and _bits(rep.defective) == _bits(defective)
+            assert rep.bound_estimate == bound
+            kinds.add(("circle", rep.verdict, bool(rep.off_circle), bool(rep.defective)))
+    # every outcome of both screens came up
+    assert {("generator", VERDICT_SELF_ADJOINT_LIKE, False, False),
+            ("generator", boundedness.VERDICT_NOT_SELF_ADJOINT_LIKE, True, False),
+            ("generator", boundedness.VERDICT_NOT_SELF_ADJOINT_LIKE, False, True),
+            ("circle", VERDICT_BOUNDED, False, False),
+            ("circle", VERDICT_NOT_BOUNDED, True, False),
+            ("circle", VERDICT_NOT_BOUNDED, False, True)} <= kinds
+
+
+@pytest.mark.parametrize("cfg", SCREEN_CFGS, ids=["default", "wide", "band_1e-3", "zero"])
+def test_the_decomposition_carries_both_radii(rng, cfg):
+    for T in _screen_inputs(rng, cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClusterAmbiguity)
+            dec = core.eig(T, cfg)
+        assert dec.operator_norm == np.linalg.norm(T, 2)
+        assert dec.cluster_tol == _floor(dec, cfg.eig_cluster_tol)
+        assert dec.band == _floor(dec, cfg.unitarity_tol)
+    # None stands for the default config
+    assert core.eig(T).band == _floor(dec, CFG.unitarity_tol)

@@ -398,6 +398,10 @@ USAGE_ERRORS = {
                             "--horizon", "64"],
     "oracle_tol_unitary": ["oracle", "--in", "@t", "--tol-unitary", "1e-6"],
     "check_horizon": ["check", "--in", "@t", "--horizon", "64"],
+    "heisenberg_relation_tol_nan": ["heisenberg", "--t1", "@t", "--t2", "@t", "--t3", "@t",
+                                    "--relation-tol", "nan"],
+    "heisenberg_relation_tol_inf": ["heisenberg", "--t1", "@t", "--t2", "@t", "--t3", "@t",
+                                    "--relation-tol", "inf"],
 }
 
 
@@ -432,6 +436,18 @@ def test_a_tolerance_that_is_not_finite_exits_one_naming_the_field(tmp_path, cap
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert field in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-6", "tight"])
+def test_a_refused_relation_tol_exits_one_naming_the_option_and_field(tmp_path, capsys, value):
+    # a NaN or an infinity used to reach the inputs digest, which cannot
+    # serialize it, and the error named neither the option nor the field
+    path = write_matrix(tmp_path, "t.json", INVOLUTION)
+    code = main(["heisenberg", "--t1", path, "--t2", path, "--t3", path, f"--relation-tol={value}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--relation-tol" in captured.err and "relation_tol must be" in captured.err
 
 
 def test_a_report_that_cannot_be_rendered_exits_one(tmp_path, capsys, monkeypatch):

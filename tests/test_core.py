@@ -15,7 +15,7 @@ from unitarize import (
     psd_sqrt,
 )
 from unitarize import core, intertwine
-from unitarize.core import ClusterAmbiguity, effective_cluster_tol, invert
+from unitarize.core import CLUSTER_FLOOR, ClusterAmbiguity, invert
 from unitarize.fixtures import conjugated_unitary, defective_unimodular, unimodular_phases
 
 
@@ -87,7 +87,7 @@ def test_eig_flags_jordan_block():
 def test_eig_warns_on_ambiguous_clustering():
     tol = 1e-6
     cfg = ToleranceConfig(eig_cluster_tol=tol)
-    gap = 1.5 * effective_cluster_tol(1.0, cfg)
+    gap = 1.5 * max(cfg.eig_cluster_tol, CLUSTER_FLOOR * 2.0)
     T = np.diag([1.0, 1.0 + gap]).astype(complex)
     with pytest.warns(ClusterAmbiguity):
         eig(T, cfg)
@@ -100,6 +100,15 @@ def test_tolerance_config_refuses_a_tolerance_that_is_not_finite_and_non_negativ
     # off the circle would pass each check the tolerance sets
     with pytest.raises(InvalidInput, match=f"^{field} must be a finite non-negative number"):
         ToleranceConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5, 4.0, np.nan, True, False, "8", None])
+def test_tolerance_config_refuses_a_horizon_that_is_not_a_positive_integer(value):
+    # 2.5 used to run with horizon 2, True with horizon 1, and NaN raised a
+    # bare ValueError in the first Cesaro pass
+    with pytest.raises(InvalidInput, match="^cesaro_horizon must be a positive integer"):
+        ToleranceConfig(cesaro_horizon=value)
+    assert ToleranceConfig(cesaro_horizon=np.int64(8)).cesaro_horizon == 8
 
 
 def _double_loop_labels(values, tol):
@@ -136,7 +145,7 @@ def _cluster_spectra(rng):
     for n in (4, 8):
         T = defective_unimodular(rng, n, 10.0)
         op_norm = float(np.linalg.norm(T, 2))
-        yield np.linalg.eig(T)[0], effective_cluster_tol(op_norm)
+        yield np.linalg.eig(T)[0], max(1e-8, CLUSTER_FLOOR * (1.0 + op_norm))
     base = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     at = base + tol
     gap = np.abs(at - base)
@@ -233,7 +242,7 @@ def test_clusters_and_means_match_the_loops(rng):
     zeros = [0.0, -0.0, 1.0, -2.5]
     w = np.array([complex(a, b) for a in zeros for b in zeros])
     dec = core.EigenDecomposition(w, np.eye(w.size), tuple((i,) for i in range(w.size)),
-                                  True, (), 1e-8, 1.0)
+                                  np.arange(w.size), True, (), 1e-8, 1e-8, 1.0)
     assert dec.cluster_means().tobytes() == _loop_means(w, dec.clusters).tobytes()
 
 
@@ -285,7 +294,7 @@ def _positional(values, tol):
     w = np.asarray(values, dtype=complex)
     return np.diag(w), core.EigenDecomposition(
         w, np.eye(w.size, dtype=complex), tuple((i,) for i in range(w.size)),
-        True, (), tol, 1.0)
+        np.arange(w.size), True, (), tol, tol, 1.0)
 
 
 def _match_cases(rng):

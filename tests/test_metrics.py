@@ -19,6 +19,7 @@ from unitarize import (
     check_uniformly_bounded,
     SlowConvergence,
     HermitianForm,
+    InvalidInput,
     NotBoundedFlow,
     NotUniformlyBounded,
     SingularShift,
@@ -198,6 +199,26 @@ def test_divergence_traceback_pins_no_work_arrays():
     ]
     for frame in frames[-2:]:
         assert all(v is T or v is K for v in _held_arrays(frame))
+
+
+# Every public entry point taking a Cesaro horizon, called on T with horizon h.
+HORIZON_CALLS = {
+    "cesaro_oracle": lambda T, h: cesaro_oracle(T, None, h),
+    "cesaro_unitarization": lambda T, h: cesaro_unitarization(T, None, h),
+    "mixed_cesaro": lambda T, h: mixed_cesaro(T, T, None, h),
+    "mixed_pullback_mean": lambda T, h: mixed_pullback_mean(T, np.eye(2), T, h),
+}
+
+
+@pytest.mark.parametrize("call", HORIZON_CALLS.values(), ids=HORIZON_CALLS.keys())
+@pytest.mark.parametrize("horizon", [2.5, 4.0, float("nan"), True, "8"])
+def test_a_horizon_that_is_not_an_integer_is_invalid_input(call, horizon):
+    # 2.5 used to run with horizon 2, True with horizon 1, and NaN raised a
+    # bare ValueError
+    T = np.diag([1.0, -1.0]).astype(complex)
+    with pytest.raises(InvalidInput, match="^the horizon must be a positive integer$"):
+        call(T, horizon)
+    assert call(T, np.int64(8)) is not None
 
 
 def test_divergence_in_the_oracle_releases_the_half_horizon_sum():

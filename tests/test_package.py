@@ -1,7 +1,11 @@
 """The package's public surface: every exported name loads its home module on
 first use and is that module's own attribute."""
 
+import functools
 import importlib
+import inspect
+import pkgutil
+import typing
 
 import pytest
 
@@ -101,3 +105,43 @@ def test_a_function_replaced_in_its_home_module_is_the_one_exported(monkeypatch)
     assert unitarize.invariant_metric is replacement
     monkeypatch.undo()
     assert unitarize.invariant_metric is original
+
+
+def _annotated(module):
+    """Every function and class the module defines, and the functions,
+    properties and cached properties of its classes."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj.__qualname__, obj
+        elif inspect.isclass(obj):
+            yield obj.__qualname__, obj
+            for attr in vars(obj).values():
+                fn = attr
+                if isinstance(attr, property):
+                    fn = attr.fget
+                elif isinstance(attr, functools.cached_property):
+                    fn = attr.func
+                elif isinstance(attr, (staticmethod, classmethod)):
+                    fn = attr.__func__
+                if inspect.isfunction(fn):
+                    yield fn.__qualname__, fn
+
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(unitarize.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_annotation_resolves(name):
+    # annotations are strings under postponed evaluation, so a name that a
+    # module uses in one but never imports fails only when it is resolved
+    module = importlib.import_module(f"unitarize.{name}")
+    checked = 0
+    for qualname, obj in _annotated(module):
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            pytest.fail(f"unitarize.{name}.{qualname}: {exc}")
+        checked += 1
+    assert checked
