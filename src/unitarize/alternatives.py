@@ -159,19 +159,22 @@ def commutant_positive_basis(
     family; its length is the sum of the squared cluster sizes.  Each K
     commutes with the operator and is self-adjoint for the averaged metric
     h_T built over the given fiducial form.
+
+    An element is P_c (M_c^{-1} H) Pi_c, with P_c the cluster's eigenvector
+    columns, Pi_c the same rows of P^{-1}, M_c = P_c* G0 P_c its block of the
+    fiducial Gram matrix and H one Hermitian basis matrix of the cluster's
+    size: one product G0 P, then per element an (n, m) by (m, n) product.
     """
     T = as_operator(operator)
     with bounded(T, cfg) as dec:
-        n = dec.dim
-        G0 = np.asarray(resolve_fiducial(h0, n).gram)
         P, Pi = dec.eigenvectors, dec.inverse
-        M = P.conj().T @ G0 @ P
+        G0P = np.asarray(resolve_fiducial(h0, dec.dim).gram) @ P
     out: list[np.ndarray] = []
     for idx in dec.clusters:
         rows = list(idx)
         m = len(rows)
-        Mc = M[np.ix_(rows, rows)]
-        Mc_inv = invert(hermitize(Mc), "cluster Gram block")
+        Pc, Pr = P[:, rows], Pi[rows, :]
+        Mc_inv = invert(hermitize(Pc.conj().T @ G0P[:, rows]), "cluster Gram block")
         for a in range(m):
             for b in range(a, m):
                 if a == b:
@@ -185,9 +188,7 @@ def commutant_positive_basis(
                     h_im[b, a] = -1j
                     hs = [h_re, h_im]
                 for h in hs:
-                    kappa = np.zeros((n, n), dtype=np.complex128)
-                    kappa[np.ix_(rows, rows)] = Mc_inv @ h
-                    out.append(P @ kappa @ Pi)
+                    out.append(Pc @ (Mc_inv @ h) @ Pr)
     return out
 
 

@@ -458,8 +458,9 @@ def check_normal_dichotomy(
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
     scale = 1.0 + spectral_norm(T) ** 2
-    c_res = float(np.linalg.norm(T @ T.conj().T - T.conj().T @ T)) / scale
-    u_res = float(np.linalg.norm(T.conj().T @ T - np.eye(T.shape[0]))) / scale
+    TsT = T.conj().T @ T
+    c_res = float(np.linalg.norm(T @ T.conj().T - TsT)) / scale
+    u_res = float(np.linalg.norm(TsT - np.eye(T.shape[0]))) / scale
     if c_res > cfg.unitarity_tol:
         verdict = VERDICT_NOT_NORMAL
     elif u_res <= cfg.unitarity_tol:

@@ -442,7 +442,14 @@ def _option(dest: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise InvalidInput, so they exit 1 like every other one."""
+    """Usage errors raise InvalidInput, so they exit 1 like every other one.
+    A token that reads as a negative number, exponent included (-1e-9,
+    -.5E3), is an option's value, so a negative tolerance reaches the
+    refusal that names its field rather than reading as a missing value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise InvalidInput(message)

@@ -188,9 +188,7 @@ def make_clock_shift(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise InvalidInput("the Weyl triple needs integer dimension at least 2")
     d = int(dim)
-    shift = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d):
-        shift[i, (i + 1) % d] = 1.0
+    shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=1)
     omega = np.exp(2j * np.pi / d)
     clock = np.diag(omega ** np.arange(d)).astype(np.complex128)
     center = omega * np.eye(d, dtype=np.complex128)

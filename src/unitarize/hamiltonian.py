@@ -237,15 +237,7 @@ def planar_oscillator_pair() -> tuple[
             [0.0, -1.0, 0.0, 0.0],
         ]
     )
-    lam0 = np.array(
-        [
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [-1.0, 0.0, 0.0, 0.0],
-            [0.0, -1.0, 0.0, 0.0],
-        ]
-    )
-    ham0 = np.eye(4)
+    ham0 = np.eye(4)  # with it the standard tensor is the dynamics matrix itself
     lam1 = np.array(
         [
             [0.0, 0.0, 1.0, 0.0],
@@ -257,6 +249,6 @@ def planar_oscillator_pair() -> tuple[
     ham1 = np.diag([1.0, -1.0, 1.0, -1.0])
     return (
         a_dyn,
-        ClassicalFactorization(lam0, ham0),
+        ClassicalFactorization(a_dyn, ham0),
         ClassicalFactorization(lam1, ham1),
     )

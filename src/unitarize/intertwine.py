@@ -21,7 +21,6 @@ import numpy as np
 from .boundedness import bounded
 from .core import (
     DEFAULT_TOLERANCES,
-    EigenDecomposition,
     HermitianForm,
     ToleranceConfig,
     adjoint_wrt,
@@ -94,10 +93,12 @@ def _averaged_connection(T1, dec1, T2, dec2, h0: HermitianForm) -> IntertwineRes
     G1 = np.asarray(_averaged_form(dec1, h0).gram)
     form2 = _averaged_form(dec2, h0)
     G2 = np.asarray(form2.gram)
-    A1 = np.linalg.solve(G1, G0 @ A0)
-    A2 = np.linalg.solve(G2, G0 @ A0)
+    G0A0 = G0 @ A0
+    A1 = np.linalg.solve(G1, G0A0)
+    A2 = np.linalg.solve(G2, G0A0)
 
-    a_scale = 1.0 + float(np.linalg.norm(A0))
+    norm_a0 = float(np.linalg.norm(A0))
+    a_scale = 1.0 + norm_a0
     t_scale = 1.0 + max(float(np.linalg.norm(T1)), float(np.linalg.norm(T2)))
     q1_sq = np.linalg.solve(G0, G1)
     q2_sq = np.linalg.solve(G0, G2)
@@ -114,7 +115,6 @@ def _averaged_connection(T1, dec1, T2, dec2, h0: HermitianForm) -> IntertwineRes
         / (a_scale * t_scale),
     }
 
-    norm_a0 = float(np.linalg.norm(A0))
     nonzero = norm_a0 > ZERO_RTOL * max(1.0, float(np.linalg.norm(G0)))
     rank = 0
     if nonzero:
@@ -148,13 +148,6 @@ def mixed_cesaro(
     return mixed_pullback_mean(T1, G0, T2, N)
 
 
-def _unit_eigenvectors(dec: EigenDecomposition, G: np.ndarray) -> np.ndarray:
-    """The eigenvectors of a multiplicity-free spectrum, each scaled to unit
-    length in the metric with Gram matrix G."""
-    P = dec.eigenvectors
-    return P / np.sqrt(np.einsum("ij,ij->j", P.conj(), G @ P).real)
-
-
 def intertwiner_scaled(
     t1, t2, weights, h0=None, cfg: ToleranceConfig | None = None
 ) -> np.ndarray:
@@ -167,27 +160,31 @@ def intertwiner_scaled(
     weights is a scalar applied to every matched pair, or a mapping from
     index pairs (position in t1's sorted spectrum, position in t2's) to
     values; a weight on an unmatched pair raises WeightOnUnmatchedPair.
-    Both spectra must be multiplicity-free (checked before any averaging).
+    Both spectra must be multiplicity-free (checked before the weights are read).
 
     With p_k and q_j the eigenvectors of T1 and T2 and G1, G2 their averaged
-    metrics over h0, the map is A = sum of c p_k q_j* G2 / (|p_k|_G1 |q_j|_G2):
+    metrics over h0, the map is the sum of c p_k q_j* G2 / (|p_k|_G1 |q_j|_G2):
     each term sends the h_T2-unit eigenvector q_j to c times the h_T1-unit
-    eigenvector p_k and annihilates the other eigenvectors of T2.
+    eigenvector p_k and annihilates the other eigenvectors of T2.  For a
+    simple spectrum G = P^-* diag(d^2) P^-1 with d = sqrt(diag(P* G0 P)), so
+    |p_k|_G = d_k and q_j* G2 is d2_j^2 times row j of P2^-1, and the sum is
+    the product A = P1 (C o d1^-1 d2^T) P2^-1, with C the matrix of weights:
+    two products with G0, two with the eigenvector matrices, and the one
+    inverse P2^-1.
     """
     T1, T2 = as_operator_pair(t1, t2)
     n = T1.shape[0]
-    h0 = resolve_fiducial(h0, n)
+    G0 = np.asarray(resolve_fiducial(h0, n).gram)
     with bounded(T1, cfg, "t1: ") as dec1, bounded(T2, cfg, "t2: ") as dec2:
         if dec1.degenerate_clusters or dec2.degenerate_clusters:
             raise InvalidInput("weighted connecting maps need multiplicity-free spectra; "
                                "a degenerate eigenvalue cluster was found")
-        G1, G2 = (np.asarray(_averaged_form(dec, h0).gram) for dec in (dec1, dec2))
-    left = _unit_eigenvectors(dec1, G1)
-    right = G2 @ _unit_eigenvectors(dec2, G2)
+        d1, d2 = (np.sqrt(np.einsum("ij,ij->j", P.conj(), G0 @ P).real)
+                  for P in (dec1.eigenvectors, dec2.eigenvectors))
     matched = dec1.match(dec2)  # simple spectra: cluster k is eigenvalue k
 
     if isinstance(weights, Mapping):
-        table = {}
+        C = np.zeros((n, n), dtype=np.complex128)
         for key, val in weights.items():
             pair = (int(key[0]), int(key[1]))
             if not (0 <= min(pair) and max(pair) < n and matched[pair]):
@@ -195,15 +192,10 @@ def intertwiner_scaled(
                     f"eigenvalue positions {pair} are not a shared eigenvalue "
                     f"of the two operators"
                 )
-            table[pair] = complex(val)
+            C[pair] = complex(val)
     else:
-        table = dict.fromkeys(zip(*np.nonzero(matched)), complex(weights))
-
-    A = np.zeros((n, n), dtype=np.complex128)
-    for (k, q), c in table.items():
-        if c != 0:
-            A += c * np.outer(left[:, k], right[:, q].conj())
-    return A
+        C = np.where(matched, complex(weights), 0.0)
+    return dec1.eigenvectors @ (C * (d2 / d1[:, None])) @ dec2.inverse
 
 
 def are_intertwined(t1, t2, connector) -> bool:

@@ -295,6 +295,13 @@ def cesaro_unitarization(
     return _unitarization(T, form, h0, METHOD_CESARO, drift)
 
 
+def _mobius(numerator: np.ndarray, shift: np.ndarray, message: str) -> np.ndarray:
+    """numerator shift^{-1}, the one step of both Cayley maps; SingularShift
+    with message when shift is numerically singular."""
+    require_nonsingular(shift, SingularShift, message)
+    return np.linalg.solve(shift.T, numerator.T).T
+
+
 def cayley(operator) -> np.ndarray:
     """Cayley map H -> (H - iI)(H + iI)^{-1}.
 
@@ -304,12 +311,8 @@ def cayley(operator) -> np.ndarray:
     an eigenvalue.
     """
     H = as_operator(operator)
-    n = H.shape[0]
-    shift = H + 1j * np.eye(n)
-    require_nonsingular(
-        shift, SingularShift, "H + iI is numerically singular (eigenvalue -i)"
-    )
-    return np.linalg.solve(shift.T, (H - 1j * np.eye(n)).T).T
+    iI = 1j * np.eye(H.shape[0])
+    return _mobius(H - iI, H + iI, "H + iI is numerically singular (eigenvalue -i)")
 
 
 def inverse_cayley(operator) -> np.ndarray:
@@ -318,12 +321,8 @@ def inverse_cayley(operator) -> np.ndarray:
     Raises SingularShift when 1 is an eigenvalue of T.
     """
     T = as_operator(operator)
-    n = T.shape[0]
-    shift = np.eye(n) - T
-    require_nonsingular(
-        shift, SingularShift, "I - T is numerically singular (eigenvalue 1)"
-    )
-    return np.linalg.solve(shift.T, (1j * (np.eye(n) + T)).T).T
+    eye = np.eye(T.shape[0])
+    return _mobius(1j * (eye + T), eye - T, "I - T is numerically singular (eigenvalue 1)")
 
 
 def unitary_log(unitarization: Unitarization) -> np.ndarray:

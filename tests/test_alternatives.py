@@ -18,6 +18,8 @@ from unitarize import (
     phi_metric,
     scaled_metric,
 )
+from unitarize.boundedness import bounded
+from unitarize.core import hermitize, resolve_fiducial
 from unitarize.fixtures import (
     conjugated_degenerate,
     conjugated_unitary,
@@ -168,6 +170,54 @@ def test_commutant_basis_deforms_the_metric(rng):
         Gp = (Gp + Gp.conj().T) / 2
         assert np.all(np.linalg.eigvalsh(Gp) > 0.0)
         assert invariance_residual(T, Gp) <= 1e-9
+
+
+def _padded_commutant_basis(T, h0):
+    """commutant_positive_basis as first built: each element's cluster block
+    padded into an n x n kappa and written back as P kappa P^{-1}."""
+    with bounded(T, CFG) as dec:
+        n = dec.dim
+        G0 = np.asarray(resolve_fiducial(h0, n).gram)
+        P, Pi = dec.eigenvectors, dec.inverse
+        M = P.conj().T @ G0 @ P
+    out = []
+    for idx in dec.clusters:
+        rows = list(idx)
+        m = len(rows)
+        Mc_inv = np.linalg.inv(hermitize(M[np.ix_(rows, rows)]))
+        for a in range(m):
+            for b in range(a, m):
+                if a == b:
+                    hs = [np.zeros((m, m), dtype=np.complex128)]
+                    hs[0][a, a] = 1.0
+                else:
+                    h_re = np.zeros((m, m), dtype=np.complex128)
+                    h_re[a, b] = h_re[b, a] = 1.0
+                    h_im = np.zeros((m, m), dtype=np.complex128)
+                    h_im[a, b] = 1j
+                    h_im[b, a] = -1j
+                    hs = [h_re, h_im]
+                for h in hs:
+                    kappa = np.zeros((n, n), dtype=np.complex128)
+                    kappa[np.ix_(rows, rows)] = Mc_inv @ h
+                    out.append(P @ kappa @ Pi)
+    return out
+
+
+@pytest.mark.parametrize("fiducial", ["identity", "general"])
+@pytest.mark.parametrize("spectrum", ["simple", "degenerate"])
+def test_commutant_basis_equals_the_padded_construction(rng, fiducial, spectrum):
+    for n, cond in ((8, 10.0), (64, 10.0), (64, 100.0)):
+        r = 1 if spectrum == "simple" else n // 4  # one eigenvalue r times
+        distinct = jittered_unimodular_phases(rng, n - r + 1, 0.5 / n)
+        T, _, _ = conjugated_unitary(rng, n, cond, np.concatenate([np.full(r, distinct[0]),
+                                                                   distinct[1:]]))
+        h0 = None if fiducial == "identity" else positive_definite_fixture(rng, n, 10.0)
+        got = commutant_positive_basis(T, h0, CFG)
+        want = _padded_commutant_basis(T, h0)
+        assert len(got) == len(want) == n - r + r * r
+        for K, W in zip(got, want):
+            assert np.linalg.norm(K - W) <= 1e-13 * np.linalg.norm(W)
 
 
 def test_metric_dependence_identities(rng):

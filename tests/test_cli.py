@@ -402,6 +402,9 @@ USAGE_ERRORS = {
                                     "--relation-tol", "nan"],
     "heisenberg_relation_tol_inf": ["heisenberg", "--t1", "@t", "--t2", "@t", "--t3", "@t",
                                     "--relation-tol", "inf"],
+    "check_tol_unitary_negative": ["check", "--in", "@t", "--tol-unitary", "-1e-9"],
+    "heisenberg_relation_tol_negative": ["heisenberg", "--t1", "@t", "--t2", "@t", "--t3", "@t",
+                                         "--relation-tol", "-1e-6"],
 }
 
 
@@ -428,6 +431,10 @@ def test_argparse_usage_errors_exit_one(tmp_path, capsys, argv):
     (["check", "--tol-unitary=-1e-9"], "unitarity_tol"),
     (["nagy", "--tol-unitary", "nan"], "unitarity_tol"),
     (["nagy", "--tol-unitary", "nan", "--format", "text"], "unitarity_tol"),
+    # a negative number as its own token is the option's value, exponent and all
+    (["check", "--tol-unitary", "-1e-9"], "unitarity_tol"),
+    (["check", "--tol-unitary", "-1E-9"], "unitarity_tol"),
+    (["check", "--tol-cluster", "-.5e3"], "eig_cluster_tol"),
 ])
 def test_a_tolerance_that_is_not_finite_exits_one_naming_the_field(tmp_path, capsys, argv, field):
     # the analysis used to run with the NaN and die rendering the report
@@ -438,16 +445,20 @@ def test_a_tolerance_that_is_not_finite_exits_one_naming_the_field(tmp_path, cap
     assert field in captured.err and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1e-6", "tight"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-6", "tight", "-1.5E+2"])
 def test_a_refused_relation_tol_exits_one_naming_the_option_and_field(tmp_path, capsys, value):
     # a NaN or an infinity used to reach the inputs digest, which cannot
-    # serialize it, and the error named neither the option nor the field
+    # serialize it, and the error named neither the option nor the field;
+    # a negative number given as its own token read as a missing value
     path = write_matrix(tmp_path, "t.json", INVOLUTION)
     code = main(["heisenberg", "--t1", path, "--t2", path, "--t3", path, f"--relation-tol={value}"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "--relation-tol" in captured.err and "relation_tol must be" in captured.err
+    assert main(["heisenberg", "--t1", path, "--t2", path, "--t3", path,
+                 "--relation-tol", value]) == 1
+    assert capsys.readouterr() == captured
 
 
 def test_a_report_that_cannot_be_rendered_exits_one(tmp_path, capsys, monkeypatch):

@@ -130,8 +130,8 @@ def test_pair_svd_and_eigh_calls(cli_inputs, monkeypatch, argv):
     assert (calls.count("svd"), calls.count("eigh")) == (6, 2)
 
 
-# entry point, expected inversions of an eigenvector matrix, call; one per
-# decomposition the call takes
+# entry point, expected inversions of an eigenvector matrix, call; at most
+# one per decomposition the call takes (intertwiner_scaled reads t2's alone)
 INVERSION_COUNTS = [
     ("invariant_metric", 1, lambda o: u.invariant_metric(o.t, o.g)),
     ("scaled_metric", 1,
@@ -144,7 +144,7 @@ INVERSION_COUNTS = [
     ("flow_invariant_metric", 1, lambda o: u.flow_invariant_metric(o.flow, o.g)),
     ("schrodinger_states", 1, lambda o: u.schrodinger_states(o.energy, np.ones(N), [0.0, 1.0])),
     ("intertwiner", 2, lambda o: u.intertwiner(o.t, o.t2, o.g)),
-    ("intertwiner_scaled", 2, lambda o: u.intertwiner_scaled(o.t, o.t2, 1.0)),
+    ("intertwiner_scaled", 1, lambda o: u.intertwiner_scaled(o.t, o.t2, 1.0)),
     ("commuting_pair_metric", 2, lambda o: u.commuting_pair_metric(o.a, o.b)),
     ("heisenberg_metric", 3, lambda o: u.heisenberg_metric(*o.weyl)),
 ]
@@ -458,6 +458,19 @@ def test_form_readers_take_no_square_root(ops, monkeypatch, call):
 
     monkeypatch.setattr(u.core, "psd_sqrt", no_sqrt)
     call(ops)
+
+
+def test_weighted_connector_builds_no_averaged_form(ops, monkeypatch):
+    """intertwiner_scaled reads the h0-lengths of the eigenvectors off
+    diag(P* G0 P), so once the given fiducial form is validated no form is
+    (no eigvalsh)."""
+    h0 = u.HermitianForm(ops.g)
+    calls = []
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **kw: calls.append(a) or real_eigvalsh(*a, **kw))
+    u.intertwiner_scaled(ops.t, ops.t2, 1.0, h0)
+    assert calls == []
 
 
 def test_metric_dependence_forms_no_square_root(ops, monkeypatch):

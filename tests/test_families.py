@@ -40,6 +40,17 @@ def test_clock_shift_relations(dim):
     assert_allclose(np.linalg.matrix_power(clock, dim), np.eye(dim), atol=1e-12)
 
 
+def test_clock_shift_equals_the_loop_built_shift():
+    # benchmark inputs are built from make_clock_shift, so its shift must
+    # keep the bits (and layout) of the loop that first filled it
+    for dim in range(2, 129):
+        want = np.zeros((dim, dim), dtype=np.complex128)
+        for i in range(dim):
+            want[i, (i + 1) % dim] = 1.0
+        shift = make_clock_shift(dim)[0]
+        assert np.array_equal(shift, want) and shift.tobytes() == want.tobytes(), dim
+
+
 def test_commuting_pair_metric(rng):
     t1, t2 = commuting_conjugated_pair(rng, 4, 20.0)
     result = commuting_pair_metric(t1, t2, None, CFG)

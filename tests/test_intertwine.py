@@ -14,7 +14,7 @@ from unitarize import (
     make_clock_shift,
     mixed_cesaro,
 )
-from unitarize import core, intertwine
+from unitarize import core
 from unitarize.boundedness import bounded
 from unitarize.core import _Task, resolve_fiducial
 from unitarize.fixtures import (
@@ -109,6 +109,23 @@ def _scaled_connector_via_frames(t1, t2, weights, h0):
     return A
 
 
+def _shifted_spectra(rng, n, cond, shifted):
+    """Two operators of dimension n on n + 1 sorted, spread phases: t2 takes
+    the first n, and t1 the same ones or, with shifted, the last n, so that
+    eigenvalue k of t1 is eigenvalue k + 1 of t2."""
+    phases = np.sort(np.mod(jittered_unimodular_phases(rng, n + 1, 0.5 / n), 2.0 * np.pi))
+    T1, _, _ = conjugated_unitary(rng, n, cond, phases[1:] if shifted else phases[:n])
+    T2, _, _ = conjugated_unitary(rng, n, cond, phases[:n])
+    return T1, T2
+
+
+def _assert_matches_the_frames(T1, T2, weights, h0):
+    got = intertwiner_scaled(T1, T2, weights, h0, CFG)
+    want = _scaled_connector_via_frames(T1, T2, weights, h0)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(T1 @ got - got @ T2) <= 1e-9 * np.linalg.norm(got)
+
+
 @pytest.mark.parametrize("fiducial", ["identity", "general"])
 def test_scaled_connector_matches_the_frame_construction(rng, fiducial):
     n = 6
@@ -118,10 +135,17 @@ def test_scaled_connector_matches_the_frame_construction(rng, fiducial):
         T2, _, _ = conjugated_unitary(rng, n, 30.0, phases)
         h0 = None if fiducial == "identity" else positive_definite_fixture(rng, n, 10.0)
         weights = {(k, k): complex(*rng.standard_normal(2)) for k in range(n)}
-        got = intertwiner_scaled(T1, T2, weights, h0, CFG)
-        want = _scaled_connector_via_frames(T1, T2, weights, h0)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        assert np.linalg.norm(T1 @ got - got @ T2) <= 1e-9 * np.linalg.norm(got)
+        _assert_matches_the_frames(T1, T2, weights, h0)
+    # n = 64, the matched pairs on the diagonal or one off it, one weight zero
+    n = 64
+    for cond in (10.0, 100.0):
+        for shifted in (False, True):
+            T1, T2 = _shifted_spectra(rng, n, cond, shifted)
+            h0 = None if fiducial == "identity" else positive_definite_fixture(rng, n, 10.0)
+            pairs = [(k, k + shifted) for k in range(n - shifted)]
+            weights = {pair: complex(*rng.standard_normal(2)) for pair in pairs}
+            weights[pairs[rng.integers(len(pairs))]] = 0.0
+            _assert_matches_the_frames(T1, T2, weights, h0)
 
 
 def test_scaled_connector_is_linear_in_the_weight():
@@ -153,15 +177,15 @@ def test_scaled_connector_requires_simple_spectra():
 
 
 @pytest.mark.parametrize("degenerate", ["t1", "t2"])
-def test_scaled_connector_refuses_degenerate_spectra_before_averaging(monkeypatch, degenerate):
-    averaged = []
-    monkeypatch.setattr(intertwine, "_averaged_form", lambda *args: averaged.append(args))
+def test_scaled_connector_refuses_degenerate_spectra_before_averaging(degenerate):
+    # the refusal comes before the weights are read: a weight on a pair that
+    # is not shared would raise WeightOnUnmatchedPair
     double = np.diag([1.0, 1.0, -1.0]).astype(complex)
     simple = np.diag([1.0, -1.0, 1j])
     T1, T2 = (double, simple) if degenerate == "t1" else (simple, double)
-    with pytest.raises(InvalidInput, match="multiplicity-free"):
-        intertwiner_scaled(T1, T2, 1.0, cfg=CFG)
-    assert averaged == []
+    for weights in (1.0, {(5, 5): 1.0}):
+        with pytest.raises(InvalidInput, match="multiplicity-free"):
+            intertwiner_scaled(T1, T2, weights, cfg=CFG)
 
 
 def test_are_intertwined_detects_violations(rng):
