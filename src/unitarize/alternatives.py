@@ -22,7 +22,7 @@ from .core import (
     _is_count,
     as_operator,
     hermitize,
-    invert,
+    masked_block,
     relative_defect,
     resolve_fiducial,
 )
@@ -160,35 +160,31 @@ def commutant_positive_basis(
     commutes with the operator and is self-adjoint for the averaged metric
     h_T built over the given fiducial form.
 
-    An element is P_c (M_c^{-1} H) Pi_c, with P_c the cluster's eigenvector
+    An element is P_c M_c^{-1} H Pi_c, with P_c the cluster's eigenvector
     columns, Pi_c the same rows of P^{-1}, M_c = P_c* G0 P_c its block of the
     fiducial Gram matrix and H one Hermitian basis matrix of the cluster's
-    size: one product G0 P, then per element an (n, m) by (m, n) product.
+    size.  The blocks M_c make up C, the block of P* G0 P on the clusters,
+    which is Hermitian and block diagonal, so the columns of P C^{-1} on
+    cluster c are P_c M_c^{-1}: one solve against C for every cluster, then
+    per element an (n, m) by (m, n) product.
     """
     T = as_operator(operator)
     with bounded(T, cfg) as dec:
-        P, Pi = dec.eigenvectors, dec.inverse
-        G0P = np.asarray(resolve_fiducial(h0, dec.dim).gram) @ P
+        Pi = dec.inverse
+        G0 = resolve_fiducial(h0, dec.dim).gram
+        C = hermitize(masked_block(dec, dec, G0, dec.same_cluster_mask()))
+        L = np.linalg.solve(C, dec.eigenvectors.conj().T).conj().T  # P C^{-1}
     out: list[np.ndarray] = []
     for idx in dec.clusters:
         rows = list(idx)
         m = len(rows)
-        Pc, Pr = P[:, rows], Pi[rows, :]
-        Mc_inv = invert(hermitize(Pc.conj().T @ G0P[:, rows]), "cluster Gram block")
+        Lc, Pr = L[:, rows], Pi[rows, :]
         for a in range(m):
             for b in range(a, m):
-                if a == b:
-                    hs = [np.zeros((m, m), dtype=np.complex128)]
-                    hs[0][a, a] = 1.0
-                else:
-                    h_re = np.zeros((m, m), dtype=np.complex128)
-                    h_re[a, b] = h_re[b, a] = 1.0
-                    h_im = np.zeros((m, m), dtype=np.complex128)
-                    h_im[a, b] = 1j
-                    h_im[b, a] = -1j
-                    hs = [h_re, h_im]
-                for h in hs:
-                    out.append(Pc @ (Mc_inv @ h) @ Pr)
+                for val in (1.0,) if a == b else (1.0, 1j):
+                    h = np.zeros((m, m), dtype=np.complex128)
+                    h[a, b], h[b, a] = val, np.conj(val)
+                    out.append(Lc @ h @ Pr)
     return out
 
 

@@ -372,12 +372,15 @@ class EigenDecomposition:
         return self.eigenvectors @ (v[:, None] * self.inverse)
 
 
+def masked_block(dec1: EigenDecomposition, dec2: EigenDecomposition, kernel, mask):
+    """mask o P1* K P2: the kernel K written between two eigenbases and cut to
+    the masked (own- or matched-cluster) entries."""
+    return np.where(mask, dec1.eigenvectors.conj().T @ kernel @ dec2.eigenvectors, 0.0)
+
+
 def cluster_pairing(dec1: EigenDecomposition, dec2: EigenDecomposition, kernel, mask):
-    """Pi1* (mask o P1* K P2) Pi2 with Pi = P^{-1}: the kernel K written between
-    two eigenbases, cut to the masked (matched-cluster) entries, written back."""
-    M = dec1.eigenvectors.conj().T @ kernel @ dec2.eigenvectors
-    M = np.where(mask, M, 0.0)
-    return dec1.inverse.conj().T @ M @ dec2.inverse
+    """Pi1* (mask o P1* K P2) Pi2 with Pi = P^{-1}: the masked block written back."""
+    return dec1.inverse.conj().T @ masked_block(dec1, dec2, kernel, mask) @ dec2.inverse
 
 
 def eig(

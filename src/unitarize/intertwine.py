@@ -23,15 +23,14 @@ from .core import (
     DEFAULT_TOLERANCES,
     HermitianForm,
     ToleranceConfig,
-    adjoint_wrt,
     as_operator,
     as_operator_pair,
-    cluster_pairing,
-    invert,
+    hermitize,
+    masked_block,
     resolve_fiducial,
 )
 from .errors import InvalidInput, WeightOnUnmatchedPair
-from .metrics import _averaged_form, mixed_pullback_mean
+from .metrics import mixed_pullback_mean
 
 # The averaged pairing counts as zero below this relative size; the closed
 # form returns an exact zero for disjoint spectra, so the threshold only has
@@ -52,6 +51,11 @@ class IntertwineResult:
     rank                 numerical rank of A0 (0 when the pairing vanishes)
     relation_residuals   named relative residuals of the exchange and
                          consistency identities
+
+    With P_i the eigenvectors of T_i, C_i the block of P_i* G0 P_i on T_i's
+    own clusters and M the block of P1* G0 P2 on the matched clusters, the
+    limit form is Z = P1^-* M P2^-1, and A0 = G0^-1 Z, A1 = P1 C1^-1 M P2^-1
+    and A2 = P2 C2^-1 P2* Z: no averaged form is validated, no adjoint inverted.
     """
 
     in_fiducial_metric: np.ndarray
@@ -80,42 +84,44 @@ def intertwiner(
 
 
 def _averaged_connection(T1, dec1, T2, dec2, h0: HermitianForm) -> IntertwineResult:
-    """intertwiner's closed form and certificate, from the two decompositions
-    and the resolved fiducial form."""
+    """intertwiner's closed form and certificate, from the blocks of the two
+    decompositions (IntertwineResult gives the formulas) by products and
+    solves only.  T1's inverted adjoint for a metric G sends A to
+    G^-1 T1^-* G A = G^-1 W with W = T1^-* Z, so the exchange residuals take
+    one solve against T1*, which its decision found nonsingular, and the
+    consistency residuals rebuild G_i = P_i^-* C_i P_i^-1 by products.  Beyond
+    the two decisions that is eight solves (four against G0, two against C2,
+    one each against C1 and T1*) and the rank's SVD."""
+    solve, norm = np.linalg.solve, np.linalg.norm
     matched = dec1.match(dec2)
     common = (dec1.cluster_means()[:, None] + dec2.cluster_means()[None, :])[matched] / 2.0
 
     G0 = np.asarray(h0.gram)
     mask = matched[np.ix_(dec1.labels, dec2.labels)]
-    Z = cluster_pairing(dec1, dec2, G0, mask)  # matrix of the limit form: x* Z y
-    A0 = np.linalg.solve(G0, Z)
+    M = masked_block(dec1, dec2, G0, mask)
+    Z = dec1.inverse.conj().T @ M @ dec2.inverse  # matrix of the limit form: x* Z y
+    A0 = solve(G0, Z)
 
-    G1 = np.asarray(_averaged_form(dec1, h0).gram)
-    form2 = _averaged_form(dec2, h0)
-    G2 = np.asarray(form2.gram)
-    G0A0 = G0 @ A0
-    A1 = np.linalg.solve(G1, G0A0)
-    A2 = np.linalg.solve(G2, G0A0)
+    C1, C2 = (hermitize(masked_block(d, d, G0, d.same_cluster_mask())) for d in (dec1, dec2))
+    P1, P2 = dec1.eigenvectors, dec2.eigenvectors
+    A1 = P1 @ solve(C1, M) @ dec2.inverse
+    A2 = P2 @ solve(C2, P2.conj().T @ Z)
+    G1, G2 = (d.inverse.conj().T @ C @ d.inverse for d, C in ((dec1, C1), (dec2, C2)))
+    W = solve(T1.conj().T, Z)
 
-    norm_a0 = float(np.linalg.norm(A0))
+    norm_a0 = float(norm(A0))
     a_scale = 1.0 + norm_a0
-    t_scale = 1.0 + max(float(np.linalg.norm(T1)), float(np.linalg.norm(T2)))
-    q1_sq = np.linalg.solve(G0, G1)
-    q2_sq = np.linalg.solve(G0, G2)
-    adj1_inv = invert(adjoint_wrt(T1, h0), "fiducial adjoint of t1")
-    adj2_inv = invert(adjoint_wrt(T1, form2), "invariant adjoint of t1")
-    residuals = {
-        "q1_consistency": float(np.linalg.norm(A0 - q1_sq @ A1)) / a_scale,
-        "q2_consistency": float(np.linalg.norm(A0 - q2_sq @ A2)) / a_scale,
-        "fiducial_exchange": float(np.linalg.norm(A0 @ T2 - adj1_inv @ A0))
-        / (a_scale * t_scale),
-        "first_metric_exchange": float(np.linalg.norm(A1 @ T2 - T1 @ A1))
-        / (a_scale * t_scale),
-        "second_metric_exchange": float(np.linalg.norm(A2 @ T2 - adj2_inv @ A2))
-        / (a_scale * t_scale),
+    e_scale = a_scale * (1.0 + max(float(norm(T1)), float(norm(T2))))
+    defects = {
+        "q1_consistency": (A0 - solve(G0, G1 @ A1), a_scale),
+        "q2_consistency": (A0 - solve(G0, G2 @ A2), a_scale),
+        "fiducial_exchange": (A0 @ T2 - solve(G0, W), e_scale),
+        "first_metric_exchange": (A1 @ T2 - T1 @ A1, e_scale),
+        "second_metric_exchange": (A2 @ T2 - P2 @ solve(C2, P2.conj().T @ W), e_scale),
     }
+    residuals = {key: float(norm(d)) / scale for key, (d, scale) in defects.items()}
 
-    nonzero = norm_a0 > ZERO_RTOL * max(1.0, float(np.linalg.norm(G0)))
+    nonzero = norm_a0 > ZERO_RTOL * max(1.0, float(norm(G0)))
     rank = 0
     if nonzero:
         rank = int(np.linalg.matrix_rank(A0, tol=ZERO_RTOL * max(1.0, norm_a0)))
@@ -205,19 +211,14 @@ def are_intertwined(t1, t2, connector) -> bool:
     case returns True with a warning rather than pretending to certify
     anything.
     """
-    T1 = as_operator(t1)
-    T2 = as_operator(t2)
-    A = as_operator(connector)
+    T1, T2, A = as_operator(t1), as_operator(t2), as_operator(connector)
     if T1.shape != T2.shape or A.shape != T1.shape:
         raise InvalidInput("dimension mismatch between operators and connector")
     a_norm = float(np.linalg.norm(A))
     t_scale = 1.0 + max(float(np.linalg.norm(T1)), float(np.linalg.norm(T2)))
-    if a_norm <= ZERO_RTOL:
-        warnings.warn(
-            "the connector is numerically zero, so the exchange relation "
-            "holds vacuously",
-            stacklevel=2,
-        )
+    if a_norm == 0.0:
+        warnings.warn("the connector is zero, so the exchange relation holds vacuously",
+                      stacklevel=2)
         return True
     res = float(np.linalg.norm(T1 @ A - A @ T2)) / (a_norm * t_scale)
     return res <= 1e-8

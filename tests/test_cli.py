@@ -231,6 +231,23 @@ def test_intertwine_reports_connection(tmp_path, capsys):
     assert report["verdicts"]["outcome"] == "disjoint_spectra"
 
 
+def test_intertwine_answers_an_ill_conditioned_pair(tmp_path, capsys):
+    """An n = 16 shared-spectrum pair conjugated at cond 1e3, whose adjoints
+    are numerically singular: the residuals solve against T1* instead of
+    inverting them, so the run answers rather than refusing (exit 1)."""
+    rng = np.random.default_rng(3116)
+    phases = jittered_unimodular_phases(rng, 16, margin=1.5 * np.pi / 16)
+    t1, _, _ = conjugated_unitary(rng, 16, 1e3, phases)
+    t2, _, _ = conjugated_unitary(rng, 16, 1e3, phases)
+    argv = ["intertwine", "--t1", write_matrix(tmp_path, "a.json", t1),
+            "--t2", write_matrix(tmp_path, "b.json", t2)]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert report["verdicts"]["outcome"] == "nonzero_connection"
+    assert report["scalars"]["rank"] == 16
+    assert max(report["residuals"].values()) <= 1e-6
+
+
 def test_hamiltonian_factorization(tmp_path, capsys):
     dyn = [[0.0, 1.0], [-1.0, 0.0]]
     lam = [[0.0, 1.0], [-1.0, 0.0]]

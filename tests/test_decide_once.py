@@ -291,6 +291,36 @@ def test_boundedness_check_svd_calls(ops, monkeypatch):
     assert calls.count("inv") == 1 and len(calls) == 34
 
 
+# entry point, its operators, the calls it adds to their decisions, call
+LAPACK_EXTRAS = [
+    ("intertwiner", lambda o: (o.t, o.t2), ["matrix_rank"],
+     lambda o: u.intertwiner(o.t, o.t2, o.g)),
+    ("commutant_positive_basis", lambda o: (o.t,), [],
+     lambda o: u.commutant_positive_basis(o.t, o.g)),
+]
+
+
+@pytest.mark.parametrize("operators, extra, call", [c[1:] for c in LAPACK_EXTRAS],
+                         ids=[c[0] for c in LAPACK_EXTRAS])
+def test_block_constructions_add_no_svd_inv_or_eigvalsh(ops, monkeypatch, operators, extra,
+                                                       call):
+    """The SVD-family, inv and eigvalsh calls of each operator's decision and
+    inverse eigenbasis and of h0's validation, plus only the reported rank's
+    SVD: the connecting map validates no averaged form and inverts no
+    adjoint, and the commutant basis inverts no cluster block."""
+    calls = _count_svd_family(monkeypatch)
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **kw: calls.append("eigvalsh") or real_eigvalsh(*a, **kw))
+    u.HermitianForm(ops.g)
+    for t in operators(ops):
+        u.check_uniformly_bounded(t).decomposition.inverse
+    want = sorted(calls + extra)
+    calls.clear()
+    call(ops)
+    assert sorted(calls) == want
+
+
 def test_generator_metric_svd_calls(rng, monkeypatch):
     """eig's spectral norm, the inverse eigenbasis's singularity test and
     the Cayley shift's: the image is mapped, not decided."""

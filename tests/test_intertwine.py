@@ -73,6 +73,56 @@ def test_connector_matches_finite_mixed_average(rng):
     assert np.linalg.norm(averaged - result.in_fiducial_metric) <= 1e-4 * scale
 
 
+def _shared_pair(rng, n, cond):
+    """T_i = S_i^-1 D S_i for one unimodular diagonal D, and the averaged map
+    for the standard h0 in closed form: the mean of (T1^k)* T2^k keeps the
+    entries of S1^-* S2^-1 between equal phases, S1* (same o S1^-* S2^-1) S2."""
+    phases = jittered_unimodular_phases(rng, n, margin=1.5 * np.pi / n)
+    T1, S1, _ = conjugated_unitary(rng, n, cond, phases)
+    T2, S2, _ = conjugated_unitary(rng, n, cond, phases)
+    same = phases[:, None] == phases[None, :]
+    inner = np.linalg.inv(S1).conj().T @ np.linalg.inv(S2)
+    return T1, T2, S1.conj().T @ (same * inner) @ S2
+
+
+@pytest.mark.parametrize("cond", [1e3, 1e4])
+@pytest.mark.parametrize("n", [16, 64])
+def test_ill_conditioned_shared_pairs_are_answered(n, cond):
+    """No residual inverts an adjoint of T1, so a pair whose adjoints are
+    numerically singular still gets its map, and the map is right."""
+    for k in range(6):
+        T1, T2, want = _shared_pair(np.random.default_rng([31, n, int(cond), k]), n, cond)
+        result = intertwiner(T1, T2, None, CFG)
+        assert result.nonzero and result.rank == n
+        got = result.in_fiducial_metric
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+        for key, value in result.relation_residuals.items():
+            assert value <= 1e-6, key
+
+
+@pytest.mark.parametrize("fiducial", ["identity", "general"])
+def test_block_maps_are_the_averaged_form_solves(rng, fiducial):
+    """A1 and A2, built from the decompositions' blocks, are G_i^-1 G0 A0
+    for the validated averaged forms G_i, on shared and half-shared spectra."""
+    for n, cond in ((4, 10.0), (16, 100.0), (64, 100.0)):
+        phases = jittered_unimodular_phases(rng, n, margin=1.5 * np.pi / n)
+        other = phases.copy()
+        other[::2] += np.pi / n
+        for phases2 in (phases, other):
+            T1, _, _ = conjugated_unitary(rng, n, cond, phases)
+            T2, _, _ = conjugated_unitary(rng, n, cond, phases2)
+            g = None if fiducial == "identity" else positive_definite_fixture(rng, n, 10.0)
+            h0 = resolve_fiducial(g, n)
+            result = intertwiner(T1, T2, h0, CFG)
+            Z = h0.gram @ result.in_fiducial_metric
+            for t, got in ((T1, result.in_first_metric), (T2, result.in_second_metric)):
+                with bounded(t, CFG) as dec:
+                    want = np.linalg.solve(_averaged_form(dec, h0).gram, Z)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            for key, value in result.relation_residuals.items():
+                assert value <= 1e-11, key
+
+
 def test_scaled_connector_reproduces_fourier_matrix():
     dim = 4
     shift, clock, _ = make_clock_shift(dim)
@@ -195,6 +245,13 @@ def test_are_intertwined_detects_violations(rng):
     assert not are_intertwined(shift, clock, A)
     with pytest.warns(UserWarning, match="zero"):
         assert are_intertwined(clock, shift, np.zeros((3, 3)))
+    # only an identically zero connector is vacuous: a small one is judged
+    # relative to its own norm, like any other
+    T = np.diag(np.exp([0.1j, 0.7j, 2j]))
+    R = rng.standard_normal((3, 3))
+    assert not are_intertwined(T, T, R)
+    assert not are_intertwined(T, T, 1e-11 * R)
+    assert are_intertwined(T, T, 1e-11 * np.eye(3))
 
 
 # the decision's overlap cut (test_boundedness.N_CUT) and connect_n64's size
