@@ -383,6 +383,13 @@ def cluster_pairing(dec1: EigenDecomposition, dec2: EigenDecomposition, kernel, 
     return dec1.inverse.conj().T @ masked_block(dec1, dec2, kernel, mask) @ dec2.inverse
 
 
+def _radii(cfg: ToleranceConfig, operator_norm: float) -> tuple[float, float]:
+    """(cluster radius, band) of an operator of the given spectral norm: the
+    configured values, each floored at CLUSTER_FLOOR (1 + operator_norm)."""
+    floor = CLUSTER_FLOOR * (1.0 + operator_norm)
+    return max(cfg.eig_cluster_tol, floor), max(cfg.unitarity_tol, floor)
+
+
 def eig(
     operator, cfg: ToleranceConfig | None = None, operator_norm: float | None = None
 ) -> EigenDecomposition:
@@ -404,11 +411,9 @@ def eig(
     w = w[order]
     v = _fix_column_phases(v[:, order])
 
-    cfg = cfg or DEFAULT_TOLERANCES
     op_norm = spectral_norm(T) if operator_norm is None else operator_norm
     scale = 1.0 + op_norm
-    floor = CLUSTER_FLOOR * scale
-    tol = max(cfg.eig_cluster_tol, floor)
+    tol, band = _radii(cfg or DEFAULT_TOLERANCES, op_norm)
     dist = np.abs(w[:, None] - w[None, :])
     # Each class is named by its smallest index, so np.unique numbers the
     # clusters by first index, and a stable sort by that number lists each
@@ -441,8 +446,44 @@ def eig(
         diagonalizable=not defective,
         defective_clusters=tuple(defective),
         cluster_tol=tol,
-        band=max(cfg.unitarity_tol, floor),
+        band=band,
         operator_norm=op_norm,
+    )
+
+
+def scalar_eig(operator, cfg: ToleranceConfig | None = None) -> EigenDecomposition | None:
+    """The one-cluster decomposition of mu I, mu = tr T / n, with identity
+    eigenvectors, when T is numerically that unimodular scalar; None otherwise.
+
+    It is given only when E = T - mu I and the band of mu I (eig's, from
+    _radii) satisfy ||E||_F <= RANK_RTOL (1 + |mu|) / 2 and
+    ||mu| - 1| + ||E||_F <= band / 2.  Every eigenvalue of T lies within
+    ||E||_2 of mu, and the mean of eig's computed ones is mu up to rounding,
+    so with these factor-2 margins eig would cluster T's spectrum into one
+    cluster that passes the rank test and lies inside the band: wherever this
+    gives a decomposition, check_uniformly_bounded calls T uniformly_bounded
+    with one diagonalizable cluster.  It takes no LAPACK call.
+    """
+    T = as_operator(operator)
+    n = T.shape[0]
+    mu = complex(np.trace(T)) / n
+    defect = float(np.linalg.norm(T - mu * np.eye(n)))
+    modulus = abs(mu)
+    tol, band = _radii(cfg or DEFAULT_TOLERANCES, modulus)
+    if defect > RANK_RTOL * (1.0 + modulus) / 2.0 or abs(modulus - 1.0) + defect > band / 2.0:
+        return None
+    labels = np.zeros(n, dtype=np.intp)
+    labels.setflags(write=False)
+    return EigenDecomposition(
+        eigenvalues=np.full(n, mu),
+        eigenvectors=np.eye(n, dtype=np.complex128),
+        clusters=(tuple(range(n)),),
+        labels=labels,
+        diagonalizable=True,
+        defective_clusters=(),
+        cluster_tol=tol,
+        band=band,
+        operator_norm=modulus,
     )
 
 

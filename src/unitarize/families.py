@@ -9,7 +9,9 @@ not commute with each other but both commute with the central element, and
 the relations force the final metric to be invariant for all three.
 
 Both constructions share one staged routine that decides each operator once
-and keeps its decomposition beside its form; the shortcut reads a pair's.
+and keeps its decomposition beside its form; the shortcut reads a pair's.  A
+numerical unimodular scalar, such as the central element of an irreducible
+Weyl triple, is not decided at all: averaging over it changes no form.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .core import (
     invariance_residual,
     relative_defect,
     resolve_fiducial,
+    scalar_eig,
 )
 from .errors import InvalidInput, NotCommuting, RelationViolated
 from .metrics import METHOD_SPECTRAL, _averaged_form, _unitarization
@@ -57,8 +60,11 @@ class FamilyResult:
 
     stages lists one Stage per averaging pass, in averaging order, ending
     with the joint metric; each carries the decomposition its operator was
-    decided and averaged with.  unitarity_residuals reports how far each
-    generator is from unitary in the final metric.
+    decided and averaged with.  An operator that is numerically a unimodular
+    scalar (core.scalar_eig) is neither decided nor averaged over: its stage
+    carries the one-cluster decomposition of that scalar, with identity
+    eigenvectors, and the form the stage was handed.  unitarity_residuals
+    reports how far each generator is from unitary in the final metric.
     """
 
     form: HermitianForm
@@ -80,13 +86,23 @@ def _averaged_metric(T: np.ndarray, dec: EigenDecomposition, h0) -> HermitianFor
 
 def _staged_metric(operators: dict[str, np.ndarray], order, h0, cfg) -> FamilyResult:
     """Decide each operator once, in argument order, then average h0 over
-    them in the stage order and read each residual in the joint metric."""
+    them in the stage order and read each residual in the joint metric.  An
+    operator with a scalar_eig decomposition is not decided, and its stage
+    keeps the form it was handed: averaging over a scalar is the identity."""
     with ExitStack() as decided:
-        decs = {label: decided.enter_context(bounded(T, cfg, f"{label}: "))
-                for label, T in operators.items()}
+        decs, scalars = {}, set()
+        for label, T in operators.items():
+            decs[label] = scalar_eig(T, cfg)
+            if decs[label] is None:
+                decs[label] = decided.enter_context(bounded(T, cfg, f"{label}: "))
+            else:
+                scalars.add(label)
         stages, form = [], h0
         for label in order:
-            form = _averaged_metric(operators[label], decs[label], form)
+            if label in scalars:
+                form = resolve_fiducial(form, operators[label].shape[0])
+            else:
+                form = _averaged_metric(operators[label], decs[label], form)
             stages.append(Stage(label, operators[label], decs[label], form))
         residuals = {label: invariance_residual(T, form.gram) for label, T in operators.items()}
     return FamilyResult(form=form, stages=stages, unitarity_residuals=residuals)
@@ -159,6 +175,21 @@ def heisenberg_metric(
     second.  The exchange relation turns t2-pullback into a t3-twisted
     t1-pullback, which is why the final metric stays invariant under t1 and
     t3 as well.
+
+    The centre of an irreducible triple is a scalar w I (Schur's lemma), and
+    averaging over a scalar is the identity map.  So a t3 that is
+    numerically a unimodular scalar, mu = tr t3 / n with
+    ||t3 - mu I||_F <= RANK_RTOL (1 + |mu|) / 2 and
+    ||mu| - 1| + ||t3 - mu I||_F <= band / 2 (core.scalar_eig, with eig's
+    band), is not decided: its stage keeps the t1 stage's form.  With these
+    factor-2 margins check_uniformly_bounded calls any such t3 bounded with
+    one diagonalizable cluster.  Any other t3 (a reducible triple's centre,
+    a scalar off the circle) is decided and averaged over as t1 and t2 are,
+    with the same verdict and message.  A clock-shift triple with the
+    standard h0 then takes 2 eig, 2 eigh (the roots), 4 inv (two
+    eigenvector matrices, two roots) and 4 eigvalsh (the forms'
+    validations), and per decision the SVDs of the singularity test, the
+    power-norm stacks and cond(P): 12 SVDs at n = 64.
     """
     _require_tolerance("relation_tol", relation_tol)
     T1, T2, T3 = (as_operator(t) for t in (t1, t2, t3))

@@ -56,6 +56,9 @@ class IntertwineResult:
     own clusters and M the block of P1* G0 P2 on the matched clusters, the
     limit form is Z = P1^-* M P2^-1, and A0 = G0^-1 Z, A1 = P1 C1^-1 M P2^-1
     and A2 = P2 C2^-1 P2* Z: no averaged form is validated, no adjoint inverted.
+    The keys q1_consistency and q2_consistency compare A0 with G0^-1 G_i A_i
+    for G_i = P_i^-* C_i P_i^-1, and G_i A_i = Z holds by construction for any
+    C_i: these two measure only rounding and cannot see a wrong A1 or A2.
     """
 
     in_fiducial_metric: np.ndarray

@@ -53,7 +53,8 @@ EIG_COUNTS = [
     ("intertwiner", 2, lambda o: u.intertwiner(o.t, o.t2, o.g)),
     ("intertwiner_scaled", 2, lambda o: u.intertwiner_scaled(o.t, o.t2, 1.0)),
     ("commuting_pair_metric", 2, lambda o: u.commuting_pair_metric(o.a, o.b)),
-    ("heisenberg_metric", 3, lambda o: u.heisenberg_metric(*o.weyl)),
+    # the Weyl triple's centre is a scalar, which takes no eig
+    ("heisenberg_metric", 2, lambda o: u.heisenberg_metric(*o.weyl)),
     ("check_generator", 1, lambda o: u.check_generator(-1j * o.flow)),
     ("generator_metric", 1, lambda o: u.generator_metric(-1j * o.flow)),
     ("flow_invariant_metric", 1, lambda o: u.flow_invariant_metric(o.flow, o.g)),
@@ -146,7 +147,8 @@ INVERSION_COUNTS = [
     ("intertwiner", 2, lambda o: u.intertwiner(o.t, o.t2, o.g)),
     ("intertwiner_scaled", 1, lambda o: u.intertwiner_scaled(o.t, o.t2, 1.0)),
     ("commuting_pair_metric", 2, lambda o: u.commuting_pair_metric(o.a, o.b)),
-    ("heisenberg_metric", 3, lambda o: u.heisenberg_metric(*o.weyl)),
+    # the Weyl triple's centre is a scalar, which is not averaged over
+    ("heisenberg_metric", 2, lambda o: u.heisenberg_metric(*o.weyl)),
 ]
 
 
@@ -532,7 +534,8 @@ SQRT_COUNTS = [
     ("flow_invariant_metric_h0", 2, lambda o: u.flow_invariant_metric(o.flow, o.g)),
     ("cesaro_unitarization", 1, lambda o: u.cesaro_unitarization(o.t, None, 64)),
     ("commuting_pair_metric", 2, lambda o: u.commuting_pair_metric(o.a, o.b)),
-    ("heisenberg_metric", 4, lambda o: u.heisenberg_metric(*o.weyl)),
+    # the Weyl triple's centre is a scalar, whose stage keeps the form it was handed
+    ("heisenberg_metric", 2, lambda o: u.heisenberg_metric(*o.weyl)),
 ]
 
 

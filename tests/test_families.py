@@ -187,6 +187,126 @@ def test_heisenberg_checks_both_centrality_relations_alike(relation_tol, outcome
     assert got == {"t1": outcome, "t2": outcome}
 
 
+# -- the triple's centre: a numerical unimodular scalar is read, not decided --
+
+
+def _conjugated(s, ops):
+    return [np.linalg.solve(s, m @ s) for m in ops]
+
+
+def _recording_decisions(monkeypatch) -> list:
+    """(operator, report) of each boundedness.check_uniformly_bounded call
+    from now on."""
+    decided = []
+    real_check = boundedness.check_uniformly_bounded
+
+    def recording_check(T, *args, **kwargs):
+        decided.append((T, real_check(T, *args, **kwargs)))
+        return decided[-1][1]
+
+    monkeypatch.setattr(boundedness, "check_uniformly_bounded", recording_check)
+    return decided
+
+
+def test_a_reducible_triple_decides_its_centre(rng, monkeypatch):
+    # the direct sum of the n = 3 and n = 4 triples has centre diag(w3 I, w4 I),
+    # two clusters: no scalar, so all three operators are decided and averaged
+    triple = [np.zeros((7, 7), dtype=complex) for _ in range(3)]
+    for m, a, b in zip(triple, make_clock_shift(3), make_clock_shift(4)):
+        m[:3, :3], m[3:, 3:] = a, b
+    triple = _conjugated(invertible_with_condition(rng, 7, 10.0), triple)
+    decided = _recording_decisions(monkeypatch)
+    result = heisenberg_metric(*triple, None, CFG)
+    operators = {stage.label: stage.operator for stage in result.stages}
+    assert [id(T) for T, _ in decided] == [id(operators[label]) for label in ("t1", "t2", "t3")]
+    centre = result.stages[1]
+    assert centre.label == "t3" and np.array_equal(centre.operator, triple[2])
+    assert sorted(map(len, centre.decomposition.clusters)) == [3, 4]
+    assert max(result.unitarity_residuals.values()) <= 1e-10
+
+
+def test_a_scalar_centre_off_the_circle_is_refused_as_before():
+    # a scalar centre off the circle cannot satisfy the braid relation (its
+    # determinant is not 1), so relation_tol admits the defect 0.05 / sqrt(3)
+    shift, clock, center = make_clock_shift(3)
+    t3 = 1.05 * center
+    assert core.scalar_eig(t3, CFG) is None
+    want = "t3: " + "; ".join(boundedness.check_uniformly_bounded(t3, CFG).reasons)
+    assert "off the unit circle" in want
+    with pytest.raises(NotUniformlyBounded) as refused:
+        heisenberg_metric(shift, clock, t3, None, CFG, relation_tol=0.1)
+    assert str(refused.value) == want
+
+
+def _near_scalars():
+    """(name, t3, whether core.scalar_eig gives a decomposition) for the
+    n = 3 centre w I moved just inside and just past the scalar test's
+    margins: ||E||_F against RANK_RTOL (1 + |mu|) / 2 = RANK_RTOL, |mu|
+    against half the band and the band, and a Jordan-like w I + eps N."""
+    n = 3
+    w = np.exp(2j * np.pi / n) * np.eye(n)
+    e = np.random.default_rng([32, 3]).standard_normal((n, n, 2)) @ [1.0, 1j]
+    e -= np.trace(e) / n * np.eye(n)
+    e /= np.linalg.norm(e)
+    nil = np.diag(np.ones(n - 1), 1) / np.sqrt(n - 1)
+    band = core._radii(CFG, 1.0)[1]
+    rank = core.RANK_RTOL
+    return [
+        ("scalar", w, True),
+        ("defect_inside", w + 0.99 * rank * e, True),
+        ("defect_past", w + 1.01 * rank * e, False),
+        ("defect_defective", w + 4.0 * rank * e, False),
+        ("modulus_inside", (1.0 + 0.49 * band) * w, True),
+        ("modulus_past_half_band", (1.0 + 0.51 * band) * w, False),
+        ("modulus_past_band", (1.0 + 1.01 * band) * w, False),
+        ("modulus_inside_below", (1.0 - 0.49 * band) * w, True),
+        ("modulus_past_band_below", (1.0 - 1.01 * band) * w, False),
+        ("jordan_inside", w + 0.99 * rank * nil, True),
+        ("jordan_past", w + 1e-6 * nil, False),
+    ]
+
+
+@pytest.mark.parametrize("t3, fires", [c[1:] for c in _near_scalars()],
+                         ids=[c[0] for c in _near_scalars()])
+def test_the_scalar_centre_and_the_decision_reach_one_verdict(t3, fires):
+    report = boundedness.check_uniformly_bounded(t3, CFG)
+    scalar = core.scalar_eig(t3, CFG)
+    assert (scalar is not None) is fires
+    if fires:
+        # wherever the scalar test passes, the decision says bounded with one
+        # diagonalizable cluster
+        assert report.bounded
+        assert len(report.decomposition.clusters) == 1 and report.decomposition.diagonalizable
+        assert scalar.clusters == report.decomposition.clusters
+        assert scalar.band == pytest.approx(report.decomposition.band, rel=1e-6)
+    shift, clock, _ = make_clock_shift(3)
+    try:
+        heisenberg_metric(shift, clock, t3, None, CFG, relation_tol=1e-3)
+        verdict = "bounded"
+    except NotUniformlyBounded as exc:
+        verdict = str(exc)
+    assert verdict == ("bounded" if report.bounded else "t3: " + "; ".join(report.reasons))
+
+
+# seeds drawn for this test alone: (n, cond, draw) -> default_rng([32, n, cond, draw])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("cond, residual_bound, form_bound",
+                         [(10.0, 1e-12, 1e-10), (100.0, 1e-12, 1e-10), (1e4, 1e-8, 1e-8)],
+                         ids=["cond10", "cond100", "cond1e4"])
+def test_conjugated_weyl_triples_hold_to_rounding(n, cond, residual_bound, form_bound):
+    """The joint metric of S^-1 (shift, clock, w I) S is S* S up to scale.
+    Averaged through a LAPACK basis of the centre's n-fold cluster, these
+    n = 64 draws reached residuals of 2e-10 at cond 10 and 3e-11 at cond
+    100; at cond 1e4 the t1 and t2 stages alone leave about 4e-10."""
+    for draw in range(3):
+        s = invertible_with_condition(np.random.default_rng([32, n, int(cond), draw]), n, cond)
+        result = heisenberg_metric(*_conjugated(s, make_clock_shift(n)), None, CFG)
+        assert max(result.unitarity_residuals.values()) <= residual_bound
+        ref = s.conj().T @ s
+        g = np.asarray(result.form.gram)
+        assert np.linalg.norm(g / np.linalg.norm(g) - ref / np.linalg.norm(ref)) <= form_bound
+
+
 # -- overlapped decisions: each construction's answer built as the norms finish --
 
 
@@ -195,7 +315,7 @@ def _weyl_and_pair(rng, n):
     cond 10; the pair's phases are jittered because rejection sampling of
     this many fails."""
     s = invertible_with_condition(rng, n, 10.0)
-    triple = [np.linalg.solve(s, m @ s) for m in make_clock_shift(n)]
+    triple = _conjugated(s, make_clock_shift(n))
     d1, d2 = (np.exp(1j * jittered_unimodular_phases(rng, n, np.pi / n)) for _ in range(2))
     pair = [np.linalg.solve(s, d[:, None] * s) for d in (d1, d2)]
     return triple, pair
@@ -222,30 +342,29 @@ def test_overlapped_construction_equals_the_serial_one(rng, monkeypatch, submitt
         "commuting_pair_metric": lambda: commuting_pair_metric(*pair, None, CFG),
         "heisenberg_metric": lambda: heisenberg_metric(*triple, None, CFG),
     }[construction]
-    decided = []
-    real_check = boundedness.check_uniformly_bounded
-
-    def recording_check(T, *args, **kwargs):
-        decided.append((T, real_check(T, *args, **kwargs)))
-        return decided[-1][1]
-
-    monkeypatch.setattr(boundedness, "check_uniformly_bounded", recording_check)
+    decided = _recording_decisions(monkeypatch)
     results = []
     for overlap in (False, True):
         monkeypatch.setattr(core, "_overlaps", lambda n, o=overlap: o)
         decided.clear()
         result = call()
         results.append(_family_bytes(result))
-        # decided in argument order, and each stage holds what its verdict was read from
-        by_label = dict(zip(["t1", "t2", "t3"], decided))
-        assert len(decided) == len(result.stages)
+        # t1 and t2 decided in argument order, and each stage holds what its
+        # verdict was read from; the triple's centre, a scalar, is not decided
+        by_label = dict(zip(["t1", "t2"], decided))
+        assert len(decided) == 2
         for stage in result.stages:
+            if stage.label == "t3":
+                dec = stage.decomposition
+                assert dec.clusters == (tuple(range(n)),) and dec.diagonalizable
+                assert np.array_equal(dec.eigenvectors, np.eye(n))
+                assert stage.form is result.stages[0].form
+                continue
             T, report = by_label[stage.label]
             assert stage.operator is T and stage.decomposition is report.decomposition
     assert results[1] == results[0]
-    decisions = 2 if construction == "commuting_pair_metric" else 3
-    assert [isinstance(f, _Task) for f in submitted] == [False] * decisions + [True] * decisions
-    assert all(f.done() for f in submitted[decisions:])
+    assert [isinstance(f, _Task) for f in submitted] == [False, False, True, True]
+    assert all(f.done() for f in submitted[2:])
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-6])
