@@ -23,6 +23,7 @@ from .core import (
     as_operator,
     hermitize,
     masked_block,
+    relative_change,
     relative_defect,
     resolve_fiducial,
 )
@@ -66,21 +67,20 @@ class ScalingSpec:
     weights: Mapping[int, object]
 
     def block_for(self, cluster: int, size: int) -> np.ndarray:
-        """The cluster's block, validated by HermitianForm as a metric."""
+        """The cluster's block: a positive scalar times the identity, or a
+        matrix block validated by HermitianForm as a metric."""
         if cluster not in self.weights:
             raise MissingClusterWeight(f"no weight for eigenvalue cluster {cluster}")
         w = self.weights[cluster]
         if np.isscalar(w):
             message = f"cluster {cluster}: scalar weight must be real positive, got {w!r}"
-            val = _positive_real(w, NonPositiveWeight, message)
-            block = np.diag(np.full(size, val, dtype=np.complex128))
-        else:
-            block = np.array(w, dtype=np.complex128)
-            if block.shape != (size, size):
-                raise InvalidInput(
-                    f"cluster {cluster}: weight block has shape {block.shape}, "
-                    f"expected {(size, size)}"
-                )
+            return np.diag(np.full(size, _positive_real(w, NonPositiveWeight, message)))
+        block = np.array(w, dtype=np.complex128)
+        if block.shape != (size, size):
+            raise InvalidInput(
+                f"cluster {cluster}: weight block has shape {block.shape}, "
+                f"expected {(size, size)}"
+            )
         try:
             return HermitianForm(block).gram
         except (InvalidInput, NotPositiveDefinite) as exc:
@@ -250,9 +250,7 @@ def metric_dependence(
 
     A = defect(twisted, plain, N)
     A_half = defect(twisted_half, plain_half, N // 2)
-    cesaro_residual = float(
-        np.linalg.norm(A - A_half) / max(np.linalg.norm(A), 1e-300)
-    )
+    cesaro_residual = relative_change(A_half, A)
 
     residuals = {
         "sum_rule": float(np.linalg.norm(R - C - A)) / max(1.0, float(np.linalg.norm(C))),

@@ -39,7 +39,7 @@ import numpy as np
 # module a run loads.
 from .core import (
     DEFAULT_TOLERANCES, DRIFT_RTOL, PSD_RTOL, ToleranceConfig, _require_tolerance,
-    invariance_residual, self_adjointness_residual,
+    invariance_residual, relative_change, self_adjointness_residual,
 )
 from . import errors
 from .boundedness import check_generator, check_normal_dichotomy, check_uniformly_bounded
@@ -160,9 +160,7 @@ def _log(report, a, cfg):
     report.verdicts["outcome"] = "generated"
     report.matrices["generator"] = matrix_payload(gen)
     report.matrices["invariant_gram"] = matrix_payload(g)
-    report.residuals["exp_reconstruction"] = float(
-        np.linalg.norm(rebuilt - T) / max(np.linalg.norm(T), 1e-300)
-    )
+    report.residuals["exp_reconstruction"] = relative_change(rebuilt, T)
     report.residuals["self_adjointness"] = self_adjointness_residual(gen, g)
 
 
@@ -344,7 +342,7 @@ def _example(report, a, cfg):
     g = np.asarray(result.invariant_form.gram)
     report.matrices["invariant_gram"] = matrix_payload(g)
     predicted = np.diag(CLOSED_FORMS[spec.kind](spec) + 0j)
-    worst = float(np.linalg.norm(g - predicted) / np.linalg.norm(predicted))
+    worst = relative_change(g, predicted)
     report.residuals["metric_vs_closed_form"] = worst
     spectrum = _spectrum_match(spec, result.decomposition.eigenvalues)
     report.residuals["spectrum_vs_closed_form"] = spectrum["worst_eigenvalue_distance"]

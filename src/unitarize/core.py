@@ -160,8 +160,8 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 class HermitianForm:
     """Positive definite Hermitian metric h(x, y) = x* gram y.
 
-    The one scalar-product test, which psd_sqrt and ScalingSpec's weight
-    blocks share: gram is Hermitian within PSD_RTOL and its eigenvalues
+    The one scalar-product test, which psd_sqrt and ScalingSpec's matrix
+    weight blocks share: gram is Hermitian within PSD_RTOL and its eigenvalues
     (kept for root) exceed PSD_RTOL times the largest."""
 
     gram: np.ndarray
@@ -563,17 +563,23 @@ def relative_defect(defect: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(defect)) / scale
 
 
+def relative_change(value: np.ndarray, reference: np.ndarray) -> float:
+    """||value - reference|| / ||reference||, Frobenius norms, with the reference
+    norm floored so that a zero reference gives a finite number: the one rule
+    for a residual measured against a reference matrix."""
+    return float(np.linalg.norm(value - reference) / max(np.linalg.norm(reference), 1e-300))
+
+
 def invariance_residual(operator: np.ndarray, gram) -> float:
-    """Relative defect ||T* G T - G|| / ||G|| of the metric G under T."""
+    """Relative change ||T* G T - G|| / ||G|| of the metric G under T."""
     g = np.asarray(gram)
-    defect = operator.conj().T @ g @ operator - g
-    return float(np.linalg.norm(defect) / np.linalg.norm(g))
+    return relative_change(operator.conj().T @ g @ operator, g)
 
 
 def self_adjointness_residual(operator: np.ndarray, gram) -> float:
-    """Relative defect ||G A - (G A)*|| / max(||G A||, 1e-300) of A for G."""
+    """Relative change ||G A - (G A)*|| / ||G A|| of A for G."""
     lhs = np.asarray(gram) @ operator
-    return float(np.linalg.norm(lhs - lhs.conj().T) / max(np.linalg.norm(lhs), 1e-300))
+    return relative_change(lhs, lhs.conj().T)
 
 
 def _overlaps(large_enough: bool) -> bool:

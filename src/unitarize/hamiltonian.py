@@ -22,6 +22,7 @@ from .core import (
     as_operator,
     as_vector,
     eig,
+    relative_change,
     require_nonsingular,
     self_adjointness_residual,
 )
@@ -42,12 +43,7 @@ def _require_self_adjoint(A: np.ndarray, form: HermitianForm, label: str) -> Non
 
 
 def _same_form(a: HermitianForm, b: HermitianForm) -> bool:
-    if a is b:
-        return True
-    if a.dim != b.dim:
-        return False
-    ga, gb = np.asarray(a.gram), np.asarray(b.gram)
-    return bool(np.linalg.norm(ga - gb) <= 1e-12 * max(np.linalg.norm(ga), 1e-300))
+    return a is b or (a.dim == b.dim and relative_change(b.gram, a.gram) <= 1e-12)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +154,10 @@ def n_product(a, b, middle) -> np.ndarray:
 
 def _real_factor(name: str, value) -> np.ndarray:
     """A factor as a real array; a cast to float would drop its imaginary part."""
-    arr = np.array(value, dtype=np.complex128)
+    try:
+        arr = np.array(value, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"the {name} must be a rectangular array of numbers") from None
     if arr.size == 0:
         raise InvalidInput(f"the {name} is empty")
     if not np.all(np.isfinite(arr)):
@@ -187,12 +186,10 @@ class ClassicalFactorization:
             ("Poisson tensor", self.poisson_tensor), ("energy matrix", self.quadratic_energy)))
         if lam.ndim != 2 or lam.shape[0] != lam.shape[1] or lam.shape != ham.shape:
             raise InvalidInput("factors must be square real matrices of equal size")
-        scale_l = max(np.linalg.norm(lam), 1e-300)
-        if np.linalg.norm(lam + lam.T) > 1e-12 * scale_l:
+        if relative_change(lam, -lam.T) > 1e-12:
             raise InvalidInput("the Poisson tensor must be antisymmetric")
         require_nonsingular(lam, InvalidInput, "the Poisson tensor must be invertible")
-        scale_h = max(np.linalg.norm(ham), 1e-300)
-        if np.linalg.norm(ham - ham.T) > 1e-12 * scale_h:
+        if relative_change(ham, ham.T) > 1e-12:
             raise InvalidInput("the energy matrix must be symmetric")
         lam.setflags(write=False)
         ham.setflags(write=False)
@@ -210,7 +207,7 @@ class ClassicalFactorization:
 
 def factorization_check(dynamics, factorization: ClassicalFactorization) -> float:
     """Frobenius distance between the dynamics matrix and its factorization."""
-    A = np.array(dynamics, dtype=float)
+    A = _real_factor("dynamics matrix", dynamics)
     prod = factorization.poisson_tensor @ factorization.quadratic_energy
     if A.shape != prod.shape:
         raise InvalidInput("dynamics and factorization dimensions differ")

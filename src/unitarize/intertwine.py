@@ -26,6 +26,7 @@ from .core import (
     as_operator,
     as_operator_pair,
     hermitize,
+    invariance_residual,
     masked_block,
     resolve_fiducial,
 )
@@ -49,16 +50,17 @@ class IntertwineResult:
     common_eigenvalues   matched cluster means shared by the two spectra
     nonzero              whether the pairing survives the averaging
     rank                 numerical rank of A0 (0 when the pairing vanishes)
-    relation_residuals   named relative residuals of the exchange and
-                         consistency identities
+    relation_residuals   named relative residuals: the invariance of the two
+                         metrics and the three exchange relations
 
     With P_i the eigenvectors of T_i, C_i the block of P_i* G0 P_i on T_i's
     own clusters and M the block of P1* G0 P2 on the matched clusters, the
     limit form is Z = P1^-* M P2^-1, and A0 = G0^-1 Z, A1 = P1 C1^-1 M P2^-1
     and A2 = P2 C2^-1 P2* Z: no averaged form is validated, no adjoint inverted.
-    The keys q1_consistency and q2_consistency compare A0 with G0^-1 G_i A_i
-    for G_i = P_i^-* C_i P_i^-1, and G_i A_i = Z holds by construction for any
-    C_i: these two measure only rounding and cannot see a wrong A1 or A2.
+    A_i is written against G_i = P_i^-* C_i P_i^-1, and q{i}_consistency is
+    that metric's invariance residual ||T_i* G_i T_i - G_i|| / ||G_i||, the
+    rule Unitarization and FamilyResult report: a wrong eigenbasis or block
+    shows in it.  The three *_exchange keys measure T1 A = A T2 in each metric.
     """
 
     in_fiducial_metric: np.ndarray
@@ -92,9 +94,9 @@ def _averaged_connection(T1, dec1, T2, dec2, h0: HermitianForm) -> IntertwineRes
     solves only.  T1's inverted adjoint for a metric G sends A to
     G^-1 T1^-* G A = G^-1 W with W = T1^-* Z, so the exchange residuals take
     one solve against T1*, which its decision found nonsingular, and the
-    consistency residuals rebuild G_i = P_i^-* C_i P_i^-1 by products.  Beyond
-    the two decisions that is eight solves (four against G0, two against C2,
-    one each against C1 and T1*) and the rank's SVD."""
+    invariance residuals rebuild G_i = P_i^-* C_i P_i^-1 by products.  Beyond
+    the two decisions that is six solves (two each against G0 and C2, one
+    each against C1 and T1*) and the rank's SVD."""
     solve, norm = np.linalg.solve, np.linalg.norm
     matched = dec1.match(dec2)
     common = (dec1.cluster_means()[:, None] + dec2.cluster_means()[None, :])[matched] / 2.0
@@ -113,16 +115,13 @@ def _averaged_connection(T1, dec1, T2, dec2, h0: HermitianForm) -> IntertwineRes
     W = solve(T1.conj().T, Z)
 
     norm_a0 = float(norm(A0))
-    a_scale = 1.0 + norm_a0
-    e_scale = a_scale * (1.0 + max(float(norm(T1)), float(norm(T2))))
-    defects = {
-        "q1_consistency": (A0 - solve(G0, G1 @ A1), a_scale),
-        "q2_consistency": (A0 - solve(G0, G2 @ A2), a_scale),
-        "fiducial_exchange": (A0 @ T2 - solve(G0, W), e_scale),
-        "first_metric_exchange": (A1 @ T2 - T1 @ A1, e_scale),
-        "second_metric_exchange": (A2 @ T2 - P2 @ solve(C2, P2.conj().T @ W), e_scale),
-    }
-    residuals = {key: float(norm(d)) / scale for key, (d, scale) in defects.items()}
+    e_scale = (1.0 + norm_a0) * (1.0 + max(float(norm(T1)), float(norm(T2))))
+    residuals = {"q1_consistency": invariance_residual(T1, G1),
+                 "q2_consistency": invariance_residual(T2, G2)}
+    for key, defect in (("fiducial_exchange", A0 @ T2 - solve(G0, W)),
+                        ("first_metric_exchange", A1 @ T2 - T1 @ A1),
+                        ("second_metric_exchange", A2 @ T2 - P2 @ solve(C2, P2.conj().T @ W))):
+        residuals[key] = float(norm(defect)) / e_scale
 
     nonzero = norm_a0 > ZERO_RTOL * max(1.0, float(norm(G0)))
     rank = 0
@@ -163,12 +162,13 @@ def intertwiner_scaled(
     """Intertwiner with prescribed weights on the matched eigenvalue pairs.
 
     The averaged pairing fixes one coefficient per shared eigenvalue; this
-    constructor replaces those coefficients with arbitrary nonzero weights,
-    which still yields T1 A = A T2 because each rank-one term joins an
-    eigenvector of T1 to an eigenvector of T2 at the same eigenvalue.
+    constructor replaces those coefficients with arbitrary finite weights,
+    zero included, which still yields T1 A = A T2 because each rank-one term
+    joins an eigenvector of T1 to an eigenvector of T2 at the same eigenvalue.
     weights is a scalar applied to every matched pair, or a mapping from
     index pairs (position in t1's sorted spectrum, position in t2's) to
-    values; a weight on an unmatched pair raises WeightOnUnmatchedPair.
+    values; a weight on an unmatched pair raises WeightOnUnmatchedPair, and
+    any other key or value InvalidInput.
     Both spectra must be multiplicity-free (checked before the weights are read).
 
     With p_k and q_j the eigenvectors of T1 and T2 and G1, G2 their averaged
@@ -192,18 +192,21 @@ def intertwiner_scaled(
                   for P in (dec1.eigenvectors, dec2.eigenvectors))
     matched = dec1.match(dec2)  # simple spectra: cluster k is eigenvalue k
 
-    if isinstance(weights, Mapping):
-        C = np.zeros((n, n), dtype=np.complex128)
-        for key, val in weights.items():
-            pair = (int(key[0]), int(key[1]))
-            if not (0 <= min(pair) and max(pair) < n and matched[pair]):
-                raise WeightOnUnmatchedPair(
-                    f"eigenvalue positions {pair} are not a shared eigenvalue "
-                    f"of the two operators"
-                )
-            C[pair] = complex(val)
-    else:
-        C = np.where(matched, complex(weights), 0.0)
+    for val in weights.values() if isinstance(weights, Mapping) else [weights]:
+        if not (isinstance(val, (int, float, complex, np.number)) and np.isfinite(complex(val))):
+            raise InvalidInput(f"a weight must be a finite number, got {val!r}")
+    if not isinstance(weights, Mapping):  # one weight on every matched pair
+        weights = dict.fromkeys(map(tuple, np.argwhere(matched)), weights)
+    C = np.zeros((n, n), dtype=np.complex128)
+    for key, val in weights.items():
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(k, (int, np.integer)) for k in key)):
+            raise InvalidInput(f"a weight key must be a pair of integer positions, got {key!r}")
+        pair = (int(key[0]), int(key[1]))
+        if not (0 <= min(pair) and max(pair) < n and matched[pair]):
+            raise WeightOnUnmatchedPair(
+                f"eigenvalue positions {pair} are not a shared eigenvalue of the two operators")
+        C[pair] = complex(val)
     return dec1.eigenvectors @ (C * (d2 / d1[:, None])) @ dec2.inverse
 
 

@@ -33,6 +33,7 @@ from .core import (
     cluster_pairing,
     hermitize,
     invariance_residual,
+    relative_change,
     require_nonsingular,
     resolve_fiducial,
 )
@@ -125,7 +126,7 @@ def _unitarization(
             norm = np.linalg.norm
             return float(norm(A.conj().T @ G + G @ A)) / (norm(G) * flow_scale)
         residuals = {"flow_invariance": skew_defect(X, g), "skewness": skew_defect(U, G0)}
-    residuals["gram_match"] = float(np.linalg.norm(G0 @ Q @ Q - g)) / np.linalg.norm(g)
+    residuals["gram_match"] = relative_change(G0 @ Q @ Q, g)
     return Unitarization(form, Q, U, method, cesaro_residual, residuals, decomposition)
 
 
@@ -268,10 +269,7 @@ def cesaro_oracle(
     mean_full = hermitize(full / N)
     drift = 0.0
     if N >= 2:
-        mean_part = hermitize(half / (N // 2))
-        drift = float(
-            np.linalg.norm(mean_full - mean_part) / max(np.linalg.norm(mean_full), 1e-300)
-        )
+        drift = relative_change(hermitize(half / (N // 2)), mean_full)
         if drift > DRIFT_RTOL:
             warnings.warn(
                 f"power average still drifting at horizon {N}: relative "

@@ -60,6 +60,16 @@ def test_block_weight_on_degenerate_cluster(rng):
     assert np.all(np.linalg.eigvalsh((G + G.conj().T) / 2) > 0.0)
 
 
+def test_scalar_weight_block_has_the_validated_blocks_bits():
+    """w I is what HermitianForm returned for it, so B and the metric keep
+    their bits without an eigvalsh per cluster."""
+    for size in (1, 2, 5):
+        for w in (0.5, 2, np.float64(7.25), 1e-30, 1.0 + 0j):
+            want = HermitianForm(np.diag(np.full(size, complex(w)))).gram
+            got = ScalingSpec({3: w}).block_for(3, size)
+            assert np.asarray(got, dtype=np.complex128).tobytes() == want.tobytes()
+
+
 def test_weight_table_is_validated(rng):
     T, _, _ = conjugated_unitary(rng, 3, 5.0, unimodular_phases(rng, 3))
     with pytest.raises(MissingClusterWeight):

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -14,9 +15,15 @@ from unitarize import (
     eig,
     psd_sqrt,
 )
-from unitarize import core, intertwine
-from unitarize.core import CLUSTER_FLOOR, ClusterAmbiguity, invert
-from unitarize.fixtures import conjugated_unitary, defective_unimodular, unimodular_phases
+from unitarize import alternatives, cli, core, hamiltonian, intertwine, metrics
+from unitarize.core import CLUSTER_FLOOR, ClusterAmbiguity, invert, relative_change
+from unitarize.fixtures import (
+    conjugated_unitary,
+    defective_unimodular,
+    positive_definite_fixture,
+    unimodular_phases,
+)
+from unitarize.serialization import matrix_payload, parse_matrix
 
 
 def test_as_operator_rejects_nonsquare():
@@ -407,3 +414,150 @@ def test_invert_checks_singularity():
         invert(np.array([[1.0, 1.0], [1.0, 1.0]]))
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert_allclose(invert(A), A)
+
+
+# The ten relative residuals the library wrote out by hand before
+# core.relative_change, each as its site wrote it, in the site's own names
+# for the (value, reference) operands it now hands the rule.  The first two
+# and the closed-form ones had no floor under the reference norm.
+_norm = np.linalg.norm
+LEGACY_RULES = {
+    "invariance_residual": lambda TGT, g: float(_norm(TGT - g) / _norm(g)),
+    "self_adjointness_residual": lambda lhs, _: float(
+        _norm(lhs - lhs.conj().T) / max(_norm(lhs), 1e-300)),
+    "gram_match": lambda G0QQ, g: float(_norm(G0QQ - g)) / _norm(g),
+    "cesaro_drift": lambda mean_part, mean_full: float(
+        _norm(mean_full - mean_part) / max(_norm(mean_full), 1e-300)),
+    "cesaro_residual": lambda A_half, A: float(_norm(A - A_half) / max(_norm(A), 1e-300)),
+    "exp_reconstruction": lambda rebuilt, T: float(_norm(rebuilt - T) / max(_norm(T), 1e-300)),
+    "metric_vs_closed_form": lambda g, predicted: float(_norm(g - predicted) / _norm(predicted)),
+    # the three tests compared a norm with 1e-12 times the floored scale
+    "same_form": lambda gb, ga: _norm(ga - gb) / max(_norm(ga), 1e-300),
+    "antisymmetry": lambda lam, _: _norm(lam + lam.T) / max(_norm(lam), 1e-300),
+    "symmetry": lambda ham, _: _norm(ham - ham.T) / max(_norm(ham), 1e-300),
+}
+_FLOORED = {"self_adjointness_residual", "cesaro_drift", "cesaro_residual",
+            "exp_reconstruction", "same_form", "antisymmetry", "symmetry"}
+
+
+def _bitwise(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _spy(monkeypatch, module):
+    """The (value, reference, result) of every relative_change call that
+    module makes."""
+    calls, rule = [], core.relative_change
+
+    def record(value, reference):
+        calls.append((value, reference, rule(value, reference)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(module, "relative_change", record)
+    return calls
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_relative_change_is_each_legacy_rule_bit_for_bit(rng):
+    """On random operands, with the site's operand order and layout, the
+    one rule gives each legacy residual's bits; with a zero reference it
+    gives the floored rules' bits, where the unfloored ones gave nan."""
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        M, R = _complex(rng, n, n), _complex(rng, n, n)
+        S = M.real
+        operands = {
+            "self_adjointness_residual": (M, M.conj().T),
+            "antisymmetry": (S, -S.T),
+            "symmetry": (S, S.T),
+        }
+        for key, legacy in LEGACY_RULES.items():
+            value, reference = operands.get(key, (M, R))
+            assert _bitwise(relative_change(value, reference), legacy(value, reference)), key
+            if key in _FLOORED and key not in operands:
+                zero = np.zeros_like(R)
+                assert _bitwise(relative_change(value, zero), legacy(value, zero)), key
+    zero = np.zeros((3, 3), dtype=complex)
+    assert relative_change(zero, zero) == 0.0
+    assert _bitwise(relative_change(zero, zero), LEGACY_RULES["self_adjointness_residual"](zero, zero))
+    assert relative_change(np.eye(2), np.zeros((2, 2))) == np.sqrt(2.0) / 1e-300
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(LEGACY_RULES["invariance_residual"](zero, zero))
+
+
+def _report(capsys, argv):
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.filterwarnings("ignore::unitarize.errors.SlowConvergence")
+@pytest.mark.parametrize("site", sorted(LEGACY_RULES))
+def test_each_site_reports_its_legacy_residual(site, rng, monkeypatch, tmp_path, capsys):
+    """Each site hands the rule the operands its hand-written formula read,
+    in the same roles (one operand is pinned to an array the site exposes),
+    and reports the rule's value: the legacy bits."""
+    T, _, _ = conjugated_unitary(rng, 5, 10.0, unimodular_phases(rng, 5, min_gap=0.3))
+    G = positive_definite_fixture(rng, 5, 10.0)
+    lam, ham = np.array([[0.0, 2.0], [-2.0, 0.0]]), np.array([[1.0, 0.5], [0.5, 3.0]])
+    (tmp_path / "t.json").write_text(json.dumps(matrix_payload(T)))
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"kind": "shift", "size": 6, "step": 2, "density": [0.5, 1, 1.5, 2, 0.8, 1.2]}))
+
+    # each run returns (what the site reports, which operand is pinned, its array)
+    def gram_match():
+        result = metrics.invariant_metric(T, HermitianForm(G))
+        return result.residuals["gram_match"], 1, result.invariant_form.gram
+
+    def cesaro_drift():
+        form, drift = metrics.cesaro_oracle(T, None, 1 << 12)
+        return drift, 1, form.gram
+
+    def cesaro_residual():
+        dep = alternatives.metric_dependence(T, None, HermitianForm(G), horizon=1 << 12)
+        return dep.cesaro_residual, 1, dep.averaging_defect
+
+    def exp_reconstruction():
+        report = _report(capsys, ["log", "--in", str(tmp_path / "t.json")])
+        return report["residuals"]["exp_reconstruction"], 1, T
+
+    def metric_vs_closed_form():
+        report = _report(capsys, ["example", "--spec", str(tmp_path / "spec.json")])
+        gram = parse_matrix(report["matrices"]["invariant_gram"])
+        return report["residuals"]["metric_vs_closed_form"], 0, gram
+
+    def same_form():
+        a, b = HermitianForm(G), HermitianForm(G * (1.0 + 1e-13))
+        return hamiltonian._same_form(a, b), 1, a.gram
+
+    def factorization(pinned):
+        hamiltonian.ClassicalFactorization(lam, ham)
+        return None, 0, pinned
+
+    runs = {
+        "invariance_residual": (core, lambda: (core.invariance_residual(T, G), 1, G)),
+        "self_adjointness_residual": (
+            core, lambda: (core.self_adjointness_residual(T, G), 0, G @ T)),
+        "gram_match": (metrics, gram_match),
+        "cesaro_drift": (metrics, cesaro_drift),
+        "cesaro_residual": (alternatives, cesaro_residual),
+        "exp_reconstruction": (cli, exp_reconstruction),
+        "metric_vs_closed_form": (cli, metric_vs_closed_form),
+        "same_form": (hamiltonian, same_form),
+        "antisymmetry": (hamiltonian, lambda: factorization(lam)),
+        "symmetry": (hamiltonian, lambda: factorization(ham)),
+    }
+    module, run = runs[site]
+    calls = _spy(monkeypatch, module)
+    reported, role, pinned = run()
+    assert len(calls) == (2 if site in ("antisymmetry", "symmetry") else 1)
+    value, reference, got = calls[site == "symmetry"]
+    assert np.array_equal((value, reference)[role], pinned)
+    legacy = LEGACY_RULES[site](value, reference)
+    assert _bitwise(got, legacy)
+    if site == "same_form":
+        assert reported is True and legacy <= 1e-12
+    elif reported is not None:
+        assert _bitwise(reported, legacy)

@@ -299,6 +299,9 @@ LAPACK_EXTRAS = [
      lambda o: u.intertwiner(o.t, o.t2, o.g)),
     ("commutant_positive_basis", lambda o: (o.t,), [],
      lambda o: u.commutant_positive_basis(o.t, o.g)),
+    # the metric's own validation stands where h0's is counted
+    ("scaled_metric", lambda o: (o.t,), [],
+     lambda o: u.scaled_metric(o.t, u.ScalingSpec({c: 1.0 + c for c in range(N)}))),
 ]
 
 
@@ -309,7 +312,8 @@ def test_block_constructions_add_no_svd_inv_or_eigvalsh(ops, monkeypatch, operat
     """The SVD-family, inv and eigvalsh calls of each operator's decision and
     inverse eigenbasis and of h0's validation, plus only the reported rank's
     SVD: the connecting map validates no averaged form and inverts no
-    adjoint, and the commutant basis inverts no cluster block."""
+    adjoint, the commutant basis inverts no cluster block, and a scaled
+    metric validates no scalar weight's block."""
     calls = _count_svd_family(monkeypatch)
     real_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",

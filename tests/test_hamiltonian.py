@@ -139,6 +139,7 @@ UNREADABLE_FACTORS = {
     "complex_energy": (ROTATION, (1.0 + 1e-3j) * np.eye(2), "energy matrix must be real"),
     "complex_tensor": ((1.0 + 1e-3j) * ROTATION, np.eye(2), "Poisson tensor must be real"),
     "empty": (np.zeros((0, 0)), np.zeros((0, 0)), "Poisson tensor is empty"),
+    "ragged_tensor": ([[0.0, 1.0], [-1.0]], np.eye(2), "Poisson tensor must be a rectangular"),
 }
 
 
@@ -149,6 +150,23 @@ UNREADABLE_FACTORS = {
 def test_factorization_refuses_factors_it_cannot_read(lam, ham, match):
     with pytest.raises(InvalidInput, match=match):
         ClassicalFactorization(lam, ham)
+
+
+UNREADABLE_DYNAMICS = {
+    "complex": (ROTATION + 1j * np.eye(2), "dynamics matrix must be real"),
+    "nan": (np.array([[0.0, np.nan], [-1.0, 0.0]]), "dynamics matrix must have finite entries"),
+    "ragged": ([[0.0, 1.0], [-1.0]], "dynamics matrix must be a rectangular"),
+}
+
+
+# the dynamics is read like the factors: a complex one was cast to float
+# with only a ComplexWarning and compared as its real part
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dynamics, match", UNREADABLE_DYNAMICS.values(),
+                         ids=UNREADABLE_DYNAMICS.keys())
+def test_factorization_check_refuses_dynamics_it_cannot_read(dynamics, match):
+    with pytest.raises(InvalidInput, match=match):
+        factorization_check(dynamics, ClassicalFactorization(ROTATION, np.eye(2)))
 
 
 def test_oscillator_admits_both_signatures():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,9 +16,9 @@ from unitarize import (
     make_clock_shift,
     mixed_cesaro,
 )
-from unitarize import core
+from unitarize import core, intertwine
 from unitarize.boundedness import bounded
-from unitarize.core import _Task, resolve_fiducial
+from unitarize.core import _Task, hermitize, invariance_residual, masked_block, resolve_fiducial
 from unitarize.fixtures import (
     conjugated_unitary,
     jittered_unimodular_phases,
@@ -123,6 +125,48 @@ def test_block_maps_are_the_averaged_form_solves(rng, fiducial):
                 assert value <= 1e-11, key
 
 
+def _shared_decisions(rng, n, cond):
+    phases = jittered_unimodular_phases(rng, n, margin=1.5 * np.pi / n)
+    T1, _, _ = conjugated_unitary(rng, n, cond, phases)
+    T2, _, _ = conjugated_unitary(rng, n, cond, phases)
+    with bounded(T1, CFG) as dec1, bounded(T2, CFG) as dec2:
+        pass
+    return T1, dec1, T2, dec2
+
+
+@pytest.mark.parametrize("fiducial", ["identity", "general"])
+def test_q_residuals_are_the_invariance_of_the_metrics_the_maps_are_written_in(rng, fiducial):
+    """q{i}_consistency is invariance_residual(T_i, G_i) for the metric
+    G_i = P_i^-* C_i P_i^-1 that A_i is written against."""
+    for n, cond in ((4, 10.0), (16, 1e3)):
+        T1, dec1, T2, dec2 = _shared_decisions(rng, n, cond)
+        g = None if fiducial == "identity" else positive_definite_fixture(rng, n, 10.0)
+        h0 = resolve_fiducial(g, n)
+        result = intertwine._averaged_connection(T1, dec1, T2, dec2, h0)
+        for key, T, d in (("q1_consistency", T1, dec1), ("q2_consistency", T2, dec2)):
+            C = hermitize(masked_block(d, d, np.asarray(h0.gram), d.same_cluster_mask()))
+            G = d.inverse.conj().T @ C @ d.inverse
+            assert result.relation_residuals[key] == invariance_residual(T, G), key
+
+
+def test_a_perturbed_eigenbasis_shows_in_its_q_residual(rng):
+    """One eigenvector column of t1 off by a relative 1e-4 writes A1 against
+    a metric T1 does not preserve, and q1_consistency reports it; the
+    identity A0 - G0^-1 G1 A1 it replaced stayed at rounding level."""
+    T1, dec1, T2, dec2 = _shared_decisions(rng, 16, 10.0)
+    h0 = resolve_fiducial(None, 16)
+    P = dec1.eigenvectors.copy()
+    k = int(rng.integers(16))
+    kick = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    P[:, k] += 1e-4 * np.linalg.norm(P[:, k]) * kick / np.linalg.norm(kick)
+    bent = dataclasses.replace(dec1, eigenvectors=P)
+    clean = intertwine._averaged_connection(T1, dec1, T2, dec2, h0).relation_residuals
+    residuals = intertwine._averaged_connection(T1, bent, T2, dec2, h0).relation_residuals
+    assert clean["q1_consistency"] <= 1e-12
+    assert residuals["q1_consistency"] > 1e-6
+    assert residuals["q2_consistency"] == clean["q2_consistency"]
+
+
 def test_scaled_connector_reproduces_fourier_matrix():
     dim = 4
     shift, clock, _ = make_clock_shift(dim)
@@ -218,6 +262,31 @@ def test_scaled_connector_rejects_unmatched_weight():
     T2 = np.diag([1.0, 1j])
     with pytest.raises(WeightOnUnmatchedPair):
         intertwiner_scaled(T1, T2, {(1, 1): 1.0}, cfg=CFG)
+
+
+@pytest.mark.parametrize("weights, named", [
+    ({0: 1.0}, "0"),
+    ({(0,): 1.0}, "(0,)"),
+    ({("a", 0): 1.0}, "('a', 0)"),
+    ({(0, 0.5): 1.0}, "(0, 0.5)"),
+    ({(0, 0): float("nan")}, "nan"),
+    ({(0, 0): float("inf")}, "inf"),
+    ({(0, 0): "1"}, "'1'"),
+    (float("nan"), "nan"),
+    (None, "None"),
+])
+def test_scaled_connector_refuses_malformed_weights(weights, named):
+    T = np.diag([1.0, -1.0]).astype(complex)
+    with pytest.raises(InvalidInput, match="weight") as caught:
+        intertwiner_scaled(T, T, weights, cfg=CFG)
+    assert f"got {named}" in str(caught.value)
+
+
+def test_scaled_connector_takes_zero_and_numpy_weights():
+    T = np.diag([1.0, -1.0]).astype(complex)
+    A = intertwiner_scaled(T, T, {(np.int64(0), 0): np.float32(2.0), (1, 1): 0}, cfg=CFG)
+    assert_allclose(A, np.diag([2.0, 0.0]), atol=1e-12)
+    assert np.array_equal(intertwiner_scaled(T, T, 0.0, cfg=CFG), np.zeros((2, 2)))
 
 
 def test_scaled_connector_requires_simple_spectra():
