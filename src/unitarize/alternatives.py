@@ -19,6 +19,7 @@ from .boundedness import bounded
 from .core import (
     HermitianForm,
     ToleranceConfig,
+    _finite_array,
     _is_count,
     as_operator,
     hermitize,
@@ -47,12 +48,12 @@ DEPENDENCE_HORIZON = 1 << 26
 
 def _positive_real(value, error: type[Exception], message: str) -> float:
     """value as a finite real number above zero, up to 1e-12 relative
-    imaginary rounding; error(message) otherwise, NaN and inf included."""
-    val = complex(value)
-    if not (np.isfinite(val) and val.real > 0.0
-            and abs(val.imag) <= 1e-12 * max(val.real, 1.0)):
+    imaginary rounding; error(message) otherwise, NaN, inf, an array and
+    what numpy cannot read as a number included."""
+    val = _finite_array(value, message, message, error=error)
+    if val.ndim or not (val.real > 0.0 and abs(val.imag) <= 1e-12 * max(val.real, 1.0)):
         raise error(message)
-    return val.real
+    return float(val.real)
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,11 @@ class ScalingSpec:
         if np.isscalar(w):
             message = f"cluster {cluster}: scalar weight must be real positive, got {w!r}"
             return np.diag(np.full(size, _positive_real(w, NonPositiveWeight, message)))
-        block = np.array(w, dtype=np.complex128)
-        if block.shape != (size, size):
-            raise InvalidInput(
-                f"cluster {cluster}: weight block has shape {block.shape}, "
-                f"expected {(size, size)}"
-            )
+        block = _finite_array(
+            w, f"cluster {cluster}: weight block must be an array of numbers",
+            f"cluster {cluster}: weight block: matrix entries must be finite",
+            error=NonPositiveWeight, shape=lambda b: None if b.shape == (size, size) else
+            f"cluster {cluster}: weight block has shape {b.shape}, expected {(size, size)}")
         try:
             return HermitianForm(block).gram
         except (InvalidInput, NotPositiveDefinite) as exc:
@@ -129,7 +129,7 @@ def phi_metric(unitarization: Unitarization, phi) -> tuple[HermitianForm, np.nda
     carries none and raises InvalidInput.
     """
     dec = _carried_decomposition(unitarization)
-    g = np.asarray(unitarization.invariant_form.gram)
+    g = unitarization.invariant_form.gram
     values = []
     for c, theta in enumerate(dec.cluster_phases()):
         if isinstance(phi, Mapping):
@@ -141,7 +141,7 @@ def phi_metric(unitarization: Unitarization, phi) -> tuple[HermitianForm, np.nda
         else:
             raise InvalidInput("phi must be a callable or a cluster-to-value mapping")
         values.append(_positive_real(
-            val, NonPositivePhi, f"phi value {complex(val)!r} on cluster {c} is not positive"
+            val, NonPositivePhi, f"phi value {val!r} on cluster {c} is not positive"
         ))
     C = dec.spectral_function(values)
     form = HermitianForm(hermitize(g @ C))
@@ -231,8 +231,8 @@ def metric_dependence(
     with bounded(T, cfg) as dec:
         G = _averaged_form(dec, h0).gram
         Gp = _averaged_form(dec, h0_prime).gram
-    G0 = np.asarray(h0.gram)
-    G0p = np.asarray(h0_prime.gram)
+    G0 = h0.gram
+    G0p = h0_prime.gram
 
     C = np.linalg.solve(G0p, G0)
     R = np.linalg.solve(Gp, G)

@@ -49,7 +49,7 @@ from .core import (
     require_nonsingular,
     spectral_norm,
 )
-from .errors import NotAutomorphism, NotBoundedFlow, NotUniformlyBounded
+from .errors import InvalidInput, NotAutomorphism, NotBoundedFlow, NotUniformlyBounded
 
 # Power norms are sampled for k in [-POWER_SAMPLE_RANGE, POWER_SAMPLE_RANGE].
 POWER_SAMPLE_RANGE = 32
@@ -253,14 +253,16 @@ def sampled_power_norms(
     relative error was 1.2e-11 for cond(S) <= 100 and 2.4e-9 at cond(S) =
     1e3 (see RECIPROCAL_RTOL).
 
-    Raises InvalidInput for a non-square or non-finite T, and
-    NotAutomorphism for a numerically singular one.
+    Raises InvalidInput for a non-square or non-finite T or a negative or
+    non-integer k_range, and NotAutomorphism for a numerically singular T.
     """
+    if isinstance(k_range, bool) or not isinstance(k_range, (int, np.integer)) or k_range < 0:
+        raise InvalidInput(f"k_range must be a non-negative integer, got {k_range!r}")
     sv = singular_values
     if sv is None:
         T = as_operator(T)
         sv = require_nonsingular(T, NotAutomorphism, "operator is numerically singular")
-    if k_range < 1:
+    if k_range == 0:
         return {0: 1.0}
     stacks = _PowerStacks(T, k_range) if _stacks is None else _stacks
     stacks.run()

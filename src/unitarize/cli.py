@@ -156,7 +156,7 @@ def _log(report, a, cfg):
     gen = unitary_log(result)
     w, v = np.linalg.eig(gen)
     rebuilt = v @ (np.exp(1j * w)[:, None] * np.linalg.inv(v))
-    g = np.asarray(result.invariant_form.gram)
+    g = result.invariant_form.gram
     report.verdicts["outcome"] = "generated"
     report.matrices["generator"] = matrix_payload(gen)
     report.matrices["invariant_gram"] = matrix_payload(g)
@@ -176,7 +176,7 @@ def _parse_weights(payload) -> dict:
         if isinstance(val, dict):
             weights[cluster] = parse_matrix(val)
         elif isinstance(val, (int, float)) and not isinstance(val, bool):
-            weights[cluster] = float(val)
+            weights[cluster] = val  # ScalingSpec reads it, and refuses it by cluster
         else:
             raise InvalidInput(
                 f"weight for cluster {cluster} must be a number or a matrix payload"
@@ -187,12 +187,11 @@ def _parse_weights(payload) -> dict:
 def _parse_phi(payload):
     """A constant, or a map from cluster index to a positive number."""
     if isinstance(payload, (int, float)) and not isinstance(payload, bool):
-        value = float(payload)
-        return lambda theta: value
+        return lambda theta: payload
     if isinstance(payload, dict):
         try:
             return {int(k): float(v) for k, v in payload.items()}
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidInput(
                 "the phi file must map cluster index to a positive number"
             ) from None
@@ -257,8 +256,7 @@ def _pair(report, a, cfg):
 
 def _relation_tol(text: str) -> float:
     """--relation-tol's type: a value heisenberg_metric would refuse is
-    refused as argparse reads it, before the flags are digested (the digest
-    cannot serialize a NaN or an infinity)."""
+    refused as argparse reads it, so that the error names the option."""
     try:
         value = float(text)
     except ValueError:
@@ -339,7 +337,7 @@ def _example(report, a, cfg):
     if seed is not None:
         report.scalars["seed"] = seed
     result = invariant_metric(T, h0, cfg)
-    g = np.asarray(result.invariant_form.gram)
+    g = result.invariant_form.gram
     report.matrices["invariant_gram"] = matrix_payload(g)
     predicted = np.diag(CLOSED_FORMS[spec.kind](spec) + 0j)
     worst = relative_change(g, predicted)
@@ -489,8 +487,8 @@ def _build_parser(named) -> argparse.ArgumentParser:
 
 
 def _analyze(args) -> tuple[AnalysisReport, int]:
-    """Load the inputs the table declares, digest them, and run the fill
-    with warnings recorded and domain errors turned into verdicts."""
+    """Load the inputs the table declares, run the fill with warnings
+    recorded and domain errors turned into verdicts, and digest the inputs."""
     sub = SUBCOMMANDS[args.command]
     cfg = _config(args)
     payloads = []
@@ -517,9 +515,7 @@ def _analyze(args) -> tuple[AnalysisReport, int]:
     # the block records every threshold the answer was computed under
     tolerances = dataclasses.asdict(cfg)
     tolerances.update(psd_tol=PSD_RTOL, cesaro_rel_tol=DRIFT_RTOL)
-    report = AnalysisReport(
-        command=args.command, inputs_digest=inputs_digest(payloads), tolerances=tolerances
-    )
+    report = AnalysisReport(command=args.command, inputs_digest="", tolerances=tolerances)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -531,6 +527,8 @@ def _analyze(args) -> tuple[AnalysisReport, int]:
             report.verdicts["detail"] = str(exc)
             code = 2
     report.warnings = [str(w.message) for w in caught]
+    # digested after the fill, which refuses a value it cannot read (a NaN) by name
+    report.inputs_digest = inputs_digest(payloads)
     return report, code
 
 

@@ -76,16 +76,37 @@ OVERLAP_MIN_DIM = 72
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _finite_array(value, what: str, nonfinite: str, dtype=np.complex128,
+                  error: type[Exception] = InvalidInput, shape=None) -> np.ndarray:
+    """value as a fresh array of dtype: the one conversion of input from
+    outside.  error(what) when numpy cannot convert it (a ragged list, a
+    string that is no number, an int past float range); InvalidInput(refusal)
+    when shape maps the array to a refusal of its shape, so that a wrong shape
+    is told before a NaN; error(nonfinite) when an entry is NaN or infinite."""
+    try:
+        arr = np.array(value, dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise error(what) from None
+    if shape and shape(arr):
+        raise InvalidInput(shape(arr))
+    if not np.isfinite(arr.reshape(-1).view(np.float64)).all():
+        raise error(nonfinite)
+    return arr
+
+
 def _is_count(value) -> bool:
     """Whether value is a positive int or numpy integer (a bool or a float is not)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 def _require_tolerance(name: str, value) -> None:
-    """Refuse a tolerance that is not a finite, non-negative number.  A NaN
-    compares false with every residual, so each check it sets would pass."""
-    if not (isinstance(value, (int, float, np.integer, np.floating)) and 0 <= value < np.inf):
-        raise InvalidInput(f"{name} must be a finite non-negative number, got {value!r}")
+    """Refuse a tolerance that is not a finite, non-negative number (a bool is
+    no number, nor is an int past float range).  A NaN compares false with
+    every residual, so each check it sets would pass."""
+    message = f"{name} must be a finite non-negative number, got {value!r}"
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or _finite_array(value, message, message, float) < 0):
+        raise InvalidInput(message)
 
 
 @dataclass(frozen=True)
@@ -119,21 +140,15 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 
 def as_operator(a) -> np.ndarray:
     """Validate and return a square complex matrix as a fresh ndarray."""
-    arr = np.array(a, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise InvalidInput(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise InvalidInput("matrix entries must be finite")
-    return arr
+    return _finite_array(a, "expected a square matrix of numbers", "matrix entries must be finite",
+                         shape=lambda m: None if m.ndim == 2 and 0 < m.shape[0] == m.shape[1]
+                         else f"expected a square matrix, got shape {m.shape}")
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Validate and return a complex state vector."""
-    vec = np.array(x, dtype=np.complex128).reshape(-1)
-    if vec.size == 0:
-        raise InvalidInput("state vector is empty")
-    if not np.all(np.isfinite(vec.real)) or not np.all(np.isfinite(vec.imag)):
-        raise InvalidInput("state vector entries must be finite")
+    vec = _finite_array(x, "expected a vector of numbers", "state vector entries must be finite",
+                        shape=lambda v: None if v.size else "state vector is empty").reshape(-1)
     if dim is not None and vec.size != dim:
         raise InvalidInput(f"state vector has length {vec.size}, expected {dim}")
     return vec
@@ -543,7 +558,7 @@ def resolve_fiducial(h0, dim: int) -> HermitianForm:
     if h0 is None:
         return _standard_form(dim)
     if not isinstance(h0, HermitianForm):
-        h0 = HermitianForm(as_operator(h0))
+        h0 = HermitianForm(h0)
     if h0.dim != dim:
         raise InvalidInput("fiducial form and operator dimensions differ")
     return h0
@@ -570,15 +585,14 @@ def relative_change(value: np.ndarray, reference: np.ndarray) -> float:
     return float(np.linalg.norm(value - reference) / max(np.linalg.norm(reference), 1e-300))
 
 
-def invariance_residual(operator: np.ndarray, gram) -> float:
+def invariance_residual(operator: np.ndarray, gram: np.ndarray) -> float:
     """Relative change ||T* G T - G|| / ||G|| of the metric G under T."""
-    g = np.asarray(gram)
-    return relative_change(operator.conj().T @ g @ operator, g)
+    return relative_change(operator.conj().T @ gram @ operator, gram)
 
 
-def self_adjointness_residual(operator: np.ndarray, gram) -> float:
+def self_adjointness_residual(operator: np.ndarray, gram: np.ndarray) -> float:
     """Relative change ||G A - (G A)*|| / ||G A|| of A for G."""
-    lhs = np.asarray(gram) @ operator
+    lhs = gram @ operator
     return relative_change(lhs, lhs.conj().T)
 
 

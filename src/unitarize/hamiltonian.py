@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     HermitianForm,
+    _finite_array,
     as_operator,
     as_vector,
     eig,
@@ -94,7 +95,7 @@ def bracket_observable(
     """The quadratic observable generated by i[A, B]."""
     if not _same_form(f.form, g.form):
         raise FormMismatch("the two observables live over different forms")
-    A, B = np.asarray(f.operator), np.asarray(g.operator)
+    A, B = f.operator, g.operator
     return QuadraticObservable(1j * (A @ B - B @ A), f.form)
 
 
@@ -115,11 +116,11 @@ def deformed_bracket(
 
 def schrodinger_states(hamilton: QuadraticObservable, psi0, t_grid) -> np.ndarray:
     """States e^{-itH} psi0 on a time grid, one column per time."""
-    H = np.asarray(hamilton.operator)
     psi = as_vector(psi0, hamilton.form.dim)
-    dec = eig(H)
+    dec = eig(hamilton.operator)
     coeff = dec.inverse @ psi
-    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    ts = np.atleast_1d(_finite_array(t_grid, "the time grid must be an array of numbers",
+                                     "the time grid must be finite", float))
     phases = np.exp(-1j * np.outer(dec.eigenvalues, ts))
     return dec.eigenvectors @ (phases * coeff[:, None])
 
@@ -154,14 +155,9 @@ def n_product(a, b, middle) -> np.ndarray:
 
 def _real_factor(name: str, value) -> np.ndarray:
     """A factor as a real array; a cast to float would drop its imaginary part."""
-    try:
-        arr = np.array(value, dtype=np.complex128)
-    except (TypeError, ValueError):
-        raise InvalidInput(f"the {name} must be a rectangular array of numbers") from None
-    if arr.size == 0:
-        raise InvalidInput(f"the {name} is empty")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"the {name} must have finite entries")
+    arr = _finite_array(value, f"the {name} must be a rectangular array of numbers",
+                        f"the {name} must have finite entries",
+                        shape=lambda a: None if a.size else f"the {name} is empty")
     if np.any(arr.imag != 0.0):
         raise InvalidInput(f"the {name} must be real")
     return arr.real.copy()

@@ -23,6 +23,7 @@ from .core import (
     DEFAULT_TOLERANCES,
     HermitianForm,
     ToleranceConfig,
+    _finite_array,
     as_operator,
     as_operator_pair,
     hermitize,
@@ -101,7 +102,7 @@ def _averaged_connection(T1, dec1, T2, dec2, h0: HermitianForm) -> IntertwineRes
     matched = dec1.match(dec2)
     common = (dec1.cluster_means()[:, None] + dec2.cluster_means()[None, :])[matched] / 2.0
 
-    G0 = np.asarray(h0.gram)
+    G0 = h0.gram
     mask = matched[np.ix_(dec1.labels, dec2.labels)]
     M = masked_block(dec1, dec2, G0, mask)
     Z = dec1.inverse.conj().T @ M @ dec2.inverse  # matrix of the limit form: x* Z y
@@ -151,7 +152,7 @@ def mixed_cesaro(
     cfg = cfg or DEFAULT_TOLERANCES
     T1 = as_operator(t1)
     T2 = T1 if t2 is t1 else as_operator(t2)
-    G0 = np.asarray(resolve_fiducial(h0, T1.shape[0]).gram)
+    G0 = resolve_fiducial(h0, T1.shape[0]).gram
     N = cfg.cesaro_horizon if horizon is None else horizon
     return mixed_pullback_mean(T1, G0, T2, N)
 
@@ -183,7 +184,7 @@ def intertwiner_scaled(
     """
     T1, T2 = as_operator_pair(t1, t2)
     n = T1.shape[0]
-    G0 = np.asarray(resolve_fiducial(h0, n).gram)
+    G0 = resolve_fiducial(h0, n).gram
     with bounded(T1, cfg, "t1: ") as dec1, bounded(T2, cfg, "t2: ") as dec2:
         if dec1.degenerate_clusters or dec2.degenerate_clusters:
             raise InvalidInput("weighted connecting maps need multiplicity-free spectra; "
@@ -193,8 +194,10 @@ def intertwiner_scaled(
     matched = dec1.match(dec2)  # simple spectra: cluster k is eigenvalue k
 
     for val in weights.values() if isinstance(weights, Mapping) else [weights]:
-        if not (isinstance(val, (int, float, complex, np.number)) and np.isfinite(complex(val))):
-            raise InvalidInput(f"a weight must be a finite number, got {val!r}")
+        message = f"a weight must be a finite number, got {val!r}"
+        if not isinstance(val, (int, float, complex, np.number)):
+            raise InvalidInput(message)
+        _finite_array(val, message, message)
     if not isinstance(weights, Mapping):  # one weight on every matched pair
         weights = dict.fromkeys(map(tuple, np.argwhere(matched)), weights)
     C = np.zeros((n, n), dtype=np.complex128)

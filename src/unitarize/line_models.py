@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianForm, ToleranceConfig, eig
+from .core import HermitianForm, ToleranceConfig, _finite_array, eig
 from .errors import InvalidInput
 
 KIND_SHIFT = "weighted_cyclic_shift"
@@ -92,11 +92,13 @@ class GridOperatorSpec:
         def positive_profile(name, arr):
             if arr is None:
                 raise InvalidInput(f"{self.kind} needs the {name} profile")
-            out = np.array(arr, dtype=float).reshape(-1)
-            if out.size != self.size:
-                raise InvalidInput(f"{name} profile has length {out.size}, expected {self.size}")
-            if not np.all(np.isfinite(out)) or np.any(out <= 0.0):
-                raise InvalidInput(f"{name} profile must be finite and positive")
+            message = f"{name} profile must be finite and positive"
+            out = _finite_array(arr, f"{name} profile must be an array of numbers", message, float,
+                                shape=lambda a: None if a.size == self.size else
+                                f"{name} profile has length {a.size}, expected {self.size}"
+                                ).reshape(-1)
+            if np.any(out <= 0.0):
+                raise InvalidInput(message)
             out.setflags(write=False)
             return out
 
@@ -108,10 +110,10 @@ class GridOperatorSpec:
         if self.size % 2 != 0:
             raise InvalidInput(f"{self.kind} needs an even number of sites")
         object.__setattr__(self, "magnitude", positive_profile("magnitude", self.magnitude))
-        ph = np.array(np.zeros(self.size) if self.phase is None else self.phase, dtype=float)
-        ph = ph.reshape(-1)
-        if ph.size != self.size or not np.all(np.isfinite(ph)):
-            raise InvalidInput("phase profile must be finite with one value per site")
+        message = "phase profile must be finite with one value per site"
+        ph = _finite_array(np.zeros(self.size) if self.phase is None else self.phase,
+                           "phase profile must be an array of numbers", message, float,
+                           shape=lambda a: None if a.size == self.size else message).reshape(-1)
         ph.setflags(write=False)
         object.__setattr__(self, "phase", ph)
         if self.kind == KIND_TRANSLATION:
@@ -133,18 +135,24 @@ class GridOperatorSpec:
         return (np.arange(count)[:, None] + walk) % self.size
 
 
+def _profile(name: str, values) -> np.ndarray:
+    """A profile given to a model constructor, which reads its size off it."""
+    return _finite_array(values, f"{name} profile must be an array of numbers",
+                         f"{name} profile must be finite and positive", float)
+
+
 def cyclic_shift_model(density, step: int = 1) -> GridOperatorSpec:
-    density = np.asarray(density, dtype=float)
+    density = _profile("density", density)
     return GridOperatorSpec(KIND_SHIFT, density.size, step, density=density)
 
 
 def parity_model(magnitude, phase=None) -> GridOperatorSpec:
-    magnitude = np.asarray(magnitude, dtype=float)
+    magnitude = _profile("magnitude", magnitude)
     return GridOperatorSpec(KIND_PARITY, magnitude.size, magnitude=magnitude, phase=phase)
 
 
 def translation_model(magnitude, phase=None, step: int = 1) -> GridOperatorSpec:
-    magnitude = np.asarray(magnitude, dtype=float)
+    magnitude = _profile("magnitude", magnitude)
     return GridOperatorSpec(KIND_TRANSLATION, magnitude.size, step, magnitude=magnitude,
                             phase=phase)
 
@@ -314,10 +322,8 @@ def _spec_from_payload(payload) -> GridOperatorSpec:
         # a bool is no number here, as in a matrix payload
         if not isinstance(val, list) or {type(v) for v in val} - {int, float}:
             raise InvalidInput(f'"{name}" must be a flat list of numbers')
-        try:
-            profiles[name] = np.array(val, dtype=float)
-        except OverflowError:
-            raise InvalidInput(f'"{name}" holds a number too large for a float') from None
+        profiles[name] = _finite_array(val, f'"{name}" holds a number too large for a float',
+                                       f'"{name}" holds a number that is not finite', float)
     return GridOperatorSpec(kind, payload["size"], payload.get("step", 1), **profiles)
 
 

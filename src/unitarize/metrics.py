@@ -94,7 +94,7 @@ def projected_gram(dec: EigenDecomposition, kernel: np.ndarray) -> np.ndarray:
 def _averaged_form(dec: EigenDecomposition, h0: HermitianForm) -> HermitianForm:
     """The closed-form invariant metric: h0 averaged over the bounded operator
     decomposed as dec."""
-    return HermitianForm(hermitize(projected_gram(dec, np.asarray(h0.gram))))
+    return HermitianForm(hermitize(projected_gram(dec, h0.gram)))
 
 
 def _unitarization(
@@ -109,7 +109,7 @@ def _unitarization(
     X is an evolution, checked for invariance and unitarity, unless the flow
     route passes flow_scale: then X is a generator, checked for flow
     invariance and skewness relative to that scale."""
-    g, G0 = np.asarray(form.gram), h0.gram
+    g, G0 = form.gram, h0.gram
     if h0.is_identity():
         Q, Qinv = form.root
     else:

@@ -89,6 +89,18 @@ def test_power_norms_validate_their_argument(rng):
         sampled_power_norms(np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
+@pytest.mark.parametrize("k_range", [2.5, "a", True, -3, None, np.float64(2.0)], ids=repr)
+def test_power_norms_refuse_a_range_that_is_not_a_non_negative_integer(k_range):
+    # 2.5 and "a" raised a bare TypeError, True ran as 1 and -3 returned {0: 1.0}
+    with pytest.raises(InvalidInput, match="^k_range must be a non-negative integer"):
+        sampled_power_norms(np.eye(2), k_range)
+
+
+def test_power_norms_take_a_range_of_zero_or_a_numpy_integer():
+    assert sampled_power_norms(np.eye(2), 0) == {0: 1.0}
+    assert sampled_power_norms(np.eye(2), np.int64(2)) == sampled_power_norms(np.eye(2), 2)
+
+
 def test_power_norms_cover_negative_exponents(rng):
     U = haar_unitary(rng, 3)
     norms = sampled_power_norms(U)

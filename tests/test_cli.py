@@ -478,6 +478,40 @@ def test_a_refused_relation_tol_exits_one_naming_the_option_and_field(tmp_path, 
     assert capsys.readouterr() == captured
 
 
+# A value in an input file that the analysis refuses exits 1 naming its
+# field or cluster: an int past float range raised a bare OverflowError, and
+# a NaN reached the inputs digest, which cannot serialize it, before the
+# analysis read the file.
+FILE_VALUE_ERRORS = {
+    "weights_huge_int": ("weights", {"0": 10**400, "1": 1.0}, "cluster 0: scalar weight"),
+    "weights_nan": ("weights", {"0": 1.0, "1": float("nan")}, "cluster 1: scalar weight"),
+    "phi_huge_int": ("phi", 10**400, "on cluster 0"),
+    "phi_nan": ("phi", float("nan"), "on cluster 0"),
+    "phi_map_huge_int": ("phi", {"0": 10**400, "1": 1.0}, "the phi file"),
+    "phi_map_nan": ("phi", {"0": 1.0, "1": float("nan")}, "on cluster 1"),
+    "spec_density_nan": ("spec", {"kind": "shift", "size": 4, "density": [1, float("nan"), 1, 1]},
+                         '"density"'),
+    "spec_phase_inf": ("spec", {"kind": "parity", "size": 4, "magnitude": [1, 2, 1, 2],
+                                "phase": [0, float("inf"), 0, 0]}, '"phase"'),
+}
+
+
+@pytest.mark.parametrize("option, payload, name", FILE_VALUE_ERRORS.values(),
+                         ids=FILE_VALUE_ERRORS.keys())
+def test_a_value_in_an_input_file_exits_one_naming_it(tmp_path, capsys, option, payload, name):
+    path = tmp_path / f"{option}.json"
+    path.write_text(json.dumps(payload))
+    if option == "spec":
+        argv = ["example", "--spec", str(path)]
+    else:
+        argv = ["altmetric", "--in", write_matrix(tmp_path, "t.json", INVOLUTION),
+                f"--{option}", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert name in captured.err and captured.out == ""
+
+
 def test_a_report_that_cannot_be_rendered_exits_one(tmp_path, capsys, monkeypatch):
     def fill(report, args, cfg):
         report.residuals["broken"] = float("nan")

@@ -100,11 +100,14 @@ def test_eig_warns_on_ambiguous_clustering():
         eig(T, cfg)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-9, "1e-9", None])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-9, "1e-9", None, True, False,
+                                   pytest.param(10**400, id="huge_int")])
 @pytest.mark.parametrize("field", ["eig_cluster_tol", "unitarity_tol"])
 def test_tolerance_config_refuses_a_tolerance_that_is_not_finite_and_non_negative(field, value):
     # NaN compares false with every residual: a Jordan block or an operator
-    # off the circle would pass each check the tolerance sets
+    # off the circle would pass each check the tolerance sets; True ran as a
+    # band of 1, and an int past float range was taken and raised a bare
+    # OverflowError in the first decision
     with pytest.raises(InvalidInput, match=f"^{field} must be a finite non-negative number"):
         ToleranceConfig(**{field: value})
 

@@ -367,7 +367,8 @@ def test_overlapped_construction_equals_the_serial_one(rng, monkeypatch, submitt
     assert all(f.done() for f in submitted[2:])
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-6])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-6, True,
+                                 pytest.param(10**400, id="huge_int")])
 def test_heisenberg_refuses_a_relation_tol_that_is_not_finite_and_non_negative(tol):
     # with a NaN bound every relation check passed, so (shift, clock^2,
     # center), whose braid residual is 1, came back as a joint metric
