@@ -20,7 +20,8 @@ from .core import (
     HermitianForm,
     ToleranceConfig,
     _finite_array,
-    _is_count,
+    _is_integer,
+    _shown,
     as_operator,
     hermitize,
     masked_block,
@@ -74,7 +75,7 @@ class ScalingSpec:
             raise MissingClusterWeight(f"no weight for eigenvalue cluster {cluster}")
         w = self.weights[cluster]
         if np.isscalar(w):
-            message = f"cluster {cluster}: scalar weight must be real positive, got {w!r}"
+            message = f"cluster {cluster}: scalar weight must be real positive, got {_shown(w)}"
             return np.diag(np.full(size, _positive_real(w, NonPositiveWeight, message)))
         block = _finite_array(
             w, f"cluster {cluster}: weight block must be an array of numbers",
@@ -141,7 +142,7 @@ def phi_metric(unitarization: Unitarization, phi) -> tuple[HermitianForm, np.nda
         else:
             raise InvalidInput("phi must be a callable or a cluster-to-value mapping")
         values.append(_positive_real(
-            val, NonPositivePhi, f"phi value {val!r} on cluster {c} is not positive"
+            val, NonPositivePhi, f"phi value {_shown(val)} on cluster {c} is not positive"
         ))
     C = dec.spectral_function(values)
     form = HermitianForm(hermitize(g @ C))
@@ -225,7 +226,7 @@ def metric_dependence(
     h0 = resolve_fiducial(h0, T.shape[0])
     h0_prime = resolve_fiducial(h0_prime, T.shape[0])
     N = DEPENDENCE_HORIZON if horizon is None else horizon
-    if not (_is_count(N) and N >= 2):
+    if not _is_integer(N, minimum=2):
         raise InvalidInput("the averaging horizon must be an integer of at least 2")
 
     with bounded(T, cfg) as dec:

@@ -256,8 +256,8 @@ def sampled_power_norms(
     Raises InvalidInput for a non-square or non-finite T or a negative or
     non-integer k_range, and NotAutomorphism for a numerically singular T.
     """
-    if isinstance(k_range, bool) or not isinstance(k_range, (int, np.integer)) or k_range < 0:
-        raise InvalidInput(f"k_range must be a non-negative integer, got {k_range!r}")
+    if not core._is_integer(k_range, minimum=0):
+        raise InvalidInput(f"k_range must be a non-negative integer, got {core._shown(k_range)}")
     sv = singular_values
     if sv is None:
         T = as_operator(T)

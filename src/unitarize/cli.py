@@ -321,7 +321,10 @@ class _DrawSpec(argparse.Action):
         seed = os.environ.get("UNITARIZE_SEED", "0")
         if not seed.strip().isdecimal():
             raise InvalidInput(f"UNITARIZE_SEED must be a non-negative integer, got {seed!r}")
-        namespace.seed = int(seed)
+        try:
+            namespace.seed = int(seed)
+        except ValueError:  # more digits than Python converts
+            raise InvalidInput(f"UNITARIZE_SEED has {len(seed)} digits, too many") from None
         setattr(namespace, self.dest, _random_payload(kind, namespace.seed))
 
 

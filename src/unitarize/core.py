@@ -94,16 +94,32 @@ def _finite_array(value, what: str, nonfinite: str, dtype=np.complex128,
     return arr
 
 
-def _is_count(value) -> bool:
-    """Whether value is a positive int or numpy integer (a bool or a float is not)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+# No integer taken from outside exceeds this.  The means divide by the count
+# as a float, exact up to 2**53; the double-and-add's rounding grows like
+# eps * N (alternatives.DEPENDENCE_HORIZON), as large as the mean from 2**52 on.
+_INTEGER_BOUND = 2**53
+
+
+def _is_integer(value, minimum: int = 1) -> bool:
+    """Whether value is an int or numpy integer (not a bool) from minimum to _INTEGER_BOUND."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and minimum <= value <= _INTEGER_BOUND)
+
+
+def _shown(value) -> str:
+    """repr(value) for a refusal, or a short text where repr raises."""
+    try:
+        return repr(value)
+    except ValueError:  # an int, or an entry, of more digits than Python converts
+        return (f"an integer of {value.bit_length()} bits" if isinstance(value, int)
+                else f"a {type(value).__name__} too large to show")
 
 
 def _require_tolerance(name: str, value) -> None:
     """Refuse a tolerance that is not a finite, non-negative number (a bool is
     no number, nor is an int past float range).  A NaN compares false with
     every residual, so each check it sets would pass."""
-    message = f"{name} must be a finite non-negative number, got {value!r}"
+    message = f"{name} must be a finite non-negative number, got {_shown(value)}"
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
             or _finite_array(value, message, message, float) < 0):
         raise InvalidInput(message)
@@ -130,9 +146,9 @@ class ToleranceConfig:
     def __post_init__(self):
         _require_tolerance("eig_cluster_tol", self.eig_cluster_tol)
         _require_tolerance("unitarity_tol", self.unitarity_tol)
-        if not _is_count(self.cesaro_horizon):
+        if not _is_integer(self.cesaro_horizon):
             raise InvalidInput(
-                f"cesaro_horizon must be a positive integer, got {self.cesaro_horizon!r}")
+                f"cesaro_horizon must be a positive integer, got {_shown(self.cesaro_horizon)}")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()

@@ -27,6 +27,7 @@ from .core import (
     EigenDecomposition,
     HermitianForm,
     ToleranceConfig,
+    _is_integer,
     _require_tolerance,
     as_operator,
     as_operator_pair,
@@ -216,7 +217,7 @@ def make_clock_shift(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     triple (shift, clock, center) feeds heisenberg_metric directly.  For
     dim = 2 these are the swap, the diagonal sign flip, and -I.
     """
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
+    if not _is_integer(dim, minimum=2):
         raise InvalidInput("the Weyl triple needs integer dimension at least 2")
     d = int(dim)
     shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=1)

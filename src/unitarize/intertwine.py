@@ -24,6 +24,8 @@ from .core import (
     HermitianForm,
     ToleranceConfig,
     _finite_array,
+    _is_integer,
+    _shown,
     as_operator,
     as_operator_pair,
     hermitize,
@@ -194,7 +196,7 @@ def intertwiner_scaled(
     matched = dec1.match(dec2)  # simple spectra: cluster k is eigenvalue k
 
     for val in weights.values() if isinstance(weights, Mapping) else [weights]:
-        message = f"a weight must be a finite number, got {val!r}"
+        message = f"a weight must be a finite number, got {_shown(val)}"
         if not isinstance(val, (int, float, complex, np.number)):
             raise InvalidInput(message)
         _finite_array(val, message, message)
@@ -202,11 +204,11 @@ def intertwiner_scaled(
         weights = dict.fromkeys(map(tuple, np.argwhere(matched)), weights)
     C = np.zeros((n, n), dtype=np.complex128)
     for key, val in weights.items():
-        if not (isinstance(key, tuple) and len(key) == 2
-                and all(isinstance(k, (int, np.integer)) for k in key)):
-            raise InvalidInput(f"a weight key must be a pair of integer positions, got {key!r}")
+        if not (isinstance(key, tuple) and len(key) == 2 and all(_is_integer(k, 0) for k in key)):
+            raise InvalidInput(
+                f"a weight key must be a pair of integer positions, got {_shown(key)}")
         pair = (int(key[0]), int(key[1]))
-        if not (0 <= min(pair) and max(pair) < n and matched[pair]):
+        if not (max(pair) < n and matched[pair]):
             raise WeightOnUnmatchedPair(
                 f"eigenvalue positions {pair} are not a shared eigenvalue of the two operators")
         C[pair] = complex(val)

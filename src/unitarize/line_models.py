@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianForm, ToleranceConfig, _finite_array, eig
+from .core import (_INTEGER_BOUND, HermitianForm, ToleranceConfig, _finite_array, _is_integer,
+                   _shown, eig)
 from .errors import InvalidInput
 
 KIND_SHIFT = "weighted_cyclic_shift"
@@ -41,7 +42,7 @@ def _full_kind(name) -> str:
     if kind not in KIND_ALIASES.values():
         known = sorted({*KIND_ALIASES, *KIND_ALIASES.values()})
         raise InvalidInput(
-            f"unknown grid model kind {name!r}; expected one of " + ", ".join(known)
+            f"unknown grid model kind {_shown(name)}; expected one of " + ", ".join(known)
         )
     return kind
 
@@ -82,9 +83,9 @@ class GridOperatorSpec:
         if unread:
             raise InvalidInput(f"a {self.kind} spec reads no {', '.join(unread)} profile; "
                                f"it reads {', '.join(reads)}")
-        if not isinstance(self.size, (int, np.integer)) or self.size < 2:
+        if not _is_integer(self.size, minimum=2):
             raise InvalidInput("grid size must be an integer of at least 2")
-        if isinstance(self.step, bool) or not isinstance(self.step, (int, np.integer)):
+        if not _is_integer(self.step, minimum=-_INTEGER_BOUND):
             raise InvalidInput("step must be an integer")
         object.__setattr__(self, "size", int(self.size))
         object.__setattr__(self, "step", int(self.step))

@@ -44,8 +44,8 @@ from .errors import (
     SlowConvergence,
 )
 
-# Partial averages whose norm exceeds this multiple of the kernel norm abort
-# the Cesaro evaluation; a bounded orbit can never reach it.
+# Partial averages whose norm exceeds this multiple of the kernel norm abort the Cesaro
+# evaluation; a bounded T = S^-1 U S can reach it too once cond(S)^2 exceeds it (README).
 DIVERGENCE_FACTOR = 1e6
 
 METHOD_SPECTRAL = "spectral_projection"
@@ -189,7 +189,7 @@ def _double_and_add(left, kernels, right, count: int) -> tuple[list, list]:
     Ks = [as_operator(k) for k in kernels]
     if any(L.shape != K.shape or R.shape != K.shape for K in Ks):
         raise InvalidInput("operator and kernel dimensions differ")
-    if not core._is_count(count):
+    if not core._is_integer(count):
         raise InvalidInput("the horizon must be a positive integer")
     submit = core._overlap_submit(L.shape[0] >= core.OVERLAP_MIN_DIM)
     k_norms = [max(np.linalg.norm(K), 1e-300) for K in Ks]

@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import HermitianForm, as_operator
+from .core import HermitianForm, _is_integer, _shown, as_operator
 from .errors import InvalidInput
 
 FORM_KIND = "hermitian_form"
@@ -48,7 +48,7 @@ def parse_matrix(payload) -> np.ndarray:
     if "dim" not in payload or "data" not in payload:
         raise InvalidInput('matrix payload needs the keys "dim" and "data"')
     n = payload["dim"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if not _is_integer(n):
         raise InvalidInput('"dim" must be a positive integer')
     data = payload["data"]
     if not isinstance(data, list) or len(data) != n * n:
@@ -88,7 +88,7 @@ def parse_form(payload) -> HermitianForm:
     """A form payload (a matrix payload, kind "hermitian_form" if given)
     validated as a HermitianForm."""
     if isinstance(payload, dict) and payload.get("kind", FORM_KIND) != FORM_KIND:
-        raise InvalidInput(f'form payload has kind {payload["kind"]!r}')
+        raise InvalidInput(f'form payload has kind {_shown(payload["kind"])}')
     return HermitianForm(parse_matrix(payload))
 
 
@@ -96,13 +96,12 @@ def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise InvalidInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InvalidInput(
-            f"{path} is not valid JSON: {exc.msg} at line {exc.lineno}, "
-            f"column {exc.colno}"
-        ) from exc
+        raise InvalidInput(f"{path} is not valid JSON: {exc.msg} at line {exc.lineno}, "
+                           f"column {exc.colno}") from exc
+    # an int of more digits than Python converts, no UTF-8, nesting too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InvalidInput(f"cannot read {path}: {exc}") from exc
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -136,13 +135,11 @@ def _render(obj, out: list[str]) -> None:
         out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, dict):
         out.append("{")
-        first = True
-        for key in sorted(obj):
+        for k, key in enumerate(sorted(obj)):
             if not isinstance(key, str):
                 raise InvalidInput("report keys must be strings")
-            if not first:
+            if k:
                 out.append(",")
-            first = False
             out.append(json.dumps(key, ensure_ascii=True))
             out.append(":")
             _render(obj[key], out)
@@ -226,8 +223,7 @@ class AnalysisReport:
         lines = [f"command: {self.command}", f"inputs: {self.inputs_digest[:16]}"]
         for name in sorted(self.verdicts):
             lines.append(f"{name}: {self.verdicts[name]}")
-        for name in sorted(self.scalars):
-            val = self.scalars[name]
+        for name, val in sorted(self.scalars.items()):
             if isinstance(val, float):
                 lines.append(f"{name}: {val:.12g}")
             else:

@@ -365,12 +365,30 @@ def test_example_random_accepts_every_kind(capsys, monkeypatch, kind):
     assert report["verdicts"]["outcome"] == "model_consistent"
 
 
-@pytest.mark.parametrize("seed", ["abc", "-1", "", "1.5"])
+@pytest.mark.parametrize("seed", ["abc", "-1", "", "1.5",
+                                  pytest.param("1" * 5000, id="past_the_digit_limit")])
 def test_example_random_rejects_a_malformed_seed(capsys, monkeypatch, seed):
     monkeypatch.setenv("UNITARIZE_SEED", seed)
     assert main(["example", "--random", "shift"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: UNITARIZE_SEED") and captured.out == ""
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 1, "data": [[1' + "0" * 5000 + ', 0]]}',
+    "[" * 200_000 + "]" * 200_000,
+], ids=["int_past_the_digit_limit", "nested_past_the_recursion_limit"])
+@pytest.mark.parametrize("option", ["--in", "--weights"])
+def test_a_json_file_python_cannot_read_is_refused_by_name(tmp_path, capsys, text, option):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = {"--in": ["check", "--in", str(path)],
+            "--weights": ["altmetric", "--in", write_matrix(tmp_path, "t.json", INVOLUTION),
+                          "--weights", str(path)]}[option]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {path}: ") and captured.out == ""
     assert captured.err.count("\n") == 1
 
 

@@ -1,9 +1,11 @@
 """Input from outside is refused with a UnitarizeError, never a raw numpy error.
 
 Each public entry point is handed its usual argument with one entry spoilt:
-a ragged row, a string that is no number, an int past float range, NaN and
-infinity.  Every call must raise a UnitarizeError subclass; a ValueError,
-TypeError or OverflowError escaping from numpy fails the row.
+a ragged row, a string that is no number, an int past float range or past
+the digits repr converts, NaN and infinity.  Every call must raise a
+UnitarizeError subclass; a ValueError, TypeError or OverflowError escaping
+from numpy fails the row.  Every integer taken from outside passes one rule:
+an int or numpy integer, not a bool, from its site's minimum to 2**53.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from unitarize import (
     ClassicalFactorization,
+    InvalidInput,
     GridOperatorSpec,
     HermitianForm,
     QuadraticObservable,
@@ -57,6 +60,7 @@ from unitarize import (
     schrodinger_states,
     translation_model,
 )
+from unitarize.serialization import parse_matrix
 
 T = np.diag([1.0, -1.0]).astype(complex)
 I2 = np.eye(2, dtype=complex)
@@ -141,6 +145,7 @@ SPOILERS = {
     "ragged": [1.0, 2.0],
     "string": "abc",
     "huge_int": 10**400,
+    "unprintable_int": 10**5000,  # past the digits repr converts
     "nan": float("nan"),
     "inf": float("inf"),
 }
@@ -191,3 +196,72 @@ def test_a_wrong_shape_is_told_before_a_non_finite_entry(value):
     # np.array(None, complex) is NaN; the shape is still what is refused
     with pytest.raises(UnitarizeError, match="^expected a square matrix, got shape"):
         as_operator(value)
+
+
+HORIZON = "^the horizon must be a positive integer$"
+
+# name: (call taking the integer, a value it takes, the smallest it takes,
+# the message that refuses the rest)
+COUNTS = {
+    "ToleranceConfig.cesaro_horizon": (
+        lambda v: ToleranceConfig(cesaro_horizon=v), 8, 1, "^cesaro_horizon must be a positive"),
+    "cesaro_oracle": (lambda v: cesaro_oracle(T, None, v), 8, 1, HORIZON),
+    "cesaro_unitarization": (lambda v: cesaro_unitarization(T, None, v), 8, 1, HORIZON),
+    "mixed_cesaro": (lambda v: mixed_cesaro(T, T, None, v), 8, 1, HORIZON),
+    "mixed_pullback_mean": (lambda v: mixed_pullback_mean(T, I2, T, v), 8, 1, HORIZON),
+    "metric_dependence": (lambda v: metric_dependence(T, None, None, horizon=v), 8, 2,
+                          "^the averaging horizon must be an integer of at least 2$"),
+    "sampled_power_norms": (lambda v: sampled_power_norms(T, v), 4, 0,
+                            "^k_range must be a non-negative integer"),
+    "make_clock_shift": (make_clock_shift, 3, 2,
+                         "^the Weyl triple needs integer dimension at least 2$"),
+    "GridOperatorSpec.size": (lambda v: GridOperatorSpec("shift", v, density=[1.0] * 4), 4, 2,
+                              "^grid size must be an integer of at least 2$"),
+    "GridOperatorSpec.step": (lambda v: GridOperatorSpec("shift", 4, v, density=[1.0] * 4),
+                              -1, -2**53, "^step must be an integer$"),
+    "intertwiner_scaled_key": (lambda v: intertwiner_scaled(T, T, {(1, v): 1.0}), 1, 0,
+                               "^a weight key must be a pair of integer positions"),
+    "parse_matrix_dim": (lambda v: parse_matrix({"dim": v, "data": [[1.0, 0.0]] * 4}), 2, 1,
+                         '^"dim" must be a positive integer$'),
+}
+
+# value, or None for one below the site's minimum
+NOT_COUNTS = {
+    "true": True,
+    "numpy_true": np.True_,
+    "float": 2.0,
+    "below_minimum": None,
+    "past_bound": 2**53 + 1,
+    "huge_int": 10**400,
+    "unprintable_int": 10**5000,
+    "numpy_uint64": np.uint64(2**63),
+}
+
+
+@pytest.mark.parametrize("value", NOT_COUNTS.values(), ids=NOT_COUNTS.keys())
+@pytest.mark.parametrize("call, good, minimum, message", COUNTS.values(), ids=COUNTS.keys())
+def test_an_integer_site_refuses_what_is_no_count_by_its_message(call, good, minimum, message,
+                                                                value):
+    call(good)
+    with pytest.raises(InvalidInput, match=message):
+        call(minimum - 1 if value is None else value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: ToleranceConfig(cesaro_horizon=v),
+    lambda v: cesaro_oracle(T, None, v),
+    lambda v: mixed_cesaro(T, T, None, v),
+    lambda v: mixed_pullback_mean(T, I2, T, v),
+    lambda v: metric_dependence(T, None, None, horizon=v),
+    lambda v: GridOperatorSpec("shift", 3, v, density=[1.0] * 3),
+    lambda v: GridOperatorSpec("shift", 3, -v, density=[1.0] * 3),
+], ids=["ToleranceConfig", "cesaro_oracle", "mixed_cesaro", "mixed_pullback_mean",
+        "metric_dependence", "step", "negative_step"])
+def test_the_bound_itself_is_taken(call):
+    # 53 doublings on a 2 x 2 operator
+    call(2**53)
+
+
+def test_a_refusal_shows_an_integer_repr_cannot_convert_by_its_size():
+    with pytest.raises(InvalidInput, match="^unitarity_tol must be .*, got an integer of 16610 bits$"):
+        ToleranceConfig(unitarity_tol=10**5000)
