@@ -391,7 +391,7 @@ class EigenDecomposition:
     @functools.cached_property
     def inverse(self) -> np.ndarray:
         """P^{-1}, inverted on first use and then shared (read-only) by every
-        spectral function and cluster pairing built on this decomposition."""
+        spectral function and projected Gram built on this decomposition."""
         Pi = invert(self.eigenvectors, "eigenvector matrix", self.eigenvector_singular_values)
         Pi.setflags(write=False)
         return Pi
@@ -407,11 +407,6 @@ def masked_block(dec1: EigenDecomposition, dec2: EigenDecomposition, kernel, mas
     """mask o P1* K P2: the kernel K written between two eigenbases and cut to
     the masked (own- or matched-cluster) entries."""
     return np.where(mask, dec1.eigenvectors.conj().T @ kernel @ dec2.eigenvectors, 0.0)
-
-
-def cluster_pairing(dec1: EigenDecomposition, dec2: EigenDecomposition, kernel, mask):
-    """Pi1* (mask o P1* K P2) Pi2 with Pi = P^{-1}: the masked block written back."""
-    return dec1.inverse.conj().T @ masked_block(dec1, dec2, kernel, mask) @ dec2.inverse
 
 
 def _radii(cfg: ToleranceConfig, operator_norm: float) -> tuple[float, float]:

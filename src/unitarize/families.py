@@ -220,8 +220,12 @@ def make_clock_shift(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not _is_integer(dim, minimum=2):
         raise InvalidInput("the Weyl triple needs integer dimension at least 2")
     d = int(dim)
-    shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=1)
     omega = np.exp(2j * np.pi / d)
-    clock = np.diag(omega ** np.arange(d)).astype(np.complex128)
-    center = omega * np.eye(d, dtype=np.complex128)
+    try:
+        shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=1)
+        clock = np.diag(omega ** np.arange(d)).astype(np.complex128)
+        center = omega * np.eye(d, dtype=np.complex128)
+    # numpy refuses a size past its index range, and the allocator one past memory
+    except (ValueError, MemoryError) as exc:
+        raise InvalidInput(f"the Weyl triple of dimension {d} is too large to build") from exc
     return shift, clock, center

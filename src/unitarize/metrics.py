@@ -30,9 +30,9 @@ from .core import (
     HermitianForm,
     ToleranceConfig,
     as_operator,
-    cluster_pairing,
     hermitize,
     invariance_residual,
+    masked_block,
     relative_change,
     require_nonsingular,
     resolve_fiducial,
@@ -86,9 +86,10 @@ def projected_gram(dec: EigenDecomposition, kernel: np.ndarray) -> np.ndarray:
     In the eigenbasis the n-th pullback carries phase factors
     conj(lambda_i)^n lambda_j^n, which average to zero unless the two
     eigenvalues agree.  Keeping only same-cluster entries of the transformed
-    kernel is therefore the exact limit.
+    kernel is therefore the exact limit: P^-* (mask o P* K P) P^-1.
     """
-    return cluster_pairing(dec, dec, kernel, dec.same_cluster_mask())
+    Pi = dec.inverse
+    return Pi.conj().T @ masked_block(dec, dec, kernel, dec.same_cluster_mask()) @ Pi
 
 
 def _averaged_form(dec: EigenDecomposition, h0: HermitianForm) -> HermitianForm:

@@ -104,14 +104,6 @@ def load_json(path: str):
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
 
 
-def load_matrix(path: str) -> np.ndarray:
-    return parse_matrix(load_json(path))
-
-
-def load_form(path: str) -> HermitianForm:
-    return parse_form(load_json(path))
-
-
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
     pieces: list[str] = []

@@ -226,23 +226,13 @@ def test_spectral_function_is_the_explicit_formula(degenerate):
     assert np.array_equal(dec.spectral_function(values), want)
 
 
-@pytest.mark.parametrize("same", [True, False], ids=["same_cluster", "matched_clusters"])
-def test_cluster_pairing_is_the_explicit_formula(degenerate, rng, same):
-    dec1, dec2 = degenerate
-    if same:
-        dec2, mask = dec1, dec1.same_cluster_mask()
-    else:
-        means1, means2 = dec1.cluster_means(), dec2.cluster_means()
-        near = np.abs(means1[:, None] - means2[None, :]) < 1e-6
-        assert near.sum() == 2
-        mask = near[np.ix_(dec1.labels, dec2.labels)]
+def test_projected_gram_is_the_explicit_formula(degenerate, rng):
+    dec, _ = degenerate
     K = positive_definite_fixture(rng, N, 10.0)
-    P1, P2 = dec1.eigenvectors, dec2.eigenvectors
-    M = np.where(mask, P1.conj().T @ K @ P2, 0.0)
-    want = u.core.invert(P1).conj().T @ M @ u.core.invert(P2)
-    assert np.array_equal(u.core.cluster_pairing(dec1, dec2, K, mask), want)
-    if same:
-        assert np.array_equal(u.metrics.projected_gram(dec1, K), want)
+    P = dec.eigenvectors
+    M = np.where(dec.same_cluster_mask(), P.conj().T @ K @ P, 0.0)
+    want = u.core.invert(P).conj().T @ M @ u.core.invert(P)
+    assert np.array_equal(u.metrics.projected_gram(dec, K), want)
 
 
 # numpy.linalg entry points that cost one SVD per matrix, and when: norm and

@@ -265,3 +265,9 @@ def test_the_bound_itself_is_taken(call):
 def test_a_refusal_shows_an_integer_repr_cannot_convert_by_its_size():
     with pytest.raises(InvalidInput, match="^unitarity_tol must be .*, got an integer of 16610 bits$"):
         ToleranceConfig(unitarity_tol=10**5000)
+
+
+def test_a_weyl_dimension_too_large_to_build_is_refused_by_name():
+    # numpy refuses 2**40 before it allocates anything
+    with pytest.raises(InvalidInput, match="^the Weyl triple of dimension 1099511627776 is too large"):
+        make_clock_shift(2**40)

@@ -10,8 +10,7 @@ from unitarize.serialization import (
     canonical_json,
     form_payload,
     inputs_digest,
-    load_form,
-    load_matrix,
+    load_json,
     matrix_payload,
     parse_form,
     parse_matrix,
@@ -36,10 +35,10 @@ def test_file_round_trip(tmp_path, rng):
     M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     path = tmp_path / "m.json"
     path.write_text(json.dumps(matrix_payload(M)))
-    assert np.array_equal(load_matrix(str(path)), M)
+    assert np.array_equal(parse_matrix(load_json(str(path))), M)
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(form_payload(HermitianForm.identity(2))))
-    assert load_form(str(gpath)).is_identity()
+    assert parse_form(load_json(str(gpath))).is_identity()
 
 
 def test_parse_matrix_reports_entry_location():
@@ -52,11 +51,11 @@ def test_parse_matrix_reports_entry_location():
         parse_matrix({"dim": "two", "data": []})
 
 
-def test_load_matrix_reports_json_position(tmp_path):
+def test_load_json_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"dim": 2,')
     with pytest.raises(InvalidInput, match="line 1"):
-        load_matrix(str(path))
+        load_json(str(path))
 
 
 def test_canonical_json_is_stable():
