@@ -46,6 +46,7 @@ from .core import (
     ToleranceConfig,
     as_operator,
     eig,
+    relative_change,
     require_nonsingular,
     spectral_norm,
 )
@@ -441,7 +442,9 @@ def require_self_adjoint_like(
 
 @dataclass(eq=False)
 class NormalityReport:
-    """Trichotomy for normal input: already unitary, or never similar to one."""
+    """Trichotomy for normal input: already unitary, or never similar to one.
+    The residuals are relative changes (core.relative_change) of T T* against
+    T* T and of T* T against the identity."""
 
     verdict: str
     commutator_residual: float
@@ -456,13 +459,13 @@ def check_normal_dichotomy(
     Returns already_unitary when T*T = I within tolerance, or
     not_similar_to_unitary for normal T with spectrum off the circle.
     Non-normal input gets the verdict not_normal, with no claim either way.
+    Both residuals read products of T alone, so the test takes no SVD.
     """
     cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
-    scale = 1.0 + spectral_norm(T) ** 2
     TsT = T.conj().T @ T
-    c_res = float(np.linalg.norm(T @ T.conj().T - TsT)) / scale
-    u_res = float(np.linalg.norm(TsT - np.eye(T.shape[0]))) / scale
+    c_res = relative_change(T @ T.conj().T, TsT)
+    u_res = relative_change(TsT, np.eye(T.shape[0]))
     if c_res > cfg.unitarity_tol:
         verdict = VERDICT_NOT_NORMAL
     elif u_res <= cfg.unitarity_tol:

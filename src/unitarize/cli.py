@@ -216,10 +216,7 @@ def _altmetric(report, a, cfg):
         report.verdicts["outcome"] = "phi_metric"
         report.matrices["phi_gram"] = matrix_payload(form.gram)
         report.matrices["commuting_factor"] = matrix_payload(commuting)
-        report.residuals["commutation"] = float(
-            np.linalg.norm(T @ commuting - commuting @ T)
-            / max(np.linalg.norm(commuting) * np.linalg.norm(T), 1e-300)
-        )
+        report.residuals["commutation"] = relative_change(T @ commuting, commuting @ T)
     report.residuals["invariance"] = invariance_residual(T, form.gram)
 
 

@@ -200,10 +200,9 @@ class HermitianForm:
 
     def __post_init__(self):
         g = as_operator(self.gram)
-        scale = np.linalg.norm(g)
-        if scale == 0.0:
+        if np.linalg.norm(g) == 0.0:
             raise NotPositiveDefinite("Gram matrix is zero")
-        if np.linalg.norm(g - g.conj().T) > PSD_RTOL * scale:
+        if relative_change(g, g.conj().T) > PSD_RTOL:
             raise InvalidInput("Gram matrix is not Hermitian")
         g = hermitize(g)
         w = np.linalg.eigvalsh(g)

@@ -31,6 +31,7 @@ from .core import (
     hermitize,
     invariance_residual,
     masked_block,
+    relative_change,
     resolve_fiducial,
 )
 from .errors import InvalidInput, WeightOnUnmatchedPair
@@ -63,7 +64,8 @@ class IntertwineResult:
     A_i is written against G_i = P_i^-* C_i P_i^-1, and q{i}_consistency is
     that metric's invariance residual ||T_i* G_i T_i - G_i|| / ||G_i||, the
     rule Unitarization and FamilyResult report: a wrong eigenbasis or block
-    shows in it.  The three *_exchange keys measure T1 A = A T2 in each metric.
+    shows in it.  Each *_exchange key is T1 A = A T2 in its metric, read as
+    the relative change of T1's side against A T2 (core.relative_change).
     """
 
     in_fiducial_metric: np.ndarray
@@ -95,11 +97,11 @@ def _averaged_connection(T1, dec1, T2, dec2, h0: HermitianForm) -> IntertwineRes
     """intertwiner's closed form and certificate, from the blocks of the two
     decompositions (IntertwineResult gives the formulas) by products and
     solves only.  T1's inverted adjoint for a metric G sends A to
-    G^-1 T1^-* G A = G^-1 W with W = T1^-* Z, so the exchange residuals take
-    one solve against T1*, which its decision found nonsingular, and the
-    invariance residuals rebuild G_i = P_i^-* C_i P_i^-1 by products.  Beyond
-    the two decisions that is six solves (two each against G0 and C2, one
-    each against C1 and T1*) and the rank's SVD."""
+    G^-1 T1^-* G A = G^-1 W with W = T1^-* Z, so each exchange residual,
+    relative_change(G^-1 W, A T2), takes one solve against T1*, found
+    nonsingular by its decision, and the invariance residuals rebuild G_i
+    by products.  Beyond the two decisions that is six solves (two each
+    against G0 and C2, one each against C1 and T1*) and the rank's SVD."""
     solve, norm = np.linalg.solve, np.linalg.norm
     matched = dec1.match(dec2)
     common = (dec1.cluster_means()[:, None] + dec2.cluster_means()[None, :])[matched] / 2.0
@@ -117,15 +119,14 @@ def _averaged_connection(T1, dec1, T2, dec2, h0: HermitianForm) -> IntertwineRes
     G1, G2 = (d.inverse.conj().T @ C @ d.inverse for d, C in ((dec1, C1), (dec2, C2)))
     W = solve(T1.conj().T, Z)
 
-    norm_a0 = float(norm(A0))
-    e_scale = (1.0 + norm_a0) * (1.0 + max(float(norm(T1)), float(norm(T2))))
     residuals = {"q1_consistency": invariance_residual(T1, G1),
-                 "q2_consistency": invariance_residual(T2, G2)}
-    for key, defect in (("fiducial_exchange", A0 @ T2 - solve(G0, W)),
-                        ("first_metric_exchange", A1 @ T2 - T1 @ A1),
-                        ("second_metric_exchange", A2 @ T2 - P2 @ solve(C2, P2.conj().T @ W))):
-        residuals[key] = float(norm(defect)) / e_scale
+                 "q2_consistency": invariance_residual(T2, G2),
+                 "fiducial_exchange": relative_change(solve(G0, W), A0 @ T2),
+                 "first_metric_exchange": relative_change(T1 @ A1, A1 @ T2),
+                 "second_metric_exchange":
+                     relative_change(P2 @ solve(C2, P2.conj().T @ W), A2 @ T2)}
 
+    norm_a0 = float(norm(A0))
     nonzero = norm_a0 > ZERO_RTOL * max(1.0, float(norm(G0)))
     rank = 0
     if nonzero:
@@ -216,7 +217,7 @@ def intertwiner_scaled(
 
 
 def are_intertwined(t1, t2, connector) -> bool:
-    """Check T1 A = A T2 up to a relative tolerance.
+    """Check T1 A = A T2: relative_change(T1 A, A T2) <= 1e-8.
 
     An identically zero connector satisfies the relation trivially; that
     case returns True with a warning rather than pretending to certify
@@ -225,11 +226,8 @@ def are_intertwined(t1, t2, connector) -> bool:
     T1, T2, A = as_operator(t1), as_operator(t2), as_operator(connector)
     if T1.shape != T2.shape or A.shape != T1.shape:
         raise InvalidInput("dimension mismatch between operators and connector")
-    a_norm = float(np.linalg.norm(A))
-    t_scale = 1.0 + max(float(np.linalg.norm(T1)), float(np.linalg.norm(T2)))
-    if a_norm == 0.0:
+    if not A.any():
         warnings.warn("the connector is zero, so the exchange relation holds vacuously",
                       stacklevel=2)
         return True
-    res = float(np.linalg.norm(T1 @ A - A @ T2)) / (a_norm * t_scale)
-    return res <= 1e-8
+    return relative_change(T1 @ A, A @ T2) <= 1e-8

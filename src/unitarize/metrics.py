@@ -101,15 +101,15 @@ def _averaged_form(dec: EigenDecomposition, h0: HermitianForm) -> HermitianForm:
 def _unitarization(
     X: np.ndarray, form: HermitianForm, h0: HermitianForm, method: str,
     cesaro_residual: float | None = None, decomposition: EigenDecomposition | None = None,
-    flow_scale: float | None = None,
+    flow: bool = False,
 ) -> Unitarization:
     """The one builder of a Unitarization: the positive similarity Q with
     G0 Q^2 = g for form's Gram matrix g, the conjugate Q X Q^{-1}, and the
     relative residuals.  Q is form's root for the standard h0, else
     W^{-1} Qhat W with W h0's root and Qhat the root of W^{-1} g W^{-1}.
     X is an evolution, checked for invariance and unitarity, unless the flow
-    route passes flow_scale: then X is a generator, checked for flow
-    invariance and skewness relative to that scale."""
+    route passes flow: then X is a generator, and flow_invariance and skewness
+    are relative_change(A* G, -G A) for X and g, and for U and G0."""
     g, G0 = form.gram, h0.gram
     if h0.is_identity():
         Q, Qinv = form.root
@@ -119,14 +119,12 @@ def _unitarization(
         Q = Winv @ Qhat @ W
         Qinv = Winv @ Qhat_inv @ W
     U = Q @ X @ Qinv
-    if flow_scale is None:
+    if flow:
+        residuals = {"flow_invariance": relative_change(X.conj().T @ g, -(g @ X)),
+                     "skewness": relative_change(U.conj().T @ G0, -(G0 @ U))}
+    else:
         residuals = {"invariance": invariance_residual(X, g),
                      "unitarity": invariance_residual(U, G0)}
-    else:
-        def skew_defect(A, G):
-            norm = np.linalg.norm
-            return float(norm(A.conj().T @ G + G @ A)) / (norm(G) * flow_scale)
-        residuals = {"flow_invariance": skew_defect(X, g), "skewness": skew_defect(U, G0)}
     residuals["gram_match"] = relative_change(G0 @ Q @ Q, g)
     return Unitarization(form, Q, U, method, cesaro_residual, residuals, decomposition)
 
@@ -350,8 +348,7 @@ def flow_invariant_metric(
     X = as_operator(generator)
     h0 = resolve_fiducial(h0, X.shape[0])
     dec = require_self_adjoint_like(-1j * X, cfg, "flow generator X, as -iX: ")
-    return _unitarization(X, _averaged_form(dec, h0), h0, METHOD_SPECTRAL,
-                          flow_scale=max(1.0, dec.operator_norm))
+    return _unitarization(X, _averaged_form(dec, h0), h0, METHOD_SPECTRAL, flow=True)
 
 
 def generator_metric(

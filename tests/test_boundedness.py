@@ -136,6 +136,21 @@ def test_normal_dichotomy_normal_but_not_unimodular(rng):
 def test_normal_dichotomy_rejects_non_normal():
     T = np.array([[1.0, 2.0], [0.0, -1.0]], dtype=complex)
     assert check_normal_dichotomy(T, CFG).verdict == VERDICT_NOT_NORMAL
+    # the residuals are relative, so a small operator is judged like a large one
+    assert check_normal_dichotomy(1e-6 * T, CFG).verdict == VERDICT_NOT_NORMAL
+
+
+def test_normal_dichotomy_takes_no_svd(rng, monkeypatch):
+    # np.linalg.norm(a, 2) reaches the SVD through the module's own name, so
+    # the count patches numpy.linalg._linalg rather than np.linalg
+    calls = []
+    real = np.linalg._linalg.svd
+    monkeypatch.setattr(np.linalg._linalg, "svd",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    for T in (haar_unitary(rng, 4), normal_fixture(rng, 4, unimodular=False),
+              np.array([[1.0, 2.0], [0.0, -1.0]], dtype=complex)):
+        check_normal_dichotomy(T, CFG)
+    assert calls == []
 
 
 # -- power norms against extended precision ---------------------------------

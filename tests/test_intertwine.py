@@ -102,6 +102,18 @@ def test_ill_conditioned_shared_pairs_are_answered(n, cond):
             assert value <= 1e-6, key
 
 
+def test_exchange_residuals_scale_like_the_invariance_ones():
+    """Every residual is a relative change against its own reference, so on
+    an ill-conditioned shared pair the exchange relations read rounding at the
+    same size as the metrics' invariance, not orders of magnitude below it."""
+    for k in range(4):
+        T1, T2, _ = _shared_pair(np.random.default_rng([38, 16, k]), 16, 1e4)
+        residuals = intertwiner(T1, T2, None, CFG).relation_residuals
+        q = max(residuals["q1_consistency"], residuals["q2_consistency"])
+        for key in ("fiducial_exchange", "first_metric_exchange", "second_metric_exchange"):
+            assert residuals[key] >= 1e-2 * q, key
+
+
 @pytest.mark.parametrize("fiducial", ["identity", "general"])
 def test_block_maps_are_the_averaged_form_solves(rng, fiducial):
     """A1 and A2, built from the decompositions' blocks, are G_i^-1 G0 A0

@@ -307,15 +307,15 @@ def _reference_flow(X, h0):
     dec = require_self_adjoint_like(-1j * X, CFG)
     form = metrics._averaged_form(dec, h0)
     g, Q, skew, gram_match = _reference_similarity(X, form, h0)
-    scale = max(1.0, dec.operator_norm)
+    G0 = h0.gram
     residuals = {
-        "flow_invariance": float(np.linalg.norm(X.conj().T @ g + g @ X))
-        / (np.linalg.norm(g) * scale),
-        "skewness": float(np.linalg.norm(skew.conj().T @ h0.gram + h0.gram @ skew))
-        / (np.linalg.norm(h0.gram) * scale),
+        "flow_invariance": float(np.linalg.norm(X.conj().T @ g + g @ X)
+                                 / max(np.linalg.norm(-(g @ X)), 1e-300)),
+        "skewness": float(np.linalg.norm(skew.conj().T @ G0 + G0 @ skew)
+                          / max(np.linalg.norm(-(G0 @ skew)), 1e-300)),
         "gram_match": gram_match,
     }
-    return form, Q, skew, residuals, (METHOD_SPECTRAL, None), {"flow_scale": scale}
+    return form, Q, skew, residuals, (METHOD_SPECTRAL, None), {"flow": True}
 
 
 def _reference_cesaro(T, h0):
