@@ -64,7 +64,6 @@ DOMAIN_ERRORS = (
     errors.NotBoundedFlow,
     errors.DivergenceDetected,
     errors.SingularShift,
-    errors.NotSelfAdjoint,
 )
 
 _FACTORIZATION_RTOL = 1e-9

@@ -170,12 +170,14 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return vec
 
 
-def as_operator_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Validate two square matrices of the same dimension."""
-    A, B = as_operator(a), as_operator(b)
-    if A.shape != B.shape:
-        raise InvalidInput("the two operators have different dimensions")
-    return A, B
+def as_operators(*mats) -> tuple[np.ndarray, ...]:
+    """Validate square matrices handed together: each through as_operator,
+    and InvalidInput naming every shape when their dimensions differ."""
+    ops = tuple(as_operator(m) for m in mats)
+    if len({A.shape for A in ops}) > 1:
+        shapes = ", ".join(f"{A.shape[0]} x {A.shape[1]}" for A in ops)
+        raise InvalidInput(f"the operators have different dimensions: {shapes}")
+    return ops
 
 
 def spectral_norm(a: np.ndarray) -> float:

@@ -29,8 +29,7 @@ from .core import (
     ToleranceConfig,
     _is_integer,
     _require_tolerance,
-    as_operator,
-    as_operator_pair,
+    as_operators,
     invariance_residual,
     relative_defect,
     resolve_fiducial,
@@ -73,23 +72,26 @@ class FamilyResult:
     unitarity_residuals: dict[str, float]
 
 
-def _averaged_metric(T: np.ndarray, dec: EigenDecomposition, h0) -> HermitianForm:
-    """invariant_metric's form for a T already decided bounded as dec.
+def _averaged_metric(T: np.ndarray, dec: EigenDecomposition, h0: HermitianForm) -> HermitianForm:
+    """invariant_metric's form for a T already decided bounded as dec, from
+    a resolved fiducial form h0.
 
     Read off the full unitarization, square root included: the traced
     connect_n64 benchmark requires a core.psd_sqrt call, and this is its
     last caller there.  The root stays cached on the form, so a next stage
     that averages over this form as its fiducial does not root it again."""
-    h0 = resolve_fiducial(h0, T.shape[0])
     form = _averaged_form(dec, h0)
     return _unitarization(T, form, h0, METHOD_SPECTRAL, decomposition=dec).invariant_form
 
 
 def _staged_metric(operators: dict[str, np.ndarray], order, h0, cfg) -> FamilyResult:
-    """Decide each operator once, in argument order, then average h0 over
-    them in the stage order and read each residual in the joint metric.  An
-    operator with a scalar_eig decomposition is not decided, and its stage
-    keeps the form it was handed: averaging over a scalar is the identity."""
+    """Resolve h0 before any decision, so a form of another size raises
+    InvalidInput with no eig call; then decide each operator once, in
+    argument order, average h0 over them in the stage order and read each
+    residual in the joint metric.  An operator with a scalar_eig
+    decomposition is not decided, and its stage keeps the form it was
+    handed: averaging over a scalar is the identity."""
+    form = resolve_fiducial(h0, operators[order[0]].shape[0])
     with ExitStack() as decided:
         decs, scalars = {}, set()
         for label, T in operators.items():
@@ -98,11 +100,9 @@ def _staged_metric(operators: dict[str, np.ndarray], order, h0, cfg) -> FamilyRe
                 decs[label] = decided.enter_context(bounded(T, cfg, f"{label}: "))
             else:
                 scalars.add(label)
-        stages, form = [], h0
+        stages = []
         for label in order:
-            if label in scalars:
-                form = resolve_fiducial(form, operators[label].shape[0])
-            else:
+            if label not in scalars:
                 form = _averaged_metric(operators[label], decs[label], form)
             stages.append(Stage(label, operators[label], decs[label], form))
         residuals = {label: invariance_residual(T, form.gram) for label, T in operators.items()}
@@ -118,9 +118,11 @@ def commuting_pair_metric(
     result over t2.  The second averaging keeps t1-invariance: each term
     pulls a t1-invariant metric back through a power of t2, and the two
     operators commute, so every term is again t1-invariant and so is the
-    cluster-projected limit.
+    cluster-projected limit.  h0 is resolved after the commutation gate and
+    before either operator is decided, so a form of another size raises
+    InvalidInput with no eig call.
     """
-    T1, T2 = as_operator_pair(t1, t2)
+    T1, T2 = as_operators(t1, t2)
     res = relative_defect(T1 @ T2 - T2 @ T1, T1, T2)
     if res > COMMUTE_RTOL:
         raise NotCommuting(f"t1 and t2 do not commute: relative residual {res:.3e}")
@@ -175,7 +177,9 @@ def heisenberg_metric(
     Averaging runs over the commuting pair (t1, t3) first and over t2
     second.  The exchange relation turns t2-pullback into a t3-twisted
     t1-pullback, which is why the final metric stays invariant under t1 and
-    t3 as well.
+    t3 as well.  h0 is resolved after the relations and before any operator
+    is decided, so a form of another size raises InvalidInput with no eig
+    call.
 
     The centre of an irreducible triple is a scalar w I (Schur's lemma), and
     averaging over a scalar is the identity map.  So a t3 that is
@@ -193,9 +197,7 @@ def heisenberg_metric(
     power-norm stacks and cond(P): 12 SVDs at n = 64.
     """
     _require_tolerance("relation_tol", relation_tol)
-    T1, T2, T3 = (as_operator(t) for t in (t1, t2, t3))
-    if not (T1.shape == T2.shape == T3.shape):
-        raise InvalidInput("the three operators have different dimensions")
+    T1, T2, T3 = as_operators(t1, t2, t3)
 
     defects = {
         "t1 t2 = t3 t2 t1": relative_defect(T1 @ T2 - T3 @ T2 @ T1, T1, T2),

@@ -21,6 +21,7 @@ from .core import (
     HermitianForm,
     _finite_array,
     as_operator,
+    as_operators,
     as_vector,
     eig,
     relative_change,
@@ -145,11 +146,7 @@ def ehrenfest_flow(
 
 def n_product(a, b, middle) -> np.ndarray:
     """Twisted operator product a R b with a fixed middle factor."""
-    A = as_operator(a)
-    B = as_operator(b)
-    R = as_operator(middle)
-    if A.shape != B.shape or A.shape != R.shape:
-        raise InvalidInput("operands and middle factor have different dimensions")
+    A, B, R = as_operators(a, b, middle)
     return A @ R @ B
 
 

@@ -26,8 +26,7 @@ from .core import (
     _finite_array,
     _is_integer,
     _shown,
-    as_operator,
-    as_operator_pair,
+    as_operators,
     hermitize,
     invariance_residual,
     masked_block,
@@ -87,7 +86,7 @@ def intertwiner(
     disjoint spectra give an identically zero map, which is a positive
     certificate, not an error.
     """
-    T1, T2 = as_operator_pair(t1, t2)
+    T1, T2 = as_operators(t1, t2)
     h0 = resolve_fiducial(h0, T1.shape[0])
     with bounded(T1, cfg, "t1: ") as dec1, bounded(T2, cfg, "t2: ") as dec2:
         return _averaged_connection(T1, dec1, T2, dec2, h0)
@@ -153,8 +152,7 @@ def mixed_cesaro(
     power is formed once.
     """
     cfg = cfg or DEFAULT_TOLERANCES
-    T1 = as_operator(t1)
-    T2 = T1 if t2 is t1 else as_operator(t2)
+    T1, T2 = as_operators(t1) * 2 if t2 is t1 else as_operators(t1, t2)
     G0 = resolve_fiducial(h0, T1.shape[0]).gram
     N = cfg.cesaro_horizon if horizon is None else horizon
     return mixed_pullback_mean(T1, G0, T2, N)
@@ -185,7 +183,7 @@ def intertwiner_scaled(
     two products with G0, two with the eigenvector matrices, and the one
     inverse P2^-1.
     """
-    T1, T2 = as_operator_pair(t1, t2)
+    T1, T2 = as_operators(t1, t2)
     n = T1.shape[0]
     G0 = resolve_fiducial(h0, n).gram
     with bounded(T1, cfg, "t1: ") as dec1, bounded(T2, cfg, "t2: ") as dec2:
@@ -223,9 +221,7 @@ def are_intertwined(t1, t2, connector) -> bool:
     case returns True with a warning rather than pretending to certify
     anything.
     """
-    T1, T2, A = as_operator(t1), as_operator(t2), as_operator(connector)
-    if T1.shape != T2.shape or A.shape != T1.shape:
-        raise InvalidInput("dimension mismatch between operators and connector")
+    T1, T2, A = as_operators(t1, t2, connector)
     if not A.any():
         warnings.warn("the connector is zero, so the exchange relation holds vacuously",
                       stacklevel=2)

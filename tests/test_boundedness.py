@@ -383,12 +383,16 @@ def test_worker_failure_reaches_the_caller(rng, monkeypatch, submitted):
     assert len(submitted) == 1 and submitted[0].done()
 
 
-def test_cluster_ambiguity_reaches_the_caller_when_overlapped(rng, monkeypatch, submitted):
-    # two eigenvalues 1.5 cluster radii apart: one pair in the ambiguity zone
-    cfg = ToleranceConfig(eig_cluster_tol=1e-4)
+def _ambiguous(rng):
+    """Two eigenvalues 1.5 cluster radii apart, one pair in the ambiguity
+    zone, and the tolerances that put it there."""
     d = np.exp(1j * jittered_unimodular_phases(rng, N_CUT, np.pi / N_CUT))
     d[1] = d[0] * np.exp(1.5e-4j)
-    T = _conjugated(rng, d)
+    return _conjugated(rng, d), ToleranceConfig(eig_cluster_tol=1e-4)
+
+
+def test_cluster_ambiguity_reaches_the_caller_when_overlapped(rng, monkeypatch, submitted):
+    T, cfg = _ambiguous(rng)
     caught = []
     for overlap in (False, True):
         monkeypatch.setattr(core, "_overlaps", lambda n, o=overlap: o)
@@ -401,6 +405,19 @@ def test_cluster_ambiguity_reaches_the_caller_when_overlapped(rng, monkeypatch, 
     assert "1 eigenvalue pair(s)" in serial[0][1]
     assert overlapped == serial
     assert [isinstance(f, _Task) for f in submitted] == [False, True]
+
+
+def test_an_eig_failure_reaches_the_caller_with_the_worker_done(rng, monkeypatch, submitted):
+    # the ambiguity raised from inside eig while the norms are pending
+    T, cfg = _ambiguous(rng)
+    for overlap in (False, True):
+        monkeypatch.setattr(core, "_overlaps", lambda n, o=overlap: o)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ClusterAmbiguity)
+            with pytest.raises(ClusterAmbiguity, match="1 eigenvalue pair"):
+                check_uniformly_bounded(T, cfg)
+    assert [isinstance(f, _Task) for f in submitted] == [False, True]
+    assert submitted[1].done()
 
 
 def test_given_singular_values_stand_in_for_the_singularity_test(rng, monkeypatch):

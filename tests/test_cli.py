@@ -712,3 +712,36 @@ def test_a_fresh_process_gives_the_in_process_bytes(tmp_path, monkeypatch, submi
                           env=_child_env(**pinned), capture_output=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == out.getvalue().encode()
+
+
+ALTMETRIC = ["altmetric", "--in", "t.json"]
+
+# argv, the files it reads besides t.json, the one error line's message
+CLI_REFUSALS = {
+    "weights_list": (ALTMETRIC + ["--weights", "w.json"], {"w.json": [2.0, 3.0]},
+                     "the weights file must map cluster index to weight"),
+    "weights_key": (ALTMETRIC + ["--weights", "w.json"], {"w.json": {"a": 2.0}},
+                    "cluster key 'a' is not an integer"),
+    "weights_value": (ALTMETRIC + ["--weights", "w.json"], {"w.json": {"0": "x"}},
+                      "weight for cluster 0 must be a number or a matrix payload"),
+    "phi_string": (ALTMETRIC + ["--phi", "phi.json"], {"phi.json": "x"},
+                   "the phi file must hold a number or an index-to-value map"),
+    "hamiltonian_complex": (
+        ["hamiltonian", "--dyn", "d.json", "--poisson", "p.json", "--energy", "e.json"],
+        {"d.json": matrix_payload(1j * INVOLUTION),
+         "p.json": matrix_payload(np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)),
+         "e.json": matrix_payload(np.eye(2, dtype=complex))},
+        "the dynamics matrix must be real"),
+}
+
+
+@pytest.mark.parametrize("argv, files, message", CLI_REFUSALS.values(), ids=CLI_REFUSALS.keys())
+def test_a_cli_refusal_exits_one_with_one_error_line(tmp_path, monkeypatch, capsys, argv, files,
+                                                     message):
+    monkeypatch.chdir(tmp_path)
+    write_matrix(tmp_path, "t.json", INVOLUTION)
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""

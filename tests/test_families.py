@@ -15,7 +15,7 @@ from unitarize import (
 )
 from unitarize import boundedness, core
 from unitarize.boundedness import bounded
-from unitarize.core import _Task, as_operator_pair, invariance_residual
+from unitarize.core import _Task, as_operators, invariance_residual, resolve_fiducial
 from unitarize.families import _averaged_metric
 from unitarize.fixtures import (
     commuting_conjugated_pair,
@@ -100,10 +100,10 @@ def test_shortcut_counterexample_with_degenerate_cluster():
 def _shortcut_decided_again(t1, t2):
     """The shortcut's verdict, t1's first stage and the t2 residual, from t1
     decided and averaged on its own."""
-    T1, T2 = as_operator_pair(t1, t2)
+    T1, T2 = as_operators(t1, t2)
     with bounded(T1, CFG, "t1: ") as dec:
         degenerate = next((c for c, idx in enumerate(dec.clusters) if len(idx) > 1), None)
-        first = _averaged_metric(T1, dec, None)
+        first = _averaged_metric(T1, dec, resolve_fiducial(None, T1.shape[0]))
     residual = invariance_residual(T2, first.gram)
     return degenerate is None, degenerate, first.gram.tobytes(), np.float64(residual).tobytes()
 

@@ -6,6 +6,7 @@ the digits repr converts, NaN and infinity.  Every call must raise a
 UnitarizeError subclass; a ValueError, TypeError or OverflowError escaping
 from numpy fails the row.  Every integer taken from outside passes one rule:
 an int or numpy integer, not a bool, from its site's minimum to 2**53.
+Operators handed together pass one size rule, before any np.linalg call.
 """
 
 import numpy as np
@@ -13,9 +14,12 @@ import pytest
 
 from unitarize import (
     ClassicalFactorization,
+    FormMismatch,
     InvalidInput,
     GridOperatorSpec,
     HermitianForm,
+    MissingClusterWeight,
+    NotPositiveDefinite,
     QuadraticObservable,
     ScalingSpec,
     SymplecticForm,
@@ -51,6 +55,7 @@ from unitarize import (
     mixed_cesaro,
     mixed_pullback_mean,
     n_product,
+    parity_metric_diagonal,
     parity_model,
     phi_metric,
     poisson_bracket,
@@ -58,9 +63,12 @@ from unitarize import (
     sampled_power_norms,
     scaled_metric,
     schrodinger_states,
+    shift_orbit_means,
+    translation_metric_diagonal,
     translation_model,
 )
-from unitarize.serialization import parse_matrix
+from unitarize.line_models import _spec_from_payload
+from unitarize.serialization import canonical_json, parse_form, parse_matrix
 
 T = np.diag([1.0, -1.0]).astype(complex)
 I2 = np.eye(2, dtype=complex)
@@ -271,3 +279,126 @@ def test_a_weyl_dimension_too_large_to_build_is_refused_by_name():
     # numpy refuses 2**40 before it allocates anything
     with pytest.raises(InvalidInput, match="^the Weyl triple of dimension 1099511627776 is too large"):
         make_clock_shift(2**40)
+
+
+def _count_linalg(monkeypatch) -> list[str]:
+    """The names of the np.linalg functions called from now on."""
+    calls = []
+    for name in np.linalg.__all__:
+        real = getattr(np.linalg, name)
+        if callable(real) and not isinstance(real, type):
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=real, **kw:
+                                calls.append(_n) or _f(*a, **kw))
+    return calls
+
+
+# name: (call taking the operators handed together, the 2 x 2 ones it takes)
+HANDED_TOGETHER = {
+    "intertwiner": (intertwiner, [T, T]),
+    "intertwiner_scaled": (lambda a, b: intertwiner_scaled(a, b, 1.0), [T, T]),
+    "commuting_pair_metric": (commuting_pair_metric, [T, -T]),
+    "heisenberg_metric": (heisenberg_metric, [SHIFT, CLOCK, CENTER]),
+    "n_product": (n_product, [I2, I2, T]),
+    "are_intertwined": (are_intertwined, [T, T, I2]),
+    "mixed_cesaro": (lambda a, b: mixed_cesaro(a, b, None, 8), [T, T]),
+}
+# one row per operator position
+SIZE_ROWS = [(f"{name}_{k}", call, good, k)
+             for name, (call, good) in HANDED_TOGETHER.items() for k in range(len(good))]
+
+
+@pytest.mark.parametrize("call, good, position", [r[1:] for r in SIZE_ROWS],
+                         ids=[r[0] for r in SIZE_ROWS])
+def test_operators_of_different_sizes_are_refused_naming_each_shape_before_linalg(
+        monkeypatch, call, good, position):
+    call(*good)
+    handed = [np.eye(3) if k == position else m for k, m in enumerate(good)]
+    shapes = ", ".join("3 x 3" if k == position else "2 x 2" for k in range(len(good)))
+    calls = _count_linalg(monkeypatch)
+    with pytest.raises(InvalidInput) as info:
+        call(*handed)
+    assert str(info.value) == f"the operators have different dimensions: {shapes}"
+    assert calls == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda h0: commuting_pair_metric(T, -T, h0),
+    lambda h0: heisenberg_metric(SHIFT, CLOCK, CENTER, h0),
+], ids=["commuting_pair_metric", "heisenberg_metric"])
+def test_a_family_refuses_a_wrong_size_fiducial_form_before_it_decides(monkeypatch, call):
+    calls = _count_linalg(monkeypatch)
+    with pytest.raises(InvalidInput, match="^fiducial form and operator dimensions differ$"):
+        call(np.eye(3))
+    assert calls.count("eig") == 0
+
+
+SHIFT_SPEC = GridOperatorSpec("shift", 4, density=[1.0] * 4)
+PARITY_SPEC = GridOperatorSpec("parity", 4, magnitude=[1.0] * 4, phase=[0.0] * 4)
+OTHER_FORM = HermitianForm(np.diag([2.0, 1.0]))  # T is self-adjoint in it too
+
+# name: (call, the error it raises, its message)
+REFUSALS = {
+    "HermitianForm_zero": (lambda: HermitianForm(np.zeros((2, 2))), NotPositiveDefinite,
+                           "Gram matrix is zero"),
+    "as_vector_length": (lambda: core.as_vector([1.0, 0.0, 0.0], 2), InvalidInput,
+                         "state vector has length 3, expected 2"),
+    "adjoint_wrt_form_size": (lambda: adjoint_wrt(T, HermitianForm.identity(3)), InvalidInput,
+                              "operator and form dimensions differ"),
+    "phi_metric_missing_cluster": (lambda: phi_metric(_result(), {0: 1.0}), MissingClusterWeight,
+                                   "no phi value for eigenvalue cluster 1"),
+    "phi_metric_string": (lambda: phi_metric(_result(), "x"), InvalidInput,
+                          "phi must be a callable or a cluster-to-value mapping"),
+    "QuadraticObservable_form_size": (
+        lambda: QuadraticObservable(T, HermitianForm.identity(3)), InvalidInput,
+        "operator and form dimensions differ"),
+    "ehrenfest_flow_two_forms": (
+        lambda: ehrenfest_flow(OBSERVABLE, QuadraticObservable(T, OTHER_FORM), PSI, TIMES),
+        FormMismatch, "hamiltonian and observable live over different forms"),
+    "ClassicalFactorization_sizes": (lambda: ClassicalFactorization(ROTATION, np.eye(3)),
+                                     InvalidInput,
+                                     "factors must be square real matrices of equal size"),
+    "factorization_check_size": (
+        lambda: factorization_check(np.eye(3), ClassicalFactorization(ROTATION, np.eye(2))),
+        InvalidInput, "dynamics and factorization dimensions differ"),
+    "parse_matrix_not_object": (lambda: parse_matrix([]), InvalidInput,
+                                "matrix payload must be a JSON object"),
+    "parse_matrix_no_data": (lambda: parse_matrix({"dim": 2}), InvalidInput,
+                             'matrix payload needs the keys "dim" and "data"'),
+    "parse_form_kind": (lambda: parse_form({"kind": "symplectic", "dim": 1, "data": [[1.0, 0.0]]}),
+                        InvalidInput, "form payload has kind 'symplectic'"),
+    "canonical_json_key": (lambda: canonical_json({1: 2}), InvalidInput,
+                           "report keys must be strings"),
+    "canonical_json_object": (lambda: canonical_json(object()), InvalidInput,
+                              "cannot serialize object into a report"),
+    "spec_no_profile": (lambda: GridOperatorSpec("shift", 4), InvalidInput,
+                        "weighted_cyclic_shift needs the density profile"),
+    "spec_profile_length": (lambda: GridOperatorSpec("shift", 4, density=[1.0] * 3),
+                            InvalidInput, "density profile has length 3, expected 4"),
+    "shift_orbit_means_kind": (lambda: shift_orbit_means(PARITY_SPEC), InvalidInput,
+                               "orbit means are defined for the cyclic shift model"),
+    "parity_metric_diagonal_kind": (lambda: parity_metric_diagonal(SHIFT_SPEC), InvalidInput,
+                                    "this closed form belongs to the parity model"),
+    "translation_metric_diagonal_kind": (
+        lambda: translation_metric_diagonal(SHIFT_SPEC), InvalidInput,
+        "this closed form belongs to the translation model"),
+    "spec_payload_not_object": (lambda: _spec_from_payload([]), InvalidInput,
+                                "the model spec must be a JSON object"),
+    "spec_payload_no_size": (lambda: _spec_from_payload({"kind": "shift"}), InvalidInput,
+                             'the model spec needs the keys "kind" and "size"'),
+    "mixed_pullback_mean_kernel_size": (lambda: mixed_pullback_mean(T, np.eye(3), T, 4),
+                                        InvalidInput, "operator and kernel dimensions differ"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_refusal_raises_its_own_class_and_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_parse_matrix_reads_numpy_floats_to_the_same_bits_as_floats():
+    data = [[0.1, -1 / 3], [2.5, 0.0], [-0.0, 1e-300], [7.0, -2.0]]
+    plain = parse_matrix({"dim": 2, "data": data})
+    numpy_floats = [[np.float64(v) for v in entry] for entry in data]
+    assert parse_matrix({"dim": 2, "data": numpy_floats}).tobytes() == plain.tobytes()
