@@ -38,7 +38,7 @@ import numpy as np
 # each module is imported by name, so that `python -X importtime` lists every
 # module a run loads.
 from .core import (
-    DEFAULT_TOLERANCES, DRIFT_RTOL, PSD_RTOL, ToleranceConfig, _require_tolerance,
+    DEFAULT_TOLERANCES, DRIFT_RTOL, PSD_RTOL, RELATION_RTOL, ToleranceConfig, _require_tolerance,
     invariance_residual, relative_change, self_adjointness_residual,
 )
 from . import errors
@@ -132,7 +132,7 @@ def _nagy(report, a, cfg):
 def _oracle(report, a, cfg):
     from .metrics import cesaro_oracle
 
-    form, drift = cesaro_oracle(a.infile, a.h0, cfg.cesaro_horizon, cfg)
+    form, drift = cesaro_oracle(a.infile, a.h0, cfg.cesaro_horizon)
     report.verdicts["outcome"] = "averaged"
     report.matrices["cesaro_gram"] = matrix_payload(form.gram)
     report.scalars["horizon"] = cfg.cesaro_horizon
@@ -406,7 +406,7 @@ SUBCOMMANDS = {
                                 help="also test the single-pass shortcut")}),
     "heisenberg": Subcommand(
         "joint metric of a discrete Weyl triple", _heisenberg, ("t1", "t2", "t3"), ("h0",),
-        flags={"relation_tol": dict(type=_relation_tol, default=1e-6)}),
+        flags={"relation_tol": dict(type=_relation_tol, default=RELATION_RTOL)}),
     "intertwine": Subcommand("averaged connecting map between two operators", _intertwine,
                              ("t1", "t2"), ("h0",)),
     "hamiltonian": Subcommand("check a Poisson-energy factorization of linear dynamics",

@@ -52,6 +52,10 @@ PSD_RTOL = 1e-10
 # which metrics.cesaro_oracle warns SlowConvergence.
 DRIFT_RTOL = 1e-6
 
+# Relative defect above which families.heisenberg_metric calls a Weyl relation
+# broken: the one default of its relation_tol and of the CLI's --relation-tol.
+RELATION_RTOL = 1e-6
+
 # Relative Frobenius distance (per dimension) within which a form counts as
 # the standard one.
 IDENTITY_RTOL = 1e-14
@@ -132,11 +136,13 @@ class ToleranceConfig:
     eig_cluster_tol  radius used to merge nearby eigenvalues into clusters
                      (floored at CLUSTER_FLOOR times the operator scale)
     unitarity_tol    relative threshold for unit-modulus and unitarity checks
-    cesaro_horizon   default number of terms in finite power averages
+    cesaro_horizon   number of terms in a finite power average: the Cesaro
+                     entry points' default and the CLI's --horizon
 
     These are the three the command line sets; the scalar-product threshold
     is PSD_RTOL, which HermitianForm alone applies, and the Cesaro drift
-    threshold DRIFT_RTOL.
+    threshold DRIFT_RTOL.  The decisions read the first two; a Cesaro mean
+    takes its horizon as an argument, never from a config.
     """
 
     eig_cluster_tol: float = 1e-8
@@ -218,7 +224,13 @@ class HermitianForm:
         object.__setattr__(self, "_eigenvalues", w)
 
     @classmethod
+    @functools.lru_cache(maxsize=16, typed=True)
     def identity(cls, dim: int) -> "HermitianForm":
+        """The standard form of the given dimension, validated once per size:
+        a form is immutable, so one object serves every caller, and the
+        finite averages, which resolve a default fiducial form on every call,
+        pay no eigvalsh each.  The cache is typed, so a float size is still
+        refused rather than served the integer size's form."""
         return cls(np.eye(dim, dtype=np.complex128))
 
     @property
@@ -568,20 +580,12 @@ def resolve_fiducial(h0, dim: int) -> HermitianForm:
     A form of another dimension raises InvalidInput.
     """
     if h0 is None:
-        return _standard_form(dim)
+        return HermitianForm.identity(dim)
     if not isinstance(h0, HermitianForm):
         h0 = HermitianForm(h0)
     if h0.dim != dim:
         raise InvalidInput("fiducial form and operator dimensions differ")
     return h0
-
-
-@functools.lru_cache(maxsize=16)
-def _standard_form(dim: int) -> HermitianForm:
-    # A form is immutable, so one validated identity per size can serve every
-    # call; the finite averages, which never validated a default identity,
-    # would otherwise pay an eigvalsh each.
-    return HermitianForm.identity(dim)
 
 
 def relative_defect(defect: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .boundedness import bounded
 from .core import (
+    RELATION_RTOL,
     EigenDecomposition,
     HermitianForm,
     ToleranceConfig,
@@ -166,7 +167,7 @@ def heisenberg_metric(
     t3,
     h0=None,
     cfg: ToleranceConfig | None = None,
-    relation_tol: float = 1e-6,
+    relation_tol: float = RELATION_RTOL,
 ) -> FamilyResult:
     """Joint invariant metric for a discrete Weyl triple.
 

@@ -141,20 +141,18 @@ def _averaged_connection(T1, dec1, T2, dec2, h0: HermitianForm) -> IntertwineRes
     )
 
 
-def mixed_cesaro(
-    t1, t2, h0=None, horizon: int | None = None, cfg: ToleranceConfig | None = None
-) -> np.ndarray:
+def mixed_cesaro(t1, t2, h0=None, horizon: int | None = None) -> np.ndarray:
     """Finite mean of (T1^n)* G0 T2^n, the oracle for the averaged pairing.
 
-    Returns the matrix Z_N of the finite pairing; the connecting map at
+    Returns the matrix Z_N of the finite pairing over N = horizon terms
+    (None: DEFAULT_TOLERANCES.cesaro_horizon); the connecting map at
     horizon N is G0^{-1} Z_N.  Never touches either eigendecomposition.
     When t2 is t1 the one converted operator goes to both sides, so each
     power is formed once.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T1, T2 = as_operators(t1) * 2 if t2 is t1 else as_operators(t1, t2)
     G0 = resolve_fiducial(h0, T1.shape[0]).gram
-    N = cfg.cesaro_horizon if horizon is None else horizon
+    N = DEFAULT_TOLERANCES.cesaro_horizon if horizon is None else horizon
     return mixed_pullback_mean(T1, G0, T2, N)
 
 

@@ -241,16 +241,12 @@ def mixed_pullback_mean(left, kernel, right, count: int) -> np.ndarray:
     return _double_and_add(left, (kernel,), right, count)[0][0] / count
 
 
-def cesaro_oracle(
-    operator,
-    h0=None,
-    horizon: int | None = None,
-    cfg: ToleranceConfig | None = None,
-) -> tuple[HermitianForm, float]:
+def cesaro_oracle(operator, h0=None, horizon: int | None = None) -> tuple[HermitianForm, float]:
     """Finite Cesaro mean of the pulled-back fiducial metric.
 
-    Returns the mean over the horizon as a form, together with the relative
-    drift between the full-horizon mean and the mean at half the horizon.
+    Returns the mean over the horizon (None: DEFAULT_TOLERANCES.cesaro_horizon
+    terms) as a form, together with the relative drift between the
+    full-horizon mean and the mean at half the horizon.
     Both come from one double-and-add pass (about 3 log2(horizon) matmuls):
     the sum at half the horizon is the prefix of the full sum before its
     last bit.  A drift above DRIFT_RTOL raises the SlowConvergence
@@ -260,10 +256,9 @@ def cesaro_oracle(
     This path never looks at the spectrum, which is what makes it an
     independent oracle for the closed form.
     """
-    cfg = cfg or DEFAULT_TOLERANCES
     T = as_operator(operator)
     h0 = resolve_fiducial(h0, T.shape[0])
-    N = cfg.cesaro_horizon if horizon is None else horizon
+    N = DEFAULT_TOLERANCES.cesaro_horizon if horizon is None else horizon
     (full,), (half,) = _double_and_add(T, (h0.gram,), T, N)
     mean_full = hermitize(full / N)
     drift = 0.0
@@ -279,16 +274,11 @@ def cesaro_oracle(
     return HermitianForm(mean_full), drift
 
 
-def cesaro_unitarization(
-    operator,
-    h0=None,
-    horizon: int | None = None,
-    cfg: ToleranceConfig | None = None,
-) -> Unitarization:
+def cesaro_unitarization(operator, h0=None, horizon: int | None = None) -> Unitarization:
     """Unitarization built from the finite Cesaro mean instead of the closed form."""
     T = as_operator(operator)
     h0 = resolve_fiducial(h0, T.shape[0])
-    form, drift = cesaro_oracle(T, h0, horizon, cfg)
+    form, drift = cesaro_oracle(T, h0, horizon)
     return _unitarization(T, form, h0, METHOD_CESARO, drift)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import warnings
 
@@ -31,6 +32,23 @@ def test_as_operator_rejects_nonsquare():
         as_operator(np.zeros((2, 3)))
     with pytest.raises(InvalidInput):
         as_operator([[1.0, np.inf], [0.0, 1.0]])
+
+
+def test_the_standard_form_is_one_validated_object_per_size():
+    # the default fiducial form and every caller of identity share it
+    for n in (1, 3, 7):
+        form = HermitianForm.identity(n)
+        assert form is HermitianForm.identity(n) is core.resolve_fiducial(None, n)
+        assert form.is_identity() and not form.gram.flags.writeable
+    assert not hasattr(core, "_standard_form")
+
+
+def test_the_relation_tolerance_has_one_default():
+    from unitarize.families import heisenberg_metric
+
+    default = inspect.signature(heisenberg_metric).parameters["relation_tol"].default
+    assert default is core.RELATION_RTOL
+    assert cli.SUBCOMMANDS["heisenberg"].flags["relation_tol"]["default"] is core.RELATION_RTOL
 
 
 def test_form_requires_hermitian():

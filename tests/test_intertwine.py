@@ -70,7 +70,7 @@ def test_connector_matches_finite_mixed_average(rng):
     T1, _, _ = conjugated_unitary(rng, n, 8.0, phases)
     T2, _, _ = conjugated_unitary(rng, n, 8.0, phases)
     result = intertwiner(T1, T2, None, CFG)
-    averaged = mixed_cesaro(T1, T2, None, horizon=1 << 22, cfg=CFG)
+    averaged = mixed_cesaro(T1, T2, None, horizon=1 << 22)
     scale = max(np.linalg.norm(result.in_fiducial_metric), 1e-300)
     assert np.linalg.norm(averaged - result.in_fiducial_metric) <= 1e-4 * scale
 

@@ -1,10 +1,12 @@
 import dataclasses
+import inspect
 import os
 import signal
 import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from unitarize import (
     NotUniformlyBounded,
     SingularShift,
     ToleranceConfig,
+    UnitarizeError,
     cayley,
     cesaro_oracle,
     cesaro_unitarization,
@@ -49,6 +52,7 @@ from unitarize.fixtures import (
     real_spectrum_fixture,
     unimodular_phases,
 )
+import unitarize
 from unitarize import core, families, metrics
 from unitarize.boundedness import bounded, require_self_adjoint_like
 from unitarize.core import BLAS_THREAD_VARS, OVERLAP_MIN_DIM, _Task
@@ -145,31 +149,89 @@ def test_cesaro_oracle_agrees_with_projection(rng):
     # a generic spectrum converges like 1/horizon, so the drift monitor
     # still sees motion at the default horizon; that is worth a warning
     with pytest.warns(SlowConvergence):
-        form, drift = cesaro_oracle(T, None, cfg=CFG)
+        form, drift = cesaro_oracle(T, None)
     averaged = form.gram
     assert np.linalg.norm(averaged - closed) <= 1e-3 * np.linalg.norm(closed)
     assert drift < 1e-2
 
 
 def test_cesaro_oracle_exact_on_involution():
-    form, drift = cesaro_oracle(INVOLUTION, None, cfg=CFG)
+    form, drift = cesaro_oracle(INVOLUTION, None)
     averaged = form.gram
     assert_allclose(averaged, INVOLUTION_GRAM, atol=1e-12)
     assert drift <= 1e-15
 
 
 def test_cesaro_unitarization_reports_method():
-    result = cesaro_unitarization(INVOLUTION, None, cfg=CFG)
+    result = cesaro_unitarization(INVOLUTION, None)
     assert result.method == "cesaro"
     assert result.cesaro_residual is not None
     assert_allclose(result.invariant_form.gram, INVOLUTION_GRAM, atol=1e-12)
 
 
 def test_divergence_guard_trips(rng):
-    cfg = ToleranceConfig(cesaro_horizon=512)
     T = 1.05 * np.eye(2, dtype=complex)
     with pytest.raises(DivergenceDetected):
-        cesaro_oracle(T, None, cfg=cfg)
+        cesaro_oracle(T, None, horizon=512)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("cesaro_oracle", lambda T, h: cesaro_oracle(T, None, h)[0].gram),
+    ("cesaro_unitarization", lambda T, h: cesaro_unitarization(T, None, h).invariant_form.gram),
+    ("mixed_cesaro", lambda T, h: mixed_cesaro(T, T, None, h)),
+])
+def test_a_cesaro_mean_takes_no_config_and_defaults_to_its_horizon(name, call):
+    # the one default is DEFAULT_TOLERANCES.cesaro_horizon, which the CLI's
+    # --horizon also reads; a config is the decision's alone
+    assert "cfg" not in inspect.signature(getattr(unitarize, name)).parameters
+    assert core.DEFAULT_TOLERANCES.cesaro_horizon == 4096
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowConvergence)
+        assert np.array_equal(call(INVOLUTION, None), call(INVOLUTION, 4096))
+
+
+@pytest.mark.xfail(raises=DivergenceDetected, strict=True,
+                   reason="DIVERGENCE_FACTOR refuses bounded orbits near cond(S) = 1e4 "
+                          "(ROADMAP item 3)")
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("seed", range(8000, 8004))
+def test_the_oracle_answers_a_bounded_orbit_at_cond_1e4(seed, n):
+    # the closed form answers every one of these draws
+    T, _, _ = conjugated_unitary(np.random.default_rng(seed), n, 1e4)
+    assert max(invariant_metric(T).residuals.values()) <= 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowConvergence)
+        cesaro_oracle(T, horizon=1 << 12)
+
+
+@pytest.mark.xfail(strict=True, reason="a contracting input's Cesaro form is returned with "
+                                       "unitarity residual 4.9e-2 (ROADMAP item 3)")
+@pytest.mark.parametrize("seed", range(5))
+def test_the_cesaro_unitarization_refuses_a_contracting_input(seed):
+    rng = np.random.default_rng(seed)
+    phases = unimodular_phases(rng, 4, min_gap=0.3)
+    S = invertible_with_condition(rng, 4, 10.0)
+    d = np.exp(1j * phases)
+    d[0] *= 0.95
+    T = np.linalg.solve(S, d[:, None] * S)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowConvergence)
+        with pytest.raises(UnitarizeError):
+            cesaro_unitarization(T)
+
+
+@pytest.mark.xfail(strict=True, reason="at cond 1e6 the band and the cluster radius swallow "
+                                       "the spectrum (ROADMAP finding 9, items 13 and 17)")
+def test_the_closed_form_gives_no_silent_answer_at_cond_1e6():
+    # the benchmark's bounded draw: invariance 6.8e9 with a positive answer
+    rng = np.random.default_rng(2000)
+    phases = jittered_unimodular_phases(rng, 64, margin=1.5 * np.pi / 64)
+    T, _, _ = conjugated_unitary(rng, 64, 1e6, phases)
+    try:
+        result = invariant_metric(T)
+    except UnitarizeError:
+        return
+    assert max(result.residuals.values()) <= 1e-6, result.residuals
 
 
 def _traceback_frames(exc):
@@ -226,7 +288,7 @@ def test_divergence_in_the_oracle_releases_the_half_horizon_sum():
     # the sum at 128 aside for the drift; neither sum may stay pinned.
     T = 1.05 * np.eye(3, dtype=complex)
     with pytest.raises(DivergenceDetected, match="after 256 terms") as info:
-        cesaro_oracle(T, None, horizon=256, cfg=CFG)
+        cesaro_oracle(T, None, horizon=256)
     caller, inner = _traceback_frames(info.value)[-2:]
     assert caller.f_code.co_name == "cesaro_oracle"
     assert inner.f_code.co_name == "_double_and_add"
@@ -319,7 +381,7 @@ def _reference_flow(X, h0):
 
 
 def _reference_cesaro(T, h0):
-    form, drift = cesaro_oracle(T, h0, 256, CFG)
+    form, drift = cesaro_oracle(T, h0, 256)
     g, Q, U, gram_match = _reference_similarity(T, form, h0)
     residuals = {
         "invariance": core.invariance_residual(T, g),
@@ -352,7 +414,7 @@ def test_flow_and_cesaro_routes_keep_their_formulas_to_the_bit(rng, route, fiduc
         form, Q, U, residuals, method, options = _reference_flow(X, h0)
     else:
         X, _, _ = conjugated_unitary(rng, n, 10.0, unimodular_phases(rng, n, min_gap=0.2))
-        result = cesaro_unitarization(X, h0, 256, CFG)
+        result = cesaro_unitarization(X, h0, 256)
         form, Q, U, residuals, method, options = _reference_cesaro(X, h0)
     _same_bits(result, form, Q, U, residuals, method)
     # the builder called on the reference form gives the same bits again
@@ -374,7 +436,7 @@ def test_every_route_builds_through_the_one_builder(monkeypatch, rng):
     t1, t2 = commuting_conjugated_pair(rng, 4, 10.0)
     routes = {
         "invariant_metric": (lambda: invariant_metric(t1, None, CFG), 1),
-        "cesaro_unitarization": (lambda: cesaro_unitarization(t1, None, 64, CFG), 1),
+        "cesaro_unitarization": (lambda: cesaro_unitarization(t1, None, 64), 1),
         "flow_invariant_metric": (lambda: flow_invariant_metric(np.diag([1j, -2j]), None, CFG), 1),
         "commuting_pair_metric": (lambda: commuting_pair_metric(t1, t2, None, CFG), 2),
         # the centre is a scalar, whose stage keeps the form it was handed
@@ -530,7 +592,7 @@ def test_cesaro_oracle_equals_the_two_pass_reference(pair, count):
     for h0, G0 in ((None, np.eye(4, dtype=complex)), (K, HermitianForm(K).gram)):
         gram, drift = _reference_oracle(t1, G0, count)
         for op in (t1, t1.tolist()):
-            form, got = cesaro_oracle(op, h0, count, CFG)
+            form, got = cesaro_oracle(op, h0, count)
             assert np.array_equal(form.gram, gram)
             assert got == drift
 
@@ -600,7 +662,7 @@ def test_divergent_inputs_raise_the_reference_message(rng, count):
             if isinstance(got, tuple):
                 raised.add((name, side))
         expected = _outcome(lambda: _reference_oracle(T, K, count)[0])
-        got = _outcome(lambda: cesaro_oracle(T, None, count, CFG)[0].gram)
+        got = _outcome(lambda: cesaro_oracle(T, None, count)[0].gram)
         assert _same(got, expected), (name, got, expected)
         if isinstance(got, tuple):
             raised.add((name, "oracle"))
@@ -637,7 +699,7 @@ def test_both_modes_equal_the_reference(pair, count, mode, submitted):
         expected = _reference_mixed_mean(left, K, right, count)
         assert np.array_equal(mixed_pullback_mean(left, K, right, count), expected)
     gram, drift = _reference_oracle(t1, HermitianForm(K).gram, count)
-    form, got = cesaro_oracle(t1, K, count, CFG)
+    form, got = cesaro_oracle(t1, K, count)
     assert np.array_equal(form.gram, gram) and got == drift
     # counts 1 and 2 form no power past the first
     assert bool(submitted) == (count >= 3)
@@ -789,7 +851,7 @@ def test_host_policy_matches_the_reference_at_the_cutoff(submitted):
     K = positive_definite_fixture(np.random.default_rng(1), n, 3.0)
     count = (1 << 20) + 3
     gram, drift = _reference_oracle(T, HermitianForm(K).gram, count)
-    form, got = cesaro_oracle(T, K, count, CFG)
+    form, got = cesaro_oracle(T, K, count)
     assert np.array_equal(form.gram, gram) and got == drift
     assert submitted
     assert all(isinstance(f, _Task) == core._overlaps(True) for f in submitted)
@@ -801,13 +863,13 @@ def test_host_policy_matches_the_reference_at_the_cutoff(submitted):
 def test_forked_child_finishes_an_overlapped_oracle(monkeypatch):
     monkeypatch.setattr(core, "_overlaps", lambda n: True)
     T = _bounded(8)
-    expected = cesaro_oracle(T, None, 4096, CFG)[0].gram
+    expected = cesaro_oracle(T, None, 4096)[0].gram
     assert core._worker is not None
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            got = cesaro_oracle(T, None, 4096, CFG)[0].gram
+            got = cesaro_oracle(T, None, 4096)[0].gram
             status = 0 if np.array_equal(got, expected) else 2
         finally:
             os._exit(status)
